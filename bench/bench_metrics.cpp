@@ -18,9 +18,8 @@
 //   HistogramRecord two relaxed adds plus a bucket add (log-scaled).
 //   RegistryLookup get-or-create by name: the cost a call site pays
 //                  when it does NOT cache the instrument reference.
-//   Snapshot       a full registry snapshot with bridges and
-//                  collectors — the exporter-interval cost, not a
-//                  hot-path cost.
+//   Snapshot       a full registry snapshot with collectors — the
+//                  exporter-interval cost, not a hot-path cost.
 //
 // Reports to BENCH_metrics.json via bench_report.h.
 //
@@ -120,8 +119,8 @@ void BM_RegistryLookupLabeled(benchmark::State &State) {
 }
 BENCHMARK(BM_RegistryLookupLabeled);
 
-// Full snapshot: stripe merges, legacy Stats/histogram bridges, trace
-// and remark accounting, every registered collector. This is the cost
+// Full snapshot: stripe merges, trace and remark accounting, every
+// registered collector. This is the cost
 // the exporter pays per interval and `gmdiv_tool metrics` pays per
 // invocation — milliseconds-scale budgets, not nanoseconds.
 void BM_Snapshot(benchmark::State &State) {

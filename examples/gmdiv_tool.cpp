@@ -74,18 +74,17 @@
 //                                        against hardware division,
 //                                        then push B batch jobs through
 //                                        the async front door; prints
-//                                        the registry metrics summary,
-//                                        exit 1 on any mismatch.
+//                                        an ops/s line (--stats adds
+//                                        the registry's metrics), exit
+//                                        1 on any mismatch.
 //
 // Global telemetry flags (usable with any command; all write stderr so
 // stdout stays a clean IR/assembly listing):
 //
 //   --remarks=json|text   stream one remark per generated sequence.
-//   --stats               print the counter registry as one JSON line
-//                         after the command finishes (plus a second
-//                         line of latency histograms when any fired,
-//                         plus JIT cache occupancy/hit-rate summary
-//                         lines when the cache was touched).
+//   --stats               print the metrics snapshot (every counter,
+//                         gauge and histogram) as one JSON line after
+//                         the command finishes.
 //   --trace=FILE          record tracing spans and write a Chrome
 //                         trace-event JSON file on exit (load it in
 //                         Perfetto or about:tracing).
@@ -123,10 +122,8 @@
 #include "service/BatchService.h"
 #include "service/Registry.h"
 #include "telemetry/BenchReport.h"
-#include "telemetry/Histogram.h"
 #include "telemetry/Json.h"
 #include "telemetry/Remarks.h"
-#include "telemetry/Stats.h"
 #include "trace/HwCounters.h"
 #include "trace/Trace.h"
 #include "verify/Fuzzer.h"
@@ -172,8 +169,7 @@ int usage(const char *Argv0) {
                "  %s top [--keys K] [--ops N]\n"
                "global flags (telemetry, on stderr):\n"
                "  --remarks=json|text   one remark per generated sequence\n"
-               "  --stats               counter registry as one JSON line "
-               "(+ JIT cache summary)\n"
+               "  --stats               metrics snapshot as one JSON line\n"
                "  --trace=FILE          write a Chrome trace-event JSON "
                "file\n"
                "  --metrics=FILE        write a metrics snapshot on exit "
@@ -472,73 +468,6 @@ void exerciseMetrics() {
     for (int Round = 0; Round < 2; ++Round) // Miss, then hit.
       jit::compileCached(jit::CodeCache::global(),
                          {jit::SeqKind::UDivRem, 32, D});
-}
-
-/// --stats companion: JIT cache occupancy and hit rate, aggregate plus
-/// any shard that saw traffic. Silent when the cache was never touched
-/// so non-JIT commands keep their current --stats output.
-void printJitCacheSummary() {
-  const jit::CodeCache &Cache = jit::CodeCache::global();
-  const jit::CacheStats Total = Cache.stats();
-  if (Total.Hits + Total.Misses == 0 && Total.Entries == 0)
-    return;
-  std::fprintf(stderr,
-               "jit cache: %zu/%zu entries, hits %llu (negative %llu), "
-               "misses %llu, evictions %llu, hit rate %.1f%%\n",
-               Total.Entries, Total.Capacity,
-               static_cast<unsigned long long>(Total.Hits),
-               static_cast<unsigned long long>(Total.NegativeHits),
-               static_cast<unsigned long long>(Total.Misses),
-               static_cast<unsigned long long>(Total.Evictions),
-               100.0 * Total.hitRatio());
-  const jit::CacheStats Vector = Cache.formStats(cache::KernelForm::Vector);
-  if (Vector.Hits + Vector.Misses) {
-    const jit::CacheStats Scalar = Cache.formStats(cache::KernelForm::Scalar);
-    std::fprintf(stderr,
-                 "  by form: scalar %llu hits / %llu misses, vector "
-                 "%llu hits / %llu misses (%llu vector inserts)\n",
-                 static_cast<unsigned long long>(Scalar.Hits),
-                 static_cast<unsigned long long>(Scalar.Misses),
-                 static_cast<unsigned long long>(Vector.Hits),
-                 static_cast<unsigned long long>(Vector.Misses),
-                 static_cast<unsigned long long>(Vector.Inserts));
-  }
-  const std::vector<jit::CacheStats> Shards = Cache.shardStats();
-  for (size_t I = 0; I < Shards.size(); ++I) {
-    const jit::CacheStats &S = Shards[I];
-    if (S.Hits + S.Misses == 0 && S.Entries == 0)
-      continue;
-    std::fprintf(stderr,
-                 "  shard %2zu: %zu/%zu entries, hit rate %.1f%%\n", I,
-                 S.Entries, S.Capacity, 100.0 * S.hitRatio());
-  }
-}
-
-/// --stats companion for the service registry, same shape as the JIT
-/// cache summary. Silent when the registry was never touched.
-void printServiceSummary() {
-  service::DividerRegistry &Reg = service::DividerRegistry::global();
-  const cache::CacheStats Total = Reg.stats();
-  if (Total.Hits + Total.Misses == 0 && Total.Entries == 0)
-    return;
-  std::fprintf(stderr,
-               "service registry: %zu/%zu entries, hits %llu, misses "
-               "%llu, evictions %llu, invalid %llu, hit rate %.1f%%\n",
-               Total.Entries, Total.Capacity,
-               static_cast<unsigned long long>(Total.Hits),
-               static_cast<unsigned long long>(Total.Misses),
-               static_cast<unsigned long long>(Total.Evictions),
-               static_cast<unsigned long long>(Reg.invalidKeys()),
-               100.0 * Total.hitRatio());
-  const std::vector<cache::CacheStats> Shards = Reg.shardStats();
-  for (size_t I = 0; I < Shards.size(); ++I) {
-    const cache::CacheStats &S = Shards[I];
-    if (S.Hits + S.Misses == 0 && S.Entries == 0)
-      continue;
-    std::fprintf(stderr,
-                 "  shard %2zu: %zu/%zu entries, hit rate %.1f%%\n", I,
-                 S.Entries, S.Capacity, 100.0 * S.hitRatio());
-  }
 }
 
 /// The `service` command body: hammer the global registry from
@@ -1233,7 +1162,6 @@ int runCommand(int Argc, char **Argv) {
                 Elapsed > 0 ? static_cast<double>(TotalOps) / Elapsed / 1e6
                             : 0.0,
                 Batch, static_cast<unsigned long long>(Mismatches));
-    printServiceSummary();
     return Mismatches == 0 ? 0 : 1;
   }
 
@@ -1405,13 +1333,10 @@ int main(int Argc, char **Argv) {
                             Args.size() > 1 ? Args[1] : "gmdiv_tool");
     Result = runCommand(static_cast<int>(Args.size()), Args.data());
   }
-  if (ShowStats) {
-    std::fprintf(stderr, "%s\n", telemetry::statsJson().c_str());
-    if (!telemetry::histogramsSnapshot().empty())
-      std::fprintf(stderr, "%s\n", telemetry::histogramsJson().c_str());
-    printJitCacheSummary();
-    printServiceSummary();
-  }
+  if (ShowStats)
+    std::fprintf(
+        stderr, "%s\n",
+        metrics::snapshotJson(metrics::Registry::global().snapshot()).c_str());
   if (!TraceFile.empty()) {
     std::string Error;
     if (!trace::writeChromeTrace(TraceFile, &Error)) {

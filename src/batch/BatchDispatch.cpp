@@ -19,7 +19,6 @@
 
 #include "metrics/Metrics.h"
 #include "telemetry/Remarks.h"
-#include "telemetry/Stats.h"
 
 #include <atomic>
 #include <cstdlib>
@@ -113,17 +112,43 @@ bool backendAvailable(Backend B) {
   return cpuSupports(B);
 }
 
-/// Internal: one "batch.backend" remark per selection event — the
-/// process-wide default resolution and every explicitly pinned
-/// BatchDivider. Guarded by remarksEnabled(), so the default (no sink)
-/// costs nothing and GMDIV_NO_TELEMETRY compiles it out.
-void noteBackendSelected(Backend B, const char *Source) {
-  GMDIV_STAT_ADD(batch, backend_selections, 1);
-  metrics::Registry::global()
-      .counter("gmdiv_batch_backend_selected_total",
-               "Batch backend selection events by backend and source",
-               {{"backend", backendName(B)}, {"source", Source}})
-      .inc();
+const char *selectionSourceName(SelectionSource S) {
+  switch (S) {
+  case SelectionSource::Divider:
+    return "divider";
+  case SelectionSource::EnvOverride:
+    return "env-override";
+  case SelectionSource::Autodetect:
+    return "autodetect";
+  case SelectionSource::Fallback:
+    return "fallback";
+  }
+  return "divider";
+}
+
+/// Internal: counts every selection event — the process-wide default
+/// resolution and every BatchDivider construction — and emits one
+/// "batch.backend" remark per event. The remark is guarded by
+/// remarksEnabled(), so the default (no sink) costs nothing and
+/// GMDIV_NO_TELEMETRY compiles it out.
+void noteBackendSelected(Backend B, SelectionSource Source) {
+  // Each (backend, source) series is resolved once: construction runs on
+  // every registry admission, and the registry lookup takes the global
+  // metrics mutex and builds a series key. Racing first uses resolve to
+  // the same instrument, so a plain atomic publish suffices.
+  static std::atomic<metrics::Counter *> Selected[4][4]; // [B][Source]
+  std::atomic<metrics::Counter *> &Slot =
+      Selected[static_cast<size_t>(B)][static_cast<size_t>(Source)];
+  metrics::Counter *C = Slot.load(std::memory_order_acquire);
+  if (!C) {
+    C = &metrics::Registry::global().counter(
+        "gmdiv_batch_backend_selected_total",
+        "Batch backend selection events by backend and source",
+        {{"backend", backendName(B)},
+         {"source", selectionSourceName(Source)}});
+    Slot.store(C, std::memory_order_release);
+  }
+  C->inc();
   if (!telemetry::remarksEnabled())
     return;
   telemetry::Remark R;
@@ -133,7 +158,7 @@ void noteBackendSelected(Backend B, const char *Source) {
   R.CaseName = "batch backend selection";
   R.HasDivisor = false;
   R.Details.emplace_back("backend", backendName(B));
-  R.Details.emplace_back("source", Source);
+  R.Details.emplace_back("source", selectionSourceName(Source));
   telemetry::emitRemark(R);
 }
 
@@ -180,7 +205,7 @@ Backend activeBackend() {
                         Backend::NEON}) {
         if (std::strcmp(Env, backendName(B)) == 0) {
           if (backendAvailable(B)) {
-            noteBackendSelected(B, "env-override");
+            noteBackendSelected(B, SelectionSource::EnvOverride);
             return B;
           }
           break; // Named but unavailable: fall through to autodetect.
@@ -189,11 +214,11 @@ Backend activeBackend() {
     }
     for (Backend B : {Backend::AVX2, Backend::SSE2, Backend::NEON}) {
       if (backendAvailable(B)) {
-        noteBackendSelected(B, "autodetect");
+        noteBackendSelected(B, SelectionSource::Autodetect);
         return B;
       }
     }
-    noteBackendSelected(Backend::Scalar, "fallback");
+    noteBackendSelected(Backend::Scalar, SelectionSource::Fallback);
     return Backend::Scalar;
   }();
   return Resolved;

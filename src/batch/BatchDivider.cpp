@@ -16,8 +16,8 @@
 
 #include "core/Divider.h"
 #include "core/ExactDiv.h"
+#include "metrics/Metrics.h"
 #include "ops/Bits.h"
-#include "telemetry/Stats.h"
 
 #include <cinttypes>
 #include <cstdio>
@@ -27,7 +27,6 @@ namespace batch {
 
 // Defined in BatchDispatch.cpp.
 const KernelTables &tablesForBackend(Backend B);
-void noteBackendSelected(Backend B, const char *Source);
 
 namespace {
 
@@ -81,7 +80,7 @@ BatchDivider<T>::BatchDivider(T Divisor, Backend B)
     Kernels = tablesForBackend(Selected).template unsignedFor<T>();
   }
   GMDIV_STAT_ADD(batch, dividers_constructed, 1);
-  noteBackendSelected(Selected, "divider");
+  noteBackendSelected(Selected, SelectionSource::Divider);
 }
 
 template <typename T>

@@ -84,6 +84,14 @@ size_t batchBreakEvenHint();
 /// kernel.
 void noteBatchCall(size_t Count);
 
+/// Internal: why a backend was selected — the "source" label of
+/// gmdiv_batch_backend_selected_total.
+enum class SelectionSource { Divider, EnvOverride, Autodetect, Fallback };
+
+/// Internal: counts one selection event and emits its "batch.backend"
+/// remark (BatchDispatch.cpp).
+void noteBackendSelected(Backend B, SelectionSource Source);
+
 /// Divides many dividends by one invariant divisor. The constructor
 /// runs the divisor-dependent precomputation once (reusing
 /// UnsignedDivider / SignedDivider / ExactUnsignedDivider); every array

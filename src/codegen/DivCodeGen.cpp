@@ -9,12 +9,12 @@
 
 #include "codegen/MulByConst.h"
 #include "core/ChooseMultiplier.h"
+#include "metrics/Metrics.h"
 #include "numtheory/ModArith.h"
 #include "ops/Bits.h"
 #include "ops/Ops.h"
 #include "ops/SmallWord.h"
 #include "telemetry/Remarks.h"
-#include "telemetry/Stats.h"
 
 #include <cassert>
 #include <cstdio>

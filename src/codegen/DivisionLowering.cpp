@@ -9,8 +9,8 @@
 
 #include "codegen/MulByConst.h"
 #include "ir/Builder.h"
+#include "metrics/Metrics.h"
 #include "telemetry/Remarks.h"
-#include "telemetry/Stats.h"
 #include "trace/Trace.h"
 
 #include <string>

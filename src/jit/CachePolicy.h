@@ -61,8 +61,8 @@ inline const char *kernelFormName(KernelForm Form) {
   return Form == KernelForm::Vector ? "vector" : "scalar";
 }
 
-/// Point-in-time counter snapshot shared by every divider cache (also
-/// mirrored into --stats counters by the owners). Hits counts every
+/// Point-in-time counter snapshot shared by every divider cache; each
+/// owner's metrics collector exports it. Hits counts every
 /// lookup that found an entry; NegativeHits is the subset that found a
 /// cached *failure* (null entry; the service registry never caches
 /// failures, so it reports 0). Inserts counts entries added

@@ -9,7 +9,6 @@
 
 #include "metrics/Metrics.h"
 #include "telemetry/Remarks.h"
-#include "telemetry/Stats.h"
 #include "trace/Trace.h"
 
 #include <cstdlib>
@@ -19,9 +18,9 @@ using namespace gmdiv;
 using namespace gmdiv::jit;
 
 namespace {
-// Vector-compile outcome counters, exported directly (not via --stats
-// mirroring) so a scrape can tell "how much vector code exists" apart
-// from the scalar jit.* family.
+// Vector-compile outcome counters. Registered directly rather than via
+// GMDIV_STAT so they keep counting under GMDIV_NO_TELEMETRY, and named
+// apart from the scalar gmdiv_jit_compile* family.
 metrics::Counter &vectorCompilesCounter() {
   static metrics::Counter &C = metrics::Registry::global().counter(
       "gmdiv_jit_vector_compiles_total",
@@ -172,7 +171,6 @@ gmdiv::jit::compileVectorLoop(const ir::Program &P,
                    static_cast<uint64_t>(P.wordBits()));
   if (!enabled() || !vectorHostSupported(Opts.Isa)) {
     vectorBailsCounter().inc();
-    GMDIV_STAT(jit, vector_bails);
     if (Error)
       *Error = !hostSupported() ? "host is not x86-64"
                : !enabled()     ? "JIT disabled (GMDIV_NO_JIT=1)"
@@ -183,7 +181,6 @@ gmdiv::jit::compileVectorLoop(const ir::Program &P,
   VectorEmitResult Emitted = emitX86VectorLoop(P, Opts);
   if (!Emitted.Ok) {
     vectorBailsCounter().inc();
-    GMDIV_STAT(jit, vector_bails);
     if (Error)
       *Error = Emitted.Error;
     return nullptr;
@@ -194,7 +191,6 @@ gmdiv::jit::compileVectorLoop(const ir::Program &P,
       Emitted.Code.data(), Emitted.Code.size(), &AllocError);
   if (!Buffer.valid()) {
     vectorBailsCounter().inc();
-    GMDIV_STAT(jit, vector_bails);
     if (Error)
       *Error = AllocError;
     return nullptr;
@@ -202,8 +198,6 @@ gmdiv::jit::compileVectorLoop(const ir::Program &P,
 
   vectorCompilesCounter().inc();
   vectorBytesCounter().add(static_cast<uint64_t>(Emitted.Code.size()));
-  GMDIV_STAT(jit, vector_compiles);
-  GMDIV_STAT_ADD(jit, vector_compile_bytes, Emitted.Code.size());
 
   if (telemetry::remarksEnabled()) {
     telemetry::Remark R;

@@ -7,7 +7,6 @@
 
 #include "jit/JitCache.h"
 
-#include "telemetry/Stats.h"
 #include "trace/Trace.h"
 
 #include <chrono>
@@ -106,7 +105,6 @@ CodeCache::getOrCompile(const CacheKey &Key, const Compiler &Compile) {
     ++S.FormHits[Form];
     if (!Found->second->Seq)
       ++S.NegativeHits;
-    GMDIV_STAT(jit, cache_hits);
     return Found->second->Seq;
   }
 
@@ -115,7 +113,6 @@ CodeCache::getOrCompile(const CacheKey &Key, const Compiler &Compile) {
   // on *other* shards proceed unblocked.
   ++S.Misses;
   ++S.FormMisses[Form];
-  GMDIV_STAT(jit, cache_misses);
   std::shared_ptr<const CompiledSequence> Seq;
   {
     GMDIV_TRACE_SPAN("jit", "cache-miss", Key.Divisor);
@@ -134,17 +131,16 @@ CodeCache::getOrCompile(const CacheKey &Key, const Compiler &Compile) {
     S.Map.erase(Oldest.Key);
     S.Lru.pop_back(); // Holders' shared_ptrs keep the code alive.
     ++S.Evictions;
-    GMDIV_STAT(jit, cache_evictions);
   }
   return Seq;
 }
 
-std::vector<CacheStats> CodeCache::shardStats() const {
-  std::vector<CacheStats> Out;
+std::vector<cache::CacheStats> CodeCache::shardStats() const {
+  std::vector<cache::CacheStats> Out;
   Out.reserve(Shards.size());
   for (const Shard &S : Shards) {
     std::lock_guard<std::mutex> Lock(const_cast<std::mutex &>(S.Mutex));
-    CacheStats Row;
+    cache::CacheStats Row;
     Row.Hits = S.Hits;
     Row.Misses = S.Misses;
     Row.NegativeHits = S.NegativeHits;
@@ -157,9 +153,9 @@ std::vector<CacheStats> CodeCache::shardStats() const {
   return Out;
 }
 
-CacheStats CodeCache::formStats(cache::KernelForm Form) const {
+cache::CacheStats CodeCache::formStats(cache::KernelForm Form) const {
   const size_t F = static_cast<size_t>(Form);
-  CacheStats Out;
+  cache::CacheStats Out;
   for (const Shard &S : Shards) {
     std::lock_guard<std::mutex> Lock(const_cast<std::mutex &>(S.Mutex));
     Out.Hits += S.FormHits[F];
@@ -169,9 +165,9 @@ CacheStats CodeCache::formStats(cache::KernelForm Form) const {
   return Out;
 }
 
-CacheStats CodeCache::stats() const {
-  CacheStats Out;
-  for (const CacheStats &Row : shardStats()) {
+cache::CacheStats CodeCache::stats() const {
+  cache::CacheStats Out;
+  for (const cache::CacheStats &Row : shardStats()) {
     Out.Hits += Row.Hits;
     Out.Misses += Row.Misses;
     Out.NegativeHits += Row.NegativeHits;
@@ -193,10 +189,10 @@ void CodeCache::clear() {
 
 void CodeCache::collect(metrics::SnapshotBuilder &B) const {
   const std::string &P = MetricsPrefix;
-  const std::vector<CacheStats> PerShard = shardStats();
-  CacheStats Total;
+  const std::vector<cache::CacheStats> PerShard = shardStats();
+  cache::CacheStats Total;
   for (size_t I = 0; I < PerShard.size(); ++I) {
-    const CacheStats &Row = PerShard[I];
+    const cache::CacheStats &Row = PerShard[I];
     const metrics::LabelSet L = {{"shard", std::to_string(I)}};
     B.counter(P + "_shard_hits_total", "Cache lookups that found an entry",
               L, static_cast<double>(Row.Hits));
@@ -225,7 +221,7 @@ void CodeCache::collect(metrics::SnapshotBuilder &B) const {
   // Prometheus by the form label.
   for (cache::KernelForm F :
        {cache::KernelForm::Scalar, cache::KernelForm::Vector}) {
-    const CacheStats FS = formStats(F);
+    const cache::CacheStats FS = formStats(F);
     const metrics::LabelSet L = {{"form", cache::kernelFormName(F)}};
     B.counter(P + "_form_hits_total",
               "Cache hits split by kernel form (scalar vs vector)", L,

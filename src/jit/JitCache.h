@@ -94,11 +94,6 @@ struct CacheKeyHash {
   }
 };
 
-/// Counter vocabulary shared with the service registry; see
-/// jit/CachePolicy.h. Mirrored into the global jit.cache_* stats for
-/// --stats output.
-using CacheStats = cache::CacheStats;
-
 class CodeCache {
 public:
   /// \p ShardCapacity is per shard; total capacity is the product.
@@ -116,15 +111,15 @@ public:
                                                        const Compiler &Compile);
 
   /// Aggregate over every shard.
-  CacheStats stats() const;
+  cache::CacheStats stats() const;
   /// Hit/miss totals for one kernel form only (scalar vs vector keys),
   /// summed over shards; the other CacheStats fields stay zero. This is
   /// what lets tests assert "second vector construction = pure hits, no
   /// new inserts".
-  CacheStats formStats(cache::KernelForm Form) const;
+  cache::CacheStats formStats(cache::KernelForm Form) const;
   /// Per-shard counters, index = shard number. The hit-rate telemetry
   /// the metrics plane exposes per shard comes from here.
-  std::vector<CacheStats> shardStats() const;
+  std::vector<cache::CacheStats> shardStats() const;
   size_t numShards() const { return Shards.size(); }
   size_t shardCapacity() const { return ShardCapacity; }
 

@@ -57,8 +57,8 @@ std::string formatValue(double V) {
   return Buf;
 }
 
-/// One sample line: name{labels} value. Extra label pairs (le,
-/// quantile) are appended after the sample's own labels.
+/// One sample line: name{labels} value. Extra label pairs (le) are
+/// appended after the sample's own labels.
 void writeLine(std::string &Out, const std::string &Name,
                const LabelSet &Labels, const LabelSet &Extra, double Value) {
   LabelSet All = Labels;
@@ -89,15 +89,6 @@ std::string gmdiv::metrics::prometheusText(const Snapshot &S) {
                     {{"le", formatValue(Le)}}, static_cast<double>(Cum));
         writeLine(Out, F.Name + "_bucket", Sm.Labels, {{"le", "+Inf"}},
                   static_cast<double>(Sm.Count));
-        writeLine(Out, F.Name + "_sum", Sm.Labels, {}, Sm.Sum);
-        writeLine(Out, F.Name + "_count", Sm.Labels, {},
-                  static_cast<double>(Sm.Count));
-        break;
-      }
-      case Kind::Summary: {
-        for (const auto &[Q, V] : Sm.Quantiles)
-          writeLine(Out, F.Name, Sm.Labels, {{"quantile", formatValue(Q)}},
-                    V);
         writeLine(Out, F.Name + "_sum", Sm.Labels, {}, Sm.Sum);
         writeLine(Out, F.Name + "_count", Sm.Labels, {},
                   static_cast<double>(Sm.Count));
@@ -143,13 +134,6 @@ std::string gmdiv::metrics::snapshotJson(const Snapshot &S) {
         W.key("buckets").beginArray();
         for (const auto &[Le, Cum] : Sm.CumulativeBuckets)
           W.beginArray().value(Le).value(Cum).endArray();
-        W.endArray();
-        W.key("sum").value(Sm.Sum).key("count").value(Sm.Count);
-        break;
-      case Kind::Summary:
-        W.key("quantiles").beginArray();
-        for (const auto &[Q, V] : Sm.Quantiles)
-          W.beginArray().value(Q).value(V).endArray();
         W.endArray();
         W.key("sum").value(Sm.Sum).key("count").value(Sm.Count);
         break;

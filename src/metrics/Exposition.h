@@ -8,8 +8,7 @@
 /// \file
 /// Serializers for metrics::Snapshot: the Prometheus text exposition
 /// format 0.0.4 (# HELP / # TYPE headers, histogram _bucket/_sum/_count
-/// expansion with cumulative le bounds, summary quantile labels, label
-/// value escaping) and a JSON document built with telemetry/Json so
+/// expansion with cumulative le bounds, label value escaping) and a JSON document built with telemetry/Json so
 /// tests can validate it with the same parser that checks every other
 /// telemetry artifact.
 ///
@@ -39,8 +38,7 @@ std::string prometheusText(const Snapshot &S);
 ///   {"gmdiv_metrics":1,"unix_ms":...,"families":[
 ///     {"name":...,"kind":...,"help":...,"samples":[...]}]}
 /// Counter/gauge samples carry {"labels":{...},"value":...}; histogram
-/// samples add "buckets" ([le, cumulative] pairs), "sum" and "count";
-/// summaries add "quantiles" ([q, value] pairs).
+/// samples add "buckets" ([le, cumulative] pairs), "sum" and "count".
 std::string snapshotJson(const Snapshot &S);
 
 /// One parsed sample line of an exposition.

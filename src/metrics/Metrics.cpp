@@ -8,11 +8,10 @@
 #include "metrics/Metrics.h"
 
 #include "telemetry/Remarks.h"
-#include "telemetry/Stats.h"
 #include "trace/Trace.h"
 
 #include <algorithm>
-#include <cctype>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -28,8 +27,6 @@ const char *gmdiv::metrics::kindName(Kind K) {
     return "gauge";
   case Kind::Histogram:
     return "histogram";
-  case Kind::Summary:
-    return "summary";
   }
   return "untyped";
 }
@@ -51,8 +48,65 @@ double Gauge::unpack(uint64_t Bits) {
   return V;
 }
 
+size_t Histogram::bucketIndex(uint64_t Value) {
+  if (Value < 16)
+    return static_cast<size_t>(Value);
+  const int E = static_cast<int>(std::bit_width(Value)) - 1; // 4..63
+  const size_t Sub = static_cast<size_t>((Value >> (E - 4)) & 0xF);
+  return 16 + static_cast<size_t>(E - 4) * 16 + Sub;
+}
+
+double Histogram::bucketMidpoint(size_t Index) {
+  if (Index < 16)
+    return static_cast<double>(Index);
+  const size_t B = Index - 16;
+  const int E = 4 + static_cast<int>(B / 16);
+  const double Sub = static_cast<double>(B % 16);
+  const double Base = std::ldexp(1.0, E);
+  return Base * (1.0 + Sub / 16.0) + Base / 32.0;
+}
+
+double Histogram::percentile(double P) const {
+  const uint64_t N = count();
+  if (N == 0)
+    return 0.0;
+  uint64_t Rank = static_cast<uint64_t>(
+      std::ceil(std::min(std::max(P, 0.0), 100.0) / 100.0 *
+                static_cast<double>(N)));
+  if (Rank == 0)
+    Rank = 1;
+  uint64_t Cum = 0;
+  for (size_t I = 0; I < NumBuckets; ++I) {
+    Cum += Buckets[I].load(std::memory_order_relaxed);
+    if (Cum >= Rank)
+      return bucketMidpoint(I);
+  }
+  return bucketMidpoint(NumBuckets - 1);
+}
+
+double Histogram::mad() const {
+  const uint64_t N = count();
+  if (N == 0)
+    return 0.0;
+  const double Median = percentile(50);
+  std::vector<std::pair<double, uint64_t>> Dev;
+  for (size_t I = 0; I < NumBuckets; ++I) {
+    const uint64_t C = Buckets[I].load(std::memory_order_relaxed);
+    if (C)
+      Dev.emplace_back(std::fabs(bucketMidpoint(I) - Median), C);
+  }
+  std::sort(Dev.begin(), Dev.end());
+  const uint64_t Rank = (N + 1) / 2;
+  uint64_t Cum = 0;
+  for (const auto &[Distance, C] : Dev) {
+    Cum += C;
+    if (Cum >= Rank)
+      return Distance;
+  }
+  return Dev.empty() ? 0.0 : Dev.back().first;
+}
+
 Histogram::Cumulative Histogram::cumulative() const {
-  using telemetry::LatencyHistogram;
   Cumulative Out;
   // Count first: concurrent records landing between this load and the
   // bucket loads can make a raw cumulative sum exceed it, so bucket
@@ -76,7 +130,7 @@ Histogram::Cumulative Histogram::cumulative() const {
   // Major buckets: exponent E covers [2^E, 2^(E+1)); bound 2^(E+1)-1.
   for (int E = 4; E < 64; ++E) {
     const size_t MajorEnd = 16 + static_cast<size_t>(E - 3) * 16;
-    while (Bucket < MajorEnd && Bucket < LatencyHistogram::NumBuckets)
+    while (Bucket < MajorEnd && Bucket < NumBuckets)
       Running += Buckets[Bucket++].load(std::memory_order_relaxed);
     const uint64_t Cum = std::min(Running, Out.Count);
     Out.Bounds.emplace_back(std::ldexp(1.0, E + 1) - 1.0, Cum);
@@ -143,9 +197,6 @@ double Snapshot::valueOr(const std::string &Name, const LabelSet &Labels,
 Sample *SnapshotBuilder::addSample(const std::string &Name,
                                    const std::string &Help, Kind K,
                                    const LabelSet &Labels) {
-  const std::string Key = seriesKey(Name, Labels);
-  if (!Seen.emplace(Key, true).second)
-    return nullptr; // First writer of a series wins.
   auto [It, Inserted] = Families.try_emplace(Name);
   Family &F = It->second;
   if (Inserted) {
@@ -183,72 +234,20 @@ void SnapshotBuilder::histogram(
   }
 }
 
-void SnapshotBuilder::summary(const std::string &Name, const std::string &Help,
-                              const LabelSet &Labels,
-                              std::vector<std::pair<double, double>> Quantiles,
-                              uint64_t Count, double Sum) {
-  if (Sample *S = addSample(Name, Help, Kind::Summary, Labels)) {
-    S->Quantiles = std::move(Quantiles);
-    S->Count = Count;
-    S->Sum = Sum;
-  }
-}
-
 Snapshot SnapshotBuilder::take() {
   Snapshot Out;
   Out.Families.reserve(Families.size());
   for (auto &[Name, F] : Families)
     Out.Families.push_back(std::move(F)); // std::map: already name-sorted.
   Families.clear();
-  Seen.clear();
   return Out;
 }
 
 //===----------------------------------------------------------------------===//
-// Legacy telemetry bridges
+// Trace and remark accounting
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; stats groups/names are
-/// C identifiers already, but be defensive about future additions.
-std::string sanitize(const std::string &Part) {
-  std::string Out = Part;
-  for (char &C : Out)
-    if (!(std::isalnum(static_cast<unsigned char>(C)) || C == '_' || C == ':'))
-      C = '_';
-  return Out;
-}
-
-/// Every Stats-registry counter as a gmdiv_<group>_<name>_total counter
-/// family. Values are read from the same atomics `--stats` prints, so
-/// the two surfaces agree by construction; a native instrument with the
-/// same family name shadows the bridged copy (instruments are merged
-/// first), which is the supported way to keep a stat counting under
-/// GMDIV_NO_TELEMETRY.
-void bridgeStats(SnapshotBuilder &B) {
-  for (const telemetry::StatRecord &R : telemetry::statsSnapshot()) {
-    const std::string Name =
-        "gmdiv_" + sanitize(R.Group) + "_" + sanitize(R.Name) + "_total";
-    const std::string Help = R.Description.empty()
-                                 ? "Stats-registry counter " + R.Group + "." +
-                                       R.Name
-                                 : R.Description;
-    B.counter(Name, Help, {}, static_cast<double>(R.Value));
-  }
-}
-
-/// Registered LatencyHistograms as summary families (the registry keeps
-/// quantiles, not raw buckets, at this surface).
-void bridgeHistograms(SnapshotBuilder &B) {
-  for (const telemetry::HistogramRecord &R : telemetry::histogramsSnapshot()) {
-    const std::string Name = "gmdiv_" + sanitize(R.Group) + "_" +
-                             sanitize(R.Name);
-    B.summary(Name, "Latency histogram " + R.Group + "." + R.Name,
-              {}, {{0.5, R.P50}, {0.9, R.P90}, {0.99, R.P99}}, R.Count,
-              R.Mean * static_cast<double>(R.Count));
-  }
-}
 
 /// Per-thread trace-ring accounting: recorded spans and spans lost to
 /// ring wraparound, previously visible only inside Chrome trace dumps.
@@ -285,8 +284,8 @@ void bridgeRemarks(SnapshotBuilder &B) {
 Registry::Registry() = default;
 
 Registry &Registry::global() {
-  // Leaked: exporter threads and atexit paths may snapshot arbitrarily
-  // late (same rationale as the Stats registry).
+  // Leaked: exporter threads, atexit paths and function-local
+  // GMDIV_STAT references may touch it arbitrarily late in teardown.
   static Registry *R = new Registry;
   return *R;
 }
@@ -364,8 +363,6 @@ Snapshot Registry::snapshot() const {
   // of their own (e.g. the JIT cache shard mutexes).
   for (const auto &[Handle, C] : Cs)
     C(B);
-  bridgeStats(B);
-  bridgeHistograms(B);
   bridgeTrace(B);
   bridgeRemarks(B);
   Snapshot S = B.take();

@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime metrics plane: typed instruments (monotonic counters,
-/// gauges, log-scaled histograms) behind one process-wide Registry,
-/// with a point-in-time Snapshot model that the Prometheus/JSON
-/// exposition writers (metrics/Exposition.h) serialize.
+/// The runtime metrics plane and the only instrument layer: typed
+/// instruments (monotonic counters, gauges, log-scaled histograms)
+/// behind one process-wide Registry, with a point-in-time Snapshot
+/// model that the Prometheus/JSON exposition writers
+/// (metrics/Exposition.h), `--stats`, the exporter and the flight
+/// recorder all serialize.
 ///
 /// The hot path is wait-free: a Counter spreads increments over 64
 /// cache-line-sized stripes indexed by a thread-local id, so 16 threads
@@ -18,28 +20,21 @@
 /// holds this at a few ns/op with near-linear thread scaling). Stripes
 /// merge at snapshot time.
 ///
-/// Sources that already keep their own counters (the JIT code cache,
-/// the legacy Stats registry, the trace rings) plug in as *collectors*:
-/// callbacks the Registry runs at snapshot time to append samples.
-/// Registry::snapshot() bridges the legacy telemetry surfaces
-/// (Stats -> counter families, LatencyHistogram -> summary families,
-/// trace ring drop counts, remark drop accounting) so `--stats` and the
-/// Prometheus exposition are views of the same numbers. When a native
-/// instrument and a bridged stat share a family name and label set the
-/// native sample wins (instruments are appended before collectors), so
-/// the two surfaces can never disagree.
+/// Sources that already keep their own accounting (the JIT code cache,
+/// the service registry, the trace rings, remark dispatch) plug in as
+/// *collectors*: callbacks the Registry runs at snapshot time to append
+/// samples. Every series has exactly one writer.
 ///
 ///   auto &Hits = metrics::Registry::global().counter(
-///       "gmdiv_jit_cache_hits_total", "Cache lookups that hit");
+///       "gmdiv_batch_calls_total", "Batch kernel invocations");
 ///   Hits.inc();                       // wait-free
+///   GMDIV_STAT(codegen, unsigned_div_pow2);  // gmdiv_codegen_..._total
 ///   metrics::Snapshot S = metrics::Registry::global().snapshot();
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GMDIV_METRICS_METRICS_H
 #define GMDIV_METRICS_METRICS_H
-
-#include "telemetry/Histogram.h"
 
 #include <atomic>
 #include <cstddef>
@@ -61,7 +56,7 @@ namespace metrics {
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
 
 /// Prometheus metric kinds the exposition understands.
-enum class Kind { Counter, Gauge, Histogram, Summary };
+enum class Kind { Counter, Gauge, Histogram };
 
 const char *kindName(Kind K);
 
@@ -127,12 +122,16 @@ private:
   std::atomic<uint64_t> Bits{0};
 };
 
-/// Log-scaled histogram over uint64 values (callers use ns), reusing
-/// the LatencyHistogram bucketing: 16 exact buckets below 16, then
-/// power-of-two majors split 16 ways — 1/32 relative bucket error over
-/// the full range. record() is two relaxed adds plus one bucket add.
+/// Log-scaled histogram over uint64 values (callers use ns),
+/// HdrHistogram-lite: values 0..15 get exact buckets; larger values go
+/// to a power-of-two major bucket split into 16 linear sub-buckets —
+/// 1/32 relative bucket error over the full range with 976 buckets.
+/// record() is two relaxed adds plus one bucket add.
 class Histogram {
 public:
+  /// 16 exact buckets + 60 major buckets x 16 sub-buckets.
+  static constexpr size_t NumBuckets = 16 + 60 * 16;
+
   Histogram() = default;
   Histogram(const Histogram &) = delete;
   Histogram &operator=(const Histogram &) = delete;
@@ -140,12 +139,24 @@ public:
   void record(uint64_t Value) {
     Count.fetch_add(1, std::memory_order_relaxed);
     Sum.fetch_add(Value, std::memory_order_relaxed);
-    Buckets[telemetry::LatencyHistogram::bucketIndex(Value)].fetch_add(
-        1, std::memory_order_relaxed);
+    Buckets[bucketIndex(Value)].fetch_add(1, std::memory_order_relaxed);
   }
 
   uint64_t count() const { return Count.load(std::memory_order_relaxed); }
   uint64_t sum() const { return Sum.load(std::memory_order_relaxed); }
+
+  /// Approximate percentile (P in [0, 100]) from the bucket midpoints;
+  /// exact for values < 16, within 1/32 relative error above. 0 when
+  /// empty.
+  double percentile(double P) const;
+  /// Approximate median absolute deviation, computed over the bucket
+  /// (midpoint, count) mass.
+  double mad() const;
+
+  /// Maps a value to its bucket (exposed for the oracle tests).
+  static size_t bucketIndex(uint64_t Value);
+  /// Representative (midpoint) value of a bucket.
+  static double bucketMidpoint(size_t Index);
 
   /// Cumulative (le, count) pairs for the Prometheus exposition:
   /// upper bounds 1, 3, 7, 15, then 2^k - 1 per major bucket, trimmed
@@ -161,7 +172,7 @@ public:
 private:
   std::atomic<uint64_t> Count{0};
   std::atomic<uint64_t> Sum{0};
-  std::atomic<uint64_t> Buckets[telemetry::LatencyHistogram::NumBuckets];
+  std::atomic<uint64_t> Buckets[NumBuckets];
 };
 
 //===----------------------------------------------------------------------===//
@@ -175,9 +186,7 @@ struct Sample {
   double Value = 0;
   /// Histogram-only: cumulative (le, count) pairs, +Inf implicit.
   std::vector<std::pair<double, uint64_t>> CumulativeBuckets;
-  /// Summary-only: (quantile, value) pairs.
-  std::vector<std::pair<double, double>> Quantiles;
-  /// Histogram and summary: total of observations and their sum.
+  /// Histogram-only: total of observations and their sum.
   uint64_t Count = 0;
   double Sum = 0;
 };
@@ -203,9 +212,10 @@ struct Snapshot {
 };
 
 /// Collector-facing sink: appends samples to the snapshot under
-/// construction. The first writer of a (name, labels) series wins —
-/// native instruments run before collectors, collectors in
-/// registration order.
+/// construction. Native instruments are appended first, then
+/// collectors in registration order. Each series must have exactly one
+/// writer; the exposition parser's unique-series check catches a
+/// second one.
 class SnapshotBuilder {
 public:
   void counter(const std::string &Name, const std::string &Help,
@@ -216,10 +226,6 @@ public:
                  const LabelSet &Labels,
                  std::vector<std::pair<double, uint64_t>> CumulativeBuckets,
                  uint64_t Count, double Sum);
-  void summary(const std::string &Name, const std::string &Help,
-               const LabelSet &Labels,
-               std::vector<std::pair<double, double>> Quantiles,
-               uint64_t Count, double Sum);
 
   /// Finalizes: families sorted by name, samples in insertion order.
   Snapshot take();
@@ -229,8 +235,6 @@ private:
                     const LabelSet &Labels);
 
   std::map<std::string, Family> Families;
-  /// Serialized (name, labels) of every accepted sample, for dedupe.
-  std::map<std::string, bool> Seen;
 };
 
 //===----------------------------------------------------------------------===//
@@ -263,9 +267,8 @@ public:
   uint64_t addCollector(Collector C);
   void removeCollector(uint64_t Handle);
 
-  /// Merges every instrument, then every collector, then the legacy
-  /// telemetry bridges (Stats, LatencyHistogram, trace drop counts,
-  /// remark drop accounting) into one Snapshot.
+  /// Merges every instrument, every collector, and the trace-ring and
+  /// remark-dispatch accounting into one Snapshot.
   Snapshot snapshot() const;
 
 private:
@@ -285,11 +288,34 @@ private:
   uint64_t NextCollector = 1;
 };
 
-/// Serialized "name{k=\"v\",...}" form used as the instrument key and
-/// for sample dedupe (exact Prometheus series syntax).
+/// Serialized "name{k=\"v\",...}" form used as the instrument key
+/// (exact Prometheus series syntax).
 std::string seriesKey(const std::string &Name, const LabelSet &Labels);
 
 } // namespace metrics
 } // namespace gmdiv
+
+/// Case counters for the code generators, passes and harnesses — which
+/// Figure 4.2 / 5.2 / §9 case fired, how often. GMDIV_STAT(GROUP, NAME)
+/// bumps the metrics counter gmdiv_<GROUP>_<NAME>_total, resolved once
+/// per expansion site into a function-local static reference; the same
+/// pair expanded at several sites (or template instantiations) shares
+/// one counter. GROUP and NAME are identifiers, not strings. Defining
+/// GMDIV_NO_TELEMETRY (CMake option of the same name) compiles them
+/// out; instruments that must keep counting then use Registry directly.
+#ifdef GMDIV_NO_TELEMETRY
+#define GMDIV_STAT_ADD(GROUP, NAME, BY) ((void)(BY))
+#else
+#define GMDIV_STAT_ADD(GROUP, NAME, BY)                                    \
+  do {                                                                     \
+    static ::gmdiv::metrics::Counter &GmdivStat_##GROUP##_##NAME =         \
+        ::gmdiv::metrics::Registry::global().counter(                      \
+            "gmdiv_" #GROUP "_" #NAME "_total",                            \
+            "Case counter " #GROUP "." #NAME);                             \
+    GmdivStat_##GROUP##_##NAME.add(BY);                                    \
+  } while (false)
+#endif
+
+#define GMDIV_STAT(GROUP, NAME) GMDIV_STAT_ADD(GROUP, NAME, 1)
 
 #endif // GMDIV_METRICS_METRICS_H

@@ -27,7 +27,7 @@
 #ifndef GMDIV_TELEMETRY_BENCHREPORT_H
 #define GMDIV_TELEMETRY_BENCHREPORT_H
 
-#include "telemetry/Histogram.h"
+#include "telemetry/SampleStats.h"
 
 #include <cstdint>
 #include <string>

@@ -37,7 +37,6 @@
 #include "ops/SmallWord.h"
 #include "telemetry/Json.h"
 #include "telemetry/Remarks.h"
-#include "telemetry/Stats.h"
 #include "trace/Trace.h"
 #include "verify/Oracle.h"
 
@@ -235,7 +234,7 @@ public:
   }
 
   /// Builds the report and flushes the bulk checks counter into the
-  /// telemetry statistics registry.
+  /// metrics registry.
   VerifyReport take() {
     VerifyReport Report;
     Report.WordBits = W;
@@ -248,11 +247,8 @@ public:
     }
     Report.Failures = std::move(Failures);
     Failures.clear();
-    // Mirrored natively into the metrics plane under the same family
-    // name the Stats bridge would synthesize, so the exposition keeps
-    // counting under GMDIV_NO_TELEMETRY (the native sample shadows the
-    // bridged one; both read the same flush, so they cannot disagree).
-    GMDIV_STAT_ADD(verify, checks, Total - Flushed);
+    // Registered directly rather than via GMDIV_STAT so the exposition
+    // keeps counting under GMDIV_NO_TELEMETRY.
     static metrics::Counter &ChecksMetric = metrics::Registry::global().counter(
         "gmdiv_verify_checks_total", "Differential properties checked");
     ChecksMetric.add(Total - Flushed);
@@ -273,7 +269,6 @@ private:
     if (Expected == Actual)
       return true;
     ++Counts[P].Mismatches;
-    GMDIV_STAT(verify, mismatches);
     static metrics::Counter &MismatchMetric =
         metrics::Registry::global().counter("gmdiv_verify_mismatches_total",
                                             "Differential mismatches found");

@@ -5,9 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "telemetry/Histogram.h"
-
-#include "telemetry/Json.h"
+#include "metrics/Metrics.h"
+#include "telemetry/SampleStats.h"
 
 #include <gtest/gtest.h>
 
@@ -18,6 +17,7 @@
 
 using namespace gmdiv;
 using namespace gmdiv::telemetry;
+using metrics::Histogram;
 
 namespace {
 
@@ -58,44 +58,45 @@ TEST(SampleStatsTest, PercentileSortedNearestRank) {
   EXPECT_DOUBLE_EQ(percentileSorted({}, 50), 0);
 }
 
-TEST(LatencyHistogramTest, BucketIndexIsMonotoneAndMidpointContained) {
+TEST(HistogramTest, BucketIndexIsMonotoneAndMidpointContained) {
   // Every bucket's midpoint must map back to that bucket, and indices
   // must be nondecreasing in the value.
   size_t Prev = 0;
   for (uint64_t V = 0; V < 4096; ++V) {
-    const size_t Index = LatencyHistogram::bucketIndex(V);
+    const size_t Index = Histogram::bucketIndex(V);
     EXPECT_GE(Index, Prev) << "value " << V;
-    EXPECT_LT(Index, LatencyHistogram::NumBuckets);
+    EXPECT_LT(Index, Histogram::NumBuckets);
     Prev = Index;
   }
   for (const uint64_t V :
        {uint64_t{1} << 20, uint64_t{1} << 40, uint64_t{1} << 63,
         ~uint64_t{0}}) {
-    const size_t Index = LatencyHistogram::bucketIndex(V);
-    EXPECT_LT(Index, LatencyHistogram::NumBuckets);
-    const double Mid = LatencyHistogram::bucketMidpoint(Index);
-    EXPECT_EQ(LatencyHistogram::bucketIndex(static_cast<uint64_t>(Mid)),
+    const size_t Index = Histogram::bucketIndex(V);
+    EXPECT_LT(Index, Histogram::NumBuckets);
+    const double Mid = Histogram::bucketMidpoint(Index);
+    EXPECT_EQ(Histogram::bucketIndex(static_cast<uint64_t>(Mid)),
               Index);
   }
 }
 
-TEST(LatencyHistogramTest, SmallValuesAreExact) {
-  LatencyHistogram H("hist_test", "exact_small");
+TEST(HistogramTest, SmallValuesAreExact) {
+  Histogram H;
+  EXPECT_DOUBLE_EQ(H.percentile(50), 0);
+  EXPECT_DOUBLE_EQ(H.mad(), 0);
   for (uint64_t V = 0; V < 16; ++V)
     H.record(V);
   EXPECT_EQ(H.count(), 16u);
-  EXPECT_EQ(H.min(), 0u);
-  EXPECT_EQ(H.max(), 15u);
+  EXPECT_EQ(H.sum(), 120u);
   // Values < 16 occupy exact buckets, so percentiles are exact.
+  EXPECT_DOUBLE_EQ(H.percentile(0), 0);
   EXPECT_DOUBLE_EQ(H.percentile(50), 7);
   EXPECT_DOUBLE_EQ(H.percentile(100), 15);
-  H.reset();
-  EXPECT_EQ(H.count(), 0u);
-  EXPECT_DOUBLE_EQ(H.percentile(50), 0);
+  // Deviations from 7 are {7, 6, ..., 1, 0, 1, ..., 8}: median 4.
+  EXPECT_DOUBLE_EQ(H.mad(), 4);
 }
 
-TEST(LatencyHistogramTest, PercentilesTrackSortedVectorOracle) {
-  LatencyHistogram H("hist_test", "oracle");
+TEST(HistogramTest, PercentilesTrackSortedVectorOracle) {
+  Histogram H;
   std::mt19937_64 Rng(12345);
   std::vector<uint64_t> Samples;
   Samples.reserve(20000);
@@ -126,37 +127,6 @@ TEST(LatencyHistogramTest, PercentilesTrackSortedVectorOracle) {
   std::sort(Dev.begin(), Dev.end());
   const double ExactMad = Dev[Dev.size() / 2];
   EXPECT_NEAR(H.mad(), ExactMad, ExactMad / 8.0 + 1.0);
-}
-
-TEST(LatencyHistogramTest, RegistryAndJsonSurface) {
-  resetHistograms();
-  LatencyHistogram H("hist_test", "surface");
-  for (uint64_t V = 1; V <= 100; ++V)
-    H.record(V);
-  bool Found = false;
-  for (const HistogramRecord &R : histogramsSnapshot())
-    if (R.Group == "hist_test" && R.Name == "surface") {
-      Found = true;
-      EXPECT_EQ(R.Count, 100u);
-      EXPECT_EQ(R.Min, 1u);
-      EXPECT_EQ(R.Max, 100u);
-      EXPECT_NEAR(R.P50, 50, 50 / 32.0 + 1.0);
-      EXPECT_NEAR(R.P99, 99, 99 / 32.0 + 1.0);
-    }
-  EXPECT_TRUE(Found);
-  const std::string Doc = histogramsJson();
-  EXPECT_TRUE(json::isValid(Doc)) << Doc;
-  EXPECT_NE(Doc.find("\"hist_test\""), std::string::npos);
-  EXPECT_NE(Doc.find("\"surface\""), std::string::npos);
-  EXPECT_NE(Doc.find("\"count\":100"), std::string::npos);
-}
-
-TEST(LatencyHistogramTest, EmptyHistogramsAreSkipped) {
-  resetHistograms();
-  LatencyHistogram Unused("hist_test", "never_recorded");
-  for (const HistogramRecord &R : histogramsSnapshot())
-    EXPECT_FALSE(R.Group == "hist_test" && R.Name == "never_recorded");
-  EXPECT_EQ(histogramsJson(), "{}");
 }
 
 } // namespace

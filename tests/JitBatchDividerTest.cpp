@@ -210,7 +210,7 @@ TEST(JitBatchDivider, SecondConstructionIsAllCacheHits) {
   jit::CodeCache Cache(4, 64);
   const jit::JitBatchDivider<uint32_t> First(1234567, Cache);
   ASSERT_TRUE(First.usesJit());
-  const jit::CacheStats After1 = Cache.formStats(cache::KernelForm::Vector);
+  const cache::CacheStats After1 = Cache.formStats(cache::KernelForm::Vector);
   // div + rem + divRem + divisible, every one a fresh compile.
   EXPECT_EQ(After1.Misses, After1.Inserts);
   EXPECT_GE(After1.Inserts, 3u);
@@ -218,7 +218,7 @@ TEST(JitBatchDivider, SecondConstructionIsAllCacheHits) {
 
   const jit::JitBatchDivider<uint32_t> Second(1234567, Cache);
   EXPECT_TRUE(Second.usesJit());
-  const jit::CacheStats After2 = Cache.formStats(cache::KernelForm::Vector);
+  const cache::CacheStats After2 = Cache.formStats(cache::KernelForm::Vector);
   // The headline property: no new compiles, no new executable mappings.
   EXPECT_EQ(After2.Inserts, After1.Inserts);
   EXPECT_EQ(After2.Misses, After1.Misses);
@@ -227,7 +227,7 @@ TEST(JitBatchDivider, SecondConstructionIsAllCacheHits) {
   EXPECT_EQ(Second.compiledDivide(), First.compiledDivide());
 
   // The scalar form's counters never moved: the two forms are split.
-  const jit::CacheStats Scalar = Cache.formStats(cache::KernelForm::Scalar);
+  const cache::CacheStats Scalar = Cache.formStats(cache::KernelForm::Scalar);
   EXPECT_EQ(Scalar.Hits + Scalar.Misses + Scalar.Inserts, 0u);
 }
 

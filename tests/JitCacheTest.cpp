@@ -52,7 +52,7 @@ TEST(JitCache, CompileOncePerKey) {
   EXPECT_EQ(Compiles.load(), 1);
   EXPECT_EQ(First.get(), Second.get());
 
-  const CacheStats Stats = Cache.stats();
+  const cache::CacheStats Stats = Cache.stats();
   EXPECT_EQ(Stats.Misses, 1u);
   EXPECT_EQ(Stats.Hits, 1u);
   EXPECT_EQ(Stats.Entries, 1u);
@@ -77,8 +77,8 @@ TEST(JitCache, ScalarAndVectorFormsAreDistinctKeys) {
   EXPECT_EQ(Compiles.load(), 2);
   EXPECT_NE(A.get(), B.get());
 
-  const CacheStats ScalarForm = Cache.formStats(cache::KernelForm::Scalar);
-  const CacheStats VectorForm = Cache.formStats(cache::KernelForm::Vector);
+  const cache::CacheStats ScalarForm = Cache.formStats(cache::KernelForm::Scalar);
+  const cache::CacheStats VectorForm = Cache.formStats(cache::KernelForm::Vector);
   EXPECT_EQ(ScalarForm.Misses, 1u);
   EXPECT_EQ(ScalarForm.Inserts, 1u);
   EXPECT_EQ(VectorForm.Misses, 1u);
@@ -181,7 +181,7 @@ TEST(JitCache, EvictionKeepsHeldHandlesAlive) {
   EXPECT_EQ(Cache.stats().Evictions, 0u);
 
   Cache.getOrCompile(C, Compiler); // Evicts A (least recently used).
-  CacheStats Stats = Cache.stats();
+  cache::CacheStats Stats = Cache.stats();
   EXPECT_EQ(Stats.Evictions, 1u);
   EXPECT_EQ(Stats.Entries, 2u);
 
@@ -237,7 +237,7 @@ TEST(JitCache, CountersExactUnderFourThreadContention) {
   for (std::thread &T : Threads)
     T.join();
 
-  const CacheStats S = Cache.stats();
+  const cache::CacheStats S = Cache.stats();
   EXPECT_EQ(S.Hits + S.Misses,
             static_cast<uint64_t>(NumThreads) * RoundsPerThread);
   EXPECT_EQ(S.Misses, static_cast<uint64_t>(NumKeys));
@@ -270,7 +270,7 @@ TEST(JitCache, NegativeHitsAreTheCachedFailureSubset) {
   Cache.getOrCompile(Good, [&] { return makeDummy(); });
   Cache.getOrCompile(Good, [&] { return makeDummy(); });
 
-  const CacheStats S = Cache.stats();
+  const cache::CacheStats S = Cache.stats();
   EXPECT_EQ(Compiles.load(), 1);
   EXPECT_EQ(S.Misses, 2u);
   EXPECT_EQ(S.Hits, 3u);
@@ -289,10 +289,10 @@ TEST(JitCache, ShardStatsSumToAggregate) {
     for (uint64_t D = 3; D < 120; D += 2)
       Cache.getOrCompile({SeqKind::UDiv, 32, D}, Compiler);
 
-  const std::vector<CacheStats> PerShard = Cache.shardStats();
+  const std::vector<cache::CacheStats> PerShard = Cache.shardStats();
   ASSERT_EQ(PerShard.size(), Cache.numShards());
-  CacheStats Sum;
-  for (const CacheStats &Row : PerShard) {
+  cache::CacheStats Sum;
+  for (const cache::CacheStats &Row : PerShard) {
     EXPECT_EQ(Row.Capacity, Cache.shardCapacity());
     EXPECT_LE(Row.Entries, Row.Capacity);
     Sum.Hits += Row.Hits;
@@ -303,7 +303,7 @@ TEST(JitCache, ShardStatsSumToAggregate) {
     Sum.Entries += Row.Entries;
     Sum.Capacity += Row.Capacity;
   }
-  const CacheStats Total = Cache.stats();
+  const cache::CacheStats Total = Cache.stats();
   EXPECT_EQ(Sum.Hits, Total.Hits);
   EXPECT_EQ(Sum.Misses, Total.Misses);
   EXPECT_EQ(Sum.NegativeHits, Total.NegativeHits);
@@ -323,7 +323,7 @@ TEST(JitCache, ExportMetricsPublishesPerShardAndAggregateSeries) {
     Cache.getOrCompile({SeqKind::UDiv, 32, D}, Compiler);
     Cache.getOrCompile({SeqKind::UDiv, 32, D}, Compiler);
   }
-  const CacheStats Total = Cache.stats();
+  const cache::CacheStats Total = Cache.stats();
 
   const metrics::Snapshot Snap = metrics::Registry::global().snapshot();
   // Aggregate gauges.
@@ -367,10 +367,10 @@ TEST(JitCache, DestructionUnregistersTheCollector) {
 }
 
 TEST(JitCache, GlobalCacheSharesAcrossDividers) {
-  const CacheStats Before = CodeCache::global().stats();
+  const cache::CacheStats Before = CodeCache::global().stats();
   const JitDivider<uint32_t> One(54323);
   const JitDivider<uint32_t> Two(54323);
-  const CacheStats After = CodeCache::global().stats();
+  const cache::CacheStats After = CodeCache::global().stats();
   // The second divider's three sequences were all cache hits.
   EXPECT_GE(After.Hits - Before.Hits, 3u);
   if (One.usesJit()) {

@@ -9,17 +9,28 @@
 /// The metrics-plane contracts: striped counters lose nothing under
 /// contention, the registry hands back one instrument per series, the
 /// Prometheus exposition round-trips through the strict parser, the
-/// JSON exposition parses with the telemetry JSON parser, and the
-/// legacy-Stats bridge keeps --stats and the exposition in agreement.
+/// JSON exposition parses with the telemetry JSON parser, GMDIV_STAT
+/// sites are registry counters, and every instrumented layer writes its
+/// own series exactly once.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "metrics/Metrics.h"
 
+#include "batch/BatchDivider.h"
+#include "codegen/DivCodeGen.h"
+#include "codegen/DivisionLowering.h"
+#include "ir/Parser.h"
+#include "jit/JitBatchDivider.h"
+#include "jit/JitDivider.h"
 #include "metrics/Exporter.h"
 #include "metrics/Exposition.h"
+#include "service/BatchService.h"
+#include "service/Registry.h"
 #include "telemetry/Json.h"
-#include "telemetry/Stats.h"
+#include "telemetry/Remarks.h"
+#include "trace/Trace.h"
+#include "verify/Verify.h"
 
 #include <gtest/gtest.h>
 
@@ -195,48 +206,6 @@ TEST(MetricsExposition, JsonSnapshotParsesWithTelemetryJsonParser) {
   EXPECT_TRUE(Found) << Doc;
 }
 
-TEST(MetricsBridge, LegacyStatsAppearAndNativeSeriesShadowThem) {
-#ifdef GMDIV_NO_TELEMETRY
-  GTEST_SKIP() << "stats compiled out";
-#endif
-  Registry &R = Registry::global();
-  {
-    telemetry::Statistic Stat("metricstest", "bridged");
-    Stat.increment(11);
-    const Snapshot S = R.snapshot();
-    // The bridge renders group.name as gmdiv_<group>_<name>_total.
-    EXPECT_EQ(S.valueOr("gmdiv_metricstest_bridged_total", {}, -1), 11.0)
-        << "--stats and the exposition must agree";
-  }
-  // A native instrument that reuses a bridged family name wins the
-  // series (first-writer dedupe: instruments merge before bridges), so
-  // the two surfaces cannot diverge even if both exist.
-  telemetry::Statistic Stat("metricstest", "shadowed");
-  Stat.increment(100);
-  const std::string Native = "gmdiv_metricstest_shadowed_total";
-  R.counter(Native, "native twin").add(3);
-  EXPECT_EQ(Registry::global().snapshot().valueOr(Native, {}, -1), 3.0);
-}
-
-TEST(MetricsBridge, LatencyHistogramsBecomeSummaries) {
-#ifdef GMDIV_NO_TELEMETRY
-  GTEST_SKIP() << "histograms compiled out";
-#endif
-  telemetry::LatencyHistogram Lat("metricstest", "bridge_us");
-  for (uint64_t V = 1; V <= 100; ++V)
-    Lat.record(V);
-  const Snapshot S = Registry::global().snapshot();
-  const Sample *Sum = S.find("gmdiv_metricstest_bridge_us");
-  ASSERT_NE(Sum, nullptr);
-  EXPECT_EQ(Sum->Count, 100u);
-  ASSERT_FALSE(Sum->Quantiles.empty());
-  for (const auto &[Q, V] : Sum->Quantiles) {
-    EXPECT_GE(Q, 0.0);
-    EXPECT_LE(Q, 1.0);
-    EXPECT_GE(V, 1.0);
-  }
-}
-
 TEST(MetricsCollector, RunsAtSnapshotAndUnregisters) {
   Registry &R = Registry::global();
   const std::string Name = uniqueName("collected");
@@ -248,16 +217,196 @@ TEST(MetricsCollector, RunsAtSnapshotAndUnregisters) {
   EXPECT_EQ(R.snapshot().valueOr(Name, {}, -1), -1.0);
 }
 
-TEST(MetricsSnapshotBuilder, FirstWriterWinsOnDuplicateSeries) {
-  SnapshotBuilder B;
-  B.counter("dup_total", "first", {}, 1.0);
-  B.counter("dup_total", "second", {}, 2.0);
-  const Snapshot S = B.take();
-  const Sample *Found = S.find("dup_total");
-  ASSERT_NE(Found, nullptr);
-  EXPECT_EQ(Found->Value, 1.0);
-  ASSERT_EQ(S.Families.size(), 1u);
-  EXPECT_EQ(S.Families[0].Samples.size(), 1u);
+//===----------------------------------------------------------------------===//
+// GMDIV_STAT: case counters are metrics counters
+//===----------------------------------------------------------------------===//
+
+double familyValue(const std::string &Name) {
+  return Registry::global().snapshot().valueOr(Name, {}, 0);
+}
+
+TEST(Stats, RegisterIncrementSnapshot) {
+#ifdef GMDIV_NO_TELEMETRY
+  GTEST_SKIP() << "GMDIV_STAT compiled out";
+#endif
+  // GMDIV_STAT(group, name) bumps gmdiv_<group>_<name>_total.
+  const std::string Name = "gmdiv_metricstest_register_increment_total";
+  const double Before = familyValue(Name);
+  GMDIV_STAT(metricstest, register_increment);
+  GMDIV_STAT_ADD(metricstest, register_increment, 41);
+  EXPECT_EQ(familyValue(Name) - Before, 42.0);
+}
+
+template <typename T> void bumpDuplicate(uint64_t By) {
+  GMDIV_STAT_ADD(metricstest, dup, By);
+}
+
+TEST(Stats, DuplicateCountersAggregate) {
+#ifdef GMDIV_NO_TELEMETRY
+  GTEST_SKIP() << "GMDIV_STAT compiled out";
+#endif
+  // The same GMDIV_STAT expanded in several template instantiations
+  // resolves to one registry counter: one series carrying the sum.
+  const std::string Name = "gmdiv_metricstest_dup_total";
+  const double Before = familyValue(Name);
+  bumpDuplicate<uint8_t>(3);
+  bumpDuplicate<uint64_t>(4);
+  const Snapshot S = Registry::global().snapshot();
+  EXPECT_EQ(S.valueOr(Name, {}, 0) - Before, 7.0);
+  size_t Rows = 0;
+  for (const Family &F : S.Families)
+    if (F.Name == Name)
+      Rows += F.Samples.size();
+  EXPECT_EQ(Rows, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// One writer per series, one count per event
+//===----------------------------------------------------------------------===//
+
+/// Sum of every sample of a counter family (0 when absent).
+double familyTotal(const Snapshot &S, const std::string &Name) {
+  double Total = 0;
+  for (const Family &F : S.Families)
+    if (F.Name == Name)
+      for (const Sample &Sm : F.Samples)
+        Total += Sm.Value;
+  return Total;
+}
+
+TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
+  Registry &R = Registry::global();
+  telemetry::Remark Rm;
+  Rm.Kind = "metricstest";
+  constexpr bool Stats =
+#ifdef GMDIV_NO_TELEMETRY
+      false;
+#else
+      true;
+#endif
+
+  // Codegen: every Figure 4.2 case (power of two, long form, pre-shift,
+  // short) and every Figure 5.2 case (unit, power of two, short, add),
+  // plus floor, exact and §9 divisibility.
+  for (const uint64_t D : {8u, 7u, 14u, 641u})
+    codegen::genUnsignedDiv(32, D);
+  for (const int64_t D : {1, 4, 3, 7})
+    codegen::genSignedDiv(32, D);
+  codegen::genFloorDiv(32, 7);
+  codegen::genExactUnsignedDiv(32, 7);
+  codegen::genDivisibilityTestUnsigned(32, 7);
+  // Lowering.
+  const ir::ParseResult Parsed =
+      ir::parseProgram("t1 = const 10\nt2 = divu n0, t1\n=> q: t2", 32, 1);
+  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  codegen::lowerDivisions(*Parsed.Parsed);
+  // Scalar and vector JIT, static batch kernels.
+  const jit::JitDivider<uint32_t> Scalar(7);
+  EXPECT_EQ(Scalar.divide(700), 100u);
+  std::vector<uint32_t> In(100, 700), Out(100);
+  const jit::JitBatchDivider<uint32_t> Vector(7);
+  Vector.divide(In.data(), Out.data(), In.size());
+  EXPECT_EQ(Out[99], 100u);
+  // The verify harness, the registry and the batch front door.
+  EXPECT_EQ(verify::verifyWidth(4).mismatches(), 0u);
+  service::DividerRegistry &Reg = service::DividerRegistry::global();
+  ASSERT_NE(Reg.acquireFor<uint32_t>(7), nullptr);
+  {
+    service::BatchService Svc(Reg, {1, 16});
+    Svc.exportMetrics("gmdiv_test_metrics_batch");
+    EXPECT_EQ(Svc.submitDivide<uint32_t>(7, In, Out).get().Elements, 100u);
+    // Trace rings and remark dispatch, then a complete snapshot while
+    // the service collector is still registered.
+    trace::setEnabled(true);
+    { trace::Span Span("metricstest", "span"); }
+    trace::setEnabled(false);
+    telemetry::CollectingRemarkSink Sink;
+    {
+      telemetry::ScopedRemarkSink Guard(&Sink);
+      telemetry::emitRemark(Rm);
+    }
+
+    // Every series has exactly one writer: the strict parser rejects a
+    // duplicate series anywhere in the exposition.
+    const Snapshot S = R.snapshot();
+    std::vector<ParsedSample> Samples;
+    std::string Error;
+    EXPECT_TRUE(parsePrometheusText(prometheusText(S), Samples, &Error))
+        << Error;
+    for (const char *Name :
+         {"gmdiv_verify_checks_total", "gmdiv_batch_backend_selected_total",
+          "gmdiv_batch_calls_total", "gmdiv_jit_cache_shard_misses_total",
+          "gmdiv_service_registry_shard_misses_total",
+          "gmdiv_test_metrics_batch_submitted_total",
+          "gmdiv_trace_recorded_spans_total", "gmdiv_remarks_emitted_total"})
+      EXPECT_GT(familyTotal(S, Name), 0.0) << Name;
+    if (Stats) {
+      for (const char *Name :
+           {"gmdiv_codegen_unsigned_div_pow2_total",
+            "gmdiv_codegen_unsigned_div_long_form_total",
+            "gmdiv_codegen_unsigned_div_pre_shift_total",
+            "gmdiv_codegen_unsigned_div_short_total",
+            "gmdiv_codegen_signed_div_unit_total",
+            "gmdiv_codegen_signed_div_pow2_total",
+            "gmdiv_codegen_signed_div_short_total",
+            "gmdiv_codegen_signed_div_add_total",
+            "gmdiv_lowering_unsigned_div_total",
+            "gmdiv_batch_dividers_constructed_total"})
+        EXPECT_GT(familyTotal(S, Name), 0.0) << Name;
+    }
+    // The duplicates of native families are gone for good.
+    for (const char *Name :
+         {"gmdiv_jit_cache_hits_total", "gmdiv_jit_cache_misses_total",
+          "gmdiv_jit_cache_evictions_total",
+          "gmdiv_jit_vector_compile_bytes_total",
+          "gmdiv_batch_backend_selections_total"})
+      EXPECT_EQ(S.find(Name), nullptr) << Name;
+  }
+
+  // One event moves its family by exactly one.
+  const auto Delta = [&R](const std::string &Name, auto &&Event) {
+    const double Before = familyTotal(R.snapshot(), Name);
+    Event();
+    return familyTotal(R.snapshot(), Name) - Before;
+  };
+  // A 48-bit program always bails the vector emitter (33..63-bit lanes
+  // are unsupported), and so does a vetoed or AVX2-less host.
+  EXPECT_EQ(Delta("gmdiv_jit_vector_bails_total", [] {
+              EXPECT_EQ(jit::compileVectorLoop(
+                            codegen::genUnsignedDiv(48, 7),
+                            jit::VectorEmitOptions()),
+                        nullptr);
+            }),
+            1.0);
+  EXPECT_EQ(Delta("gmdiv_batch_backend_selected_total",
+                  [] { batch::BatchDivider<uint32_t> B(7); }),
+            1.0);
+  EXPECT_EQ(Delta("gmdiv_remarks_dropped_total",
+                  [&Rm] { telemetry::emitRemark(Rm); }),
+            1.0);
+  uint64_t Checks = 0;
+  const double ChecksDelta =
+      Delta("gmdiv_verify_checks_total",
+            [&Checks] { Checks = verify::verifyWidth(4).checks(); });
+  EXPECT_EQ(ChecksDelta, static_cast<double>(Checks));
+  if (Stats) {
+    EXPECT_EQ(Delta("gmdiv_codegen_unsigned_div_long_form_total",
+                    [] { codegen::genUnsignedDiv(32, 7); }),
+              1.0);
+    EXPECT_EQ(Delta("gmdiv_batch_dividers_constructed_total",
+                    [] { batch::BatchDivider<int16_t> B(-3); }),
+              1.0);
+    // A direct compile either succeeds or falls back to the
+    // interpreter: exactly one of the two families moves.
+    const Snapshot Before = R.snapshot();
+    jit::compile(codegen::genUnsignedDiv(32, 1000003));
+    const Snapshot After = R.snapshot();
+    EXPECT_EQ(familyTotal(After, "gmdiv_jit_compiles_total") -
+                  familyTotal(Before, "gmdiv_jit_compiles_total") +
+                  familyTotal(After, "gmdiv_jit_fallback_interp_total") -
+                  familyTotal(Before, "gmdiv_jit_fallback_interp_total"),
+              1.0);
+  }
 }
 
 TEST(MetricsExporter, WriteSnapshotFileEmitsBothFormats) {

@@ -139,7 +139,7 @@ TEST(ServiceRegistry, WithEntryRunsUnderTheGuardWithoutCopying) {
   EXPECT_EQ(St.Misses, 2u); // withEntry miss + the acquire admission
 }
 
-TEST(ServiceRegistry, SampledLookupsFeedTheLatencyHistogram) {
+TEST(ServiceRegistry, SampledLookupsFeedTheLookupHistogram) {
   DividerRegistry R(smallOptions(1, 8)); // SampleEvery = 1
   const Key K = keyFor<uint32_t>(3);
   ASSERT_NE(R.acquire(K), nullptr);

@@ -1,4 +1,4 @@
-//===- tests/TelemetryTest.cpp - Stats, remarks, JSON, profiles -----------===//
+//===- tests/TelemetryTest.cpp - Remarks and JSON -------------------------===//
 //
 // Part of the gmdiv project, a reproduction of Granlund & Montgomery,
 // "Division by Invariant Integers using Multiplication", PLDI 1994.
@@ -6,12 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "telemetry/Json.h"
-#include "telemetry/Profile.h"
 #include "telemetry/Remarks.h"
-#include "telemetry/Stats.h"
-
-#include "codegen/DivCodeGen.h"
-#include "ir/Interp.h"
 
 #include <gtest/gtest.h>
 
@@ -22,59 +17,6 @@ using namespace gmdiv;
 using namespace gmdiv::telemetry;
 
 namespace {
-
-uint64_t snapshotValue(const std::string &Group, const std::string &Name) {
-  for (const StatRecord &Record : statsSnapshot())
-    if (Record.Group == Group && Record.Name == Name)
-      return Record.Value;
-  return 0;
-}
-
-TEST(Stats, RegisterIncrementSnapshot) {
-  Statistic Counter("telemetry_test", "register_increment");
-  EXPECT_EQ(Counter.value(), 0u);
-  Counter.increment();
-  Counter.increment(41);
-  EXPECT_EQ(Counter.value(), 42u);
-  EXPECT_EQ(snapshotValue("telemetry_test", "register_increment"), 42u);
-  EXPECT_EQ(statValue("telemetry_test", "register_increment"), 42u);
-}
-
-TEST(Stats, DuplicateCountersAggregate) {
-  // The same GMDIV_STAT expanded in several template instantiations
-  // produces several Statistic instances with one (group, name); the
-  // snapshot must report their sum as one row.
-  Statistic A("telemetry_test", "dup");
-  Statistic B("telemetry_test", "dup");
-  A.increment(3);
-  B.increment(4);
-  EXPECT_EQ(snapshotValue("telemetry_test", "dup"), 7u);
-  int Rows = 0;
-  for (const StatRecord &Record : statsSnapshot())
-    if (Record.Group == "telemetry_test" && Record.Name == "dup")
-      ++Rows;
-  EXPECT_EQ(Rows, 1);
-}
-
-TEST(Stats, ScopedCountersUnregister) {
-  {
-    Statistic Scoped("telemetry_test", "scoped");
-    Scoped.increment(9);
-    EXPECT_EQ(snapshotValue("telemetry_test", "scoped"), 9u);
-  }
-  EXPECT_EQ(snapshotValue("telemetry_test", "scoped"), 0u);
-}
-
-TEST(Stats, JsonIsValidAndResetWorks) {
-  Statistic Counter("telemetry_test", "json_check");
-  Counter.increment(5);
-  const std::string Doc = statsJson();
-  EXPECT_TRUE(json::isValid(Doc)) << Doc;
-  EXPECT_NE(Doc.find("\"telemetry_test\""), std::string::npos);
-  EXPECT_NE(Doc.find("\"json_check\":5"), std::string::npos);
-  resetStats();
-  EXPECT_EQ(Counter.value(), 0u);
-}
 
 TEST(Json, EscapeCoversControlAndQuoteCharacters) {
   EXPECT_EQ(json::escape("plain"), "plain");
@@ -378,36 +320,6 @@ TEST(Remarks, SinksStack) {
   emitRemark(R);
   EXPECT_EQ(First.remarks().size(), 1u);
   EXPECT_EQ(Second.remarks().size(), 1u);
-}
-
-TEST(Profile, MatchesStaticCountsAndVerifiesExecution) {
-  const ir::Program P = codegen::genUnsignedDivRem(32, 7);
-  ProfilingInterpreter Interp(P);
-  EXPECT_EQ(Interp.profile().OperationsPerRun, P.operationCount());
-  for (uint64_t N : {0ull, 1ull, 6ull, 7ull, 1234567ull, 0xffffffffull}) {
-    const std::vector<uint64_t> Got = Interp.run({N});
-    ASSERT_EQ(Got.size(), 2u);
-    EXPECT_EQ(Got[0], N / 7);
-    EXPECT_EQ(Got[1], N % 7);
-    EXPECT_EQ(Got, ir::run(P, {N}));
-  }
-  const ExecutionProfile &Prof = Interp.profile();
-  EXPECT_EQ(Prof.Runs, 6u);
-  // Straight-line IR: the dynamic mix equals the static count each run.
-  EXPECT_EQ(Prof.TotalOps,
-            Prof.Runs * static_cast<uint64_t>(Prof.OperationsPerRun));
-  EXPECT_GT(Prof.CriticalPathDepth, 0);
-  EXPECT_LE(Prof.CriticalPathDepth, Prof.OperationsPerRun);
-  EXPECT_EQ(Prof.OpcodeHistogram.count("muluh"), 1u);
-  EXPECT_TRUE(json::isValid(Prof.toJson())) << Prof.toJson();
-}
-
-TEST(Profile, CriticalPathShorterThanOpCountWhenParallel) {
-  // q and r share the MULUH chain but the final SUB depends on MULL, so
-  // depth < ops for any divisor needing the full sequence.
-  const ir::Program P = codegen::genUnsignedDivRem(32, 10);
-  ProfilingInterpreter Interp(P);
-  EXPECT_LT(Interp.profile().CriticalPathDepth, P.operationCount());
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 //
 // CTest runs a 2-second smoke; CI or a release manager can run hours.
 // --trace=FILE records one span per round and writes a Chrome
-// trace-event JSON file on exit; round latency also feeds a telemetry
+// trace-event JSON file on exit; round latency also feeds a metrics
 // histogram reported in the end-of-run summary. --metrics=FILE writes a
 // metrics snapshot on exit (.json = JSON document, anything else the
 // Prometheus text format) — CI's TSan leg scrapes it as an artifact.
@@ -34,10 +34,9 @@
 #include "ir/Interp.h"
 #include "metrics/Exporter.h"
 #include "metrics/FlightRecorder.h"
+#include "metrics/Metrics.h"
 #include "prof/Profiler.h"
-#include "telemetry/Histogram.h"
 #include "telemetry/Json.h"
-#include "telemetry/Stats.h"
 #include "trace/Trace.h"
 
 #include <chrono>
@@ -54,14 +53,20 @@ namespace {
 uint64_t Seed;
 std::mt19937_64 Rng;
 
-// The per-class check counters live in the telemetry registry so the
-// end-of-run summary and the counter table come from the same source.
-telemetry::Statistic UnsignedChecks("soak", "unsigned_checks");
-telemetry::Statistic SignedChecks("soak", "signed_checks");
-telemetry::Statistic CodegenChecks("soak", "codegen_checks");
-telemetry::Statistic DWordChecks("soak", "dword_checks");
-telemetry::Statistic BatchChecks("soak", "batch_checks");
-telemetry::LatencyHistogram RoundLatency("soak", "round_us");
+// The per-class check counters live in the metrics registry so the
+// end-of-run summary and --metrics come from the same instruments.
+metrics::Counter &checkCounter(const char *Name) {
+  return metrics::Registry::global().counter(
+      std::string("gmdiv_soak_") + Name + "_total",
+      "Soak differential checks by divider class");
+}
+metrics::Counter &UnsignedChecks = checkCounter("unsigned_checks");
+metrics::Counter &SignedChecks = checkCounter("signed_checks");
+metrics::Counter &CodegenChecks = checkCounter("codegen_checks");
+metrics::Counter &DWordChecks = checkCounter("dword_checks");
+metrics::Counter &BatchChecks = checkCounter("batch_checks");
+metrics::Histogram &RoundLatency = metrics::Registry::global().histogram(
+    "gmdiv_soak_round_us", "Soak round latency (us)");
 
 [[noreturn]] void fail(const char *What, uint64_t N, uint64_t D) {
   std::fprintf(stderr,
@@ -101,7 +106,7 @@ template <typename UWord> void soakUnsignedRound() {
     if (Exact.isDivisible(N) != (N % D == 0))
       fail("isDivisible", N, D);
   }
-  UnsignedChecks.increment(2 * 4096);
+  UnsignedChecks.add(2 * 4096);
 }
 
 template <typename SWord> void soakSignedRound() {
@@ -130,7 +135,7 @@ template <typename SWord> void soakSignedRound() {
       fail("FloorDivider", static_cast<uint64_t>(N),
            static_cast<uint64_t>(D));
   }
-  SignedChecks.increment(2 * 4096);
+  SignedChecks.add(2 * 4096);
 }
 
 void soakCodegenRound() {
@@ -147,7 +152,7 @@ void soakCodegenRound() {
     if (QR[0] != N / D || QR[1] != N % D)
       fail("genUnsignedDivRem", N, D);
   }
-  CodegenChecks.increment(512);
+  CodegenChecks.add(512);
 }
 
 void soakDWordRound() {
@@ -164,7 +169,7 @@ void soakDWordRound() {
     if (Q != RefQ.low64() || R != RefR.low64())
       fail("DWordDivider", Low, D);
   }
-  DWordChecks.increment(1024);
+  DWordChecks.add(1024);
 }
 
 // Batch kernels on the active (auto-dispatched) backend against the
@@ -190,7 +195,7 @@ template <typename UWord> void soakBatchUnsignedRound() {
     if (Divisible[I] != ((In[I] % D) == 0 ? 1 : 0))
       fail("BatchDivider.divisible", In[I], D);
   }
-  BatchChecks.increment(3 * Count);
+  BatchChecks.add(3 * Count);
 }
 
 template <typename SWord> void soakBatchSignedRound() {
@@ -221,7 +226,7 @@ template <typename SWord> void soakBatchSignedRound() {
       fail("BatchDivider.ceilDivide", static_cast<uint64_t>(In[I]),
            static_cast<uint64_t>(D));
   }
-  BatchChecks.increment(3 * Count);
+  BatchChecks.add(3 * Count);
 }
 
 } // namespace
@@ -306,7 +311,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Rounds),
               static_cast<unsigned long long>(TotalChecks));
   // Structured end-of-run summary (one JSON line): the run parameters
-  // plus the per-class counters from the telemetry registry.
+  // plus the per-class counters and the round-latency histogram.
   telemetry::json::Writer W;
   W.beginObject()
       .key("soak")
@@ -321,24 +326,36 @@ int main(int Argc, char **Argv) {
       .value(TotalChecks)
       .key("backend")
       .value(batch::backendName(batch::activeBackend()));
-  W.key("counters").beginObject();
-  for (const telemetry::StatRecord &Record : telemetry::statsSnapshot())
-    if (Record.Group == "soak")
-      W.key(Record.Name).value(Record.Value);
-  W.endObject();
-  W.key("round_us").beginObject();
-  for (const telemetry::HistogramRecord &H :
-       telemetry::histogramsSnapshot()) {
-    if (H.Group != "soak" || H.Name != "round_us")
-      continue;
-    W.key("count").value(H.Count);
-    W.key("p50").value(H.P50);
-    W.key("p90").value(H.P90);
-    W.key("p99").value(H.P99);
-    W.key("max").value(H.Max);
-    W.key("mad").value(H.Mad);
-  }
-  W.endObject().endObject();
+  W.key("counters")
+      .beginObject()
+      .key("batch_checks")
+      .value(BatchChecks.value())
+      .key("codegen_checks")
+      .value(CodegenChecks.value())
+      .key("dword_checks")
+      .value(DWordChecks.value())
+      .key("signed_checks")
+      .value(SignedChecks.value())
+      .key("unsigned_checks")
+      .value(UnsignedChecks.value())
+      .endObject();
+  // "max" is the top bucket's midpoint, within 1/32 of the true value.
+  W.key("round_us")
+      .beginObject()
+      .key("count")
+      .value(RoundLatency.count())
+      .key("p50")
+      .value(RoundLatency.percentile(50))
+      .key("p90")
+      .value(RoundLatency.percentile(90))
+      .key("p99")
+      .value(RoundLatency.percentile(99))
+      .key("max")
+      .value(RoundLatency.percentile(100))
+      .key("mad")
+      .value(RoundLatency.mad())
+      .endObject()
+      .endObject();
   std::printf("%s\n", W.str().c_str());
   if (TraceFile) {
     std::string Error;
