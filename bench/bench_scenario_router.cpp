@@ -77,7 +77,6 @@ service::DividerRegistry &routerRegistry() {
     service::DividerRegistry::Options O;
     O.NumShards = 16;
     O.ShardCapacity = 64;
-    O.UseJit = false; // host-independent measured path
     static service::DividerRegistry Reg(O);
     for (size_t T = 0; T < Tenants; ++T)
       Reg.acquireFor<uint64_t>(bucketsFor(T));

@@ -470,6 +470,20 @@ void exerciseMetrics() {
                          {jit::SeqKind::UDivRem, 32, D});
 }
 
+/// Checks divide and remainder of a u32, u64 or i32 entry against
+/// hardware / and % on the dividend \p NBits (truncated to the width).
+/// The hammer's divisors are positive, so INT_MIN / -1 cannot occur.
+bool entryMatchesHardware(const service::DividerEntry &E, uint64_t NBits) {
+  const uint64_t Q = E.divideBits(NBits), R = E.remainderBits(NBits);
+  if (E.kind() == service::OpKind::Signed) {
+    const int32_t N = static_cast<int32_t>(NBits);
+    const int32_t D = static_cast<int32_t>(E.divisorBits());
+    return static_cast<int32_t>(Q) == N / D && static_cast<int32_t>(R) == N % D;
+  }
+  const uint64_t N = E.wordBits() == 64 ? NBits : static_cast<uint32_t>(NBits);
+  return Q == N / E.divisorBits() && R == N % E.divisorBits();
+}
+
 /// The `service` command body: hammer the global registry from
 /// \p Threads threads over \p KeyCount mixed-width keys, self-checking
 /// sampled results against hardware division, then pipeline
@@ -518,13 +532,9 @@ uint64_t hammerService(size_t Threads, size_t KeyCount, size_t OpsPerThread,
             ++Bad;
             continue;
           }
-          if (I % 256 == 0) {
-            // Self-check against hardware division on a sampled op.
-            const uint64_t N = Mix >> 1;
-            if (K.Kind == service::OpKind::Unsigned && K.WordBits == 64 &&
-                E->divideBits(N) != N / D64)
-              ++Bad;
-          }
+          // Self-check against hardware division on a sampled op.
+          if (I % 256 == 0 && !entryMatchesHardware(*E, Mix >> 1))
+            ++Bad;
           Local += E->remainderBits(Mix);
         } else {
           if (!Reg.withEntry(K, [&](const service::DividerEntry &E) {

@@ -19,9 +19,10 @@
 /// a mutex: it pins the epoch domain (service/Epoch.h), loads the
 /// published table, probes, and copies out the entry's shared_ptr.
 /// Writers (acquire() on a miss) serialize on a per-shard mutex,
-/// re-probe (compile-once: latecomers on the same key become "late
-/// hits"), build the entry, then publish a rebuilt table copy-on-write
-/// and retire the old one through the epoch domain.
+/// re-probe (build-once: latecomers on the same key become "late
+/// hits"), precompute the entry (no code generation), then publish a
+/// rebuilt table copy-on-write and retire the old one through the
+/// epoch domain.
 ///
 /// Eviction is size-capped approximate LRU: each entry carries an
 /// atomic LastUseNs stamp refreshed on *sampled* hits (1 in
@@ -34,10 +35,10 @@
 /// Counters per shard: Hits/Misses on wait-free striped
 /// metrics::Counter (exact at snapshot); Inserts/Evictions as plain
 /// words under the writer mutex. For acquire()-only workloads
-/// Misses == Inserts exactly (the consistency check the tests and the
-/// JIT cache both rely on); lookup() misses on absent keys add to
-/// Misses without an insert. Everything is exported to the metrics
-/// plane under gmdiv_service_registry_* (see exportMetrics).
+/// Misses == Inserts exactly (the consistency check the tests rely
+/// on); lookup() misses on absent keys add to Misses without an
+/// insert. Everything is exported to the metrics plane under
+/// gmdiv_service_registry_* (see exportMetrics).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,8 +69,9 @@ public:
     size_t NumShards = 16;
     /// Entries per shard; total capacity is the product.
     size_t ShardCapacity = 256;
-    /// Precompile JIT sequences on admission (JitDivider still falls
-    /// back to the interpreter on unsupported hosts / GMDIV_NO_JIT).
+    /// Ignored: admission is precompute only and never compiles code.
+    /// Stays only until the next change to the end-to-end benchmark
+    /// (bench/e2e) stops reading it.
     bool UseJit = true;
     /// Recency-stamp + latency-histogram sampling period, rounded up
     /// to a power of two. 1 = every hit (deterministic LRU, used by
@@ -80,7 +82,7 @@ public:
     size_t TopKSlots = 32;
 
     /// Reads GMDIV_SERVICE_SHARDS, GMDIV_SERVICE_SHARD_CAPACITY,
-    /// GMDIV_SERVICE_NO_JIT, GMDIV_SERVICE_SAMPLE, GMDIV_TOPK.
+    /// GMDIV_SERVICE_SAMPLE, GMDIV_TOPK.
     static Options fromEnv();
   };
 
@@ -93,12 +95,12 @@ public:
   ~DividerRegistry();
 
   /// Lock-free hit path: returns the entry for \p K or null (miss or
-  /// invalid key). Never compiles, never blocks on a writer.
+  /// invalid key). Never admits, never blocks on a writer.
   EntryHandle lookup(const Key &K);
 
   /// Lookup-or-admit. On a miss, takes the shard writer lock,
   /// re-probes (another thread may have admitted the key — that is a
-  /// hit, not a second compile), builds the entry once and publishes
+  /// hit, not a second build), builds the entry once and publishes
   /// it. Returns null only for invalid keys.
   EntryHandle acquire(const Key &K);
 
@@ -162,7 +164,7 @@ public:
 
   /// Sampled hit-path lookup latency (ns), aggregated over shards.
   const metrics::Histogram &lookupLatency() const { return LookupNsAll; }
-  /// Entry-construction latency (ns): core + batch precompute + JIT.
+  /// Entry-construction latency (ns): core + batch precompute.
   const metrics::Histogram &admitLatency() const { return AdmitNsAll; }
 
   /// Registers per-shard hit/miss/insert/eviction counters, occupancy
@@ -244,7 +246,6 @@ private:
   std::vector<Shard> Shards;
   size_t ShardCapacity;
   size_t BucketsPerShard;
-  bool UseJit;
   uint32_t SampleMask;
   /// Space-saving sketch of the hottest keys (its own mutex; touched
   /// only on sampled hits and admissions, never the common hit path).

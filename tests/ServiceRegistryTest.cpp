@@ -21,6 +21,7 @@
 #include "service/Registry.h"
 
 #include "core/Divider.h"
+#include "jit/JitCache.h"
 #include "metrics/Metrics.h"
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -42,12 +44,10 @@ uint64_t splitmix(uint64_t &State) {
   return cache::mixBits(State);
 }
 
-DividerRegistry::Options smallOptions(size_t Shards, size_t Capacity,
-                                      bool UseJit = false) {
+DividerRegistry::Options smallOptions(size_t Shards, size_t Capacity) {
   DividerRegistry::Options O;
   O.NumShards = Shards;
   O.ShardCapacity = Capacity;
-  O.UseJit = UseJit;
   O.SampleEvery = 1; // deterministic recency stamps for LRU tests
   return O;
 }
@@ -194,7 +194,7 @@ template <typename T> void expectAgreesWithCore(DividerRegistry &R) {
 }
 
 TEST(ServiceRegistry, EntriesAgreeWithCoreDividersNoJit) {
-  DividerRegistry R(smallOptions(8, 64, /*UseJit=*/false));
+  DividerRegistry R(smallOptions(8, 64));
   expectAgreesWithCore<uint8_t>(R);
   expectAgreesWithCore<uint16_t>(R);
   expectAgreesWithCore<uint32_t>(R);
@@ -206,10 +206,9 @@ TEST(ServiceRegistry, EntriesAgreeWithCoreDividersNoJit) {
 }
 
 TEST(ServiceRegistry, EntriesAgreeWithCoreDividersJit) {
-  // On hosts without the JIT backend (or GMDIV_NO_JIT=1) the entries
-  // fall back to the interpreter inside JitDivider; agreement must
-  // hold either way.
-  DividerRegistry R(smallOptions(8, 64, /*UseJit=*/true));
+  // Default Options leave the ignored UseJit flag on. Entries must
+  // take the same scalar path, and agree with core, either way.
+  DividerRegistry R(DividerRegistry::Options{});
   expectAgreesWithCore<uint32_t>(R);
   expectAgreesWithCore<uint64_t>(R);
   expectAgreesWithCore<int32_t>(R);
@@ -217,7 +216,7 @@ TEST(ServiceRegistry, EntriesAgreeWithCoreDividersJit) {
 }
 
 TEST(ServiceRegistry, SignedWrapCaseAgreesWithCore) {
-  DividerRegistry R(smallOptions(1, 8, /*UseJit=*/true));
+  DividerRegistry R(smallOptions(1, 8));
   const auto E = R.acquireFor<int32_t>(-1);
   ASSERT_NE(E, nullptr);
   const SignedDivider<int32_t> Ref(-1);
@@ -225,27 +224,116 @@ TEST(ServiceRegistry, SignedWrapCaseAgreesWithCore) {
   EXPECT_EQ(E->divide<int32_t>(Min), Ref.divide(Min)); // wraps, no trap
 }
 
-TEST(ServiceRegistry, ArrayOpsMatchScalarLoops) {
-  DividerRegistry R(smallOptions(2, 16, /*UseJit=*/false));
-  const auto E = R.acquireFor<uint32_t>(7);
-  ASSERT_NE(E, nullptr);
+/// Array calls on every length 0..67 (so every SIMD tail size runs),
+/// from an aligned start and from one element past it, against
+/// hardware / and %. INT_MIN / -1 is excluded: hardware traps on it.
+template <typename T> void expectArraysMatchHardware(DividerRegistry &R) {
+  using U = std::make_unsigned_t<T>;
+  constexpr size_t MaxLen = 67;
+  constexpr T Min = std::numeric_limits<T>::min();
+  constexpr T Max = std::numeric_limits<T>::max();
+  std::vector<T> Divisors;
+  if constexpr (std::is_signed_v<T>)
+    Divisors = {1, 2, 3, 7, 10, 127, Max, -1, -3, -7, Min};
+  else
+    Divisors = {1, 2, 3, 7, 10, 127, Max, T(Max / 2 + 2)};
+  uint64_t Rng = 0x5a5a + sizeof(T) * 2 + std::is_signed_v<T>;
+  // One lane of slack so the offset start still reaches MaxLen lanes.
+  alignas(64) std::array<T, MaxLen + 1> Pool;
+  for (T &V : Pool)
+    V = static_cast<T>(static_cast<U>(splitmix(Rng)));
+  Pool[0] = Min;
+  Pool[1] = Max;
+  Pool[2] = 0;
 
-  uint64_t Rng = 99;
-  std::vector<uint32_t> In(97), Q(97), Rem(97), WantQ(97), WantR(97);
-  for (size_t I = 0; I < In.size(); ++I) {
-    In[I] = static_cast<uint32_t>(splitmix(Rng));
-    WantQ[I] = In[I] / 7;
-    WantR[I] = In[I] % 7;
+  for (const T D : Divisors) {
+    const auto E = R.acquireFor<T>(D);
+    ASSERT_NE(E, nullptr) << int(sizeof(T) * 8) << "-bit d=" << int64_t(D);
+    alignas(64) std::array<T, MaxLen + 1> In = Pool;
+    if constexpr (std::is_signed_v<T>)
+      if (D == T(-1))
+        std::replace(In.begin(), In.end(), Min, T(Min + 1));
+    for (const size_t Offset : {size_t{0}, size_t{1}}) {
+      for (size_t Len = 0; Len <= MaxLen; ++Len) {
+        const T *Src = In.data() + Offset;
+        std::vector<T> Q(Len + 1, T(0x5a)), Rem(Len + 1, T(0x5a));
+        std::vector<T> Q2(Len + 1, T(0x5a)), Rem2(Len + 1, T(0x5a));
+        E->divideArray(Src, Q.data(), Len);
+        E->remainderArray(Src, Rem.data(), Len);
+        E->divRemArray(Src, Q2.data(), Rem2.data(), Len);
+        for (size_t I = 0; I < Len; ++I) {
+          const T WantQ = static_cast<T>(Src[I] / D);
+          const T WantR = static_cast<T>(Src[I] % D);
+          ASSERT_EQ(Q[I], WantQ) << int(sizeof(T) * 8) << "-bit d="
+                                 << int64_t(D) << " len=" << Len
+                                 << " offset=" << Offset << " lane=" << I;
+          ASSERT_EQ(Rem[I], WantR) << "len=" << Len << " lane=" << I;
+          ASSERT_EQ(Q2[I], WantQ) << "len=" << Len << " lane=" << I;
+          ASSERT_EQ(Rem2[I], WantR) << "len=" << Len << " lane=" << I;
+        }
+        // Nothing is written past the last lane.
+        ASSERT_EQ(Q[Len], T(0x5a));
+        ASSERT_EQ(Rem[Len], T(0x5a));
+        ASSERT_EQ(Q2[Len], T(0x5a));
+        ASSERT_EQ(Rem2[Len], T(0x5a));
+      }
+    }
   }
-  E->divideArray(In.data(), Q.data(), In.size());
-  EXPECT_EQ(Q, WantQ);
-  E->remainderArray(In.data(), Rem.data(), In.size());
-  EXPECT_EQ(Rem, WantR);
-  std::fill(Q.begin(), Q.end(), 0u);
-  std::fill(Rem.begin(), Rem.end(), 0u);
-  E->divRemArray(In.data(), Q.data(), Rem.data(), In.size());
-  EXPECT_EQ(Q, WantQ);
-  EXPECT_EQ(Rem, WantR);
+}
+
+TEST(ServiceRegistry, ArrayOpsMatchScalarLoops) {
+  DividerRegistry R(smallOptions(4, 64));
+  expectArraysMatchHardware<uint8_t>(R);
+  expectArraysMatchHardware<uint16_t>(R);
+  expectArraysMatchHardware<uint32_t>(R);
+  expectArraysMatchHardware<uint64_t>(R);
+  expectArraysMatchHardware<int8_t>(R);
+  expectArraysMatchHardware<int16_t>(R);
+  expectArraysMatchHardware<int32_t>(R);
+  expectArraysMatchHardware<int64_t>(R);
+}
+
+/// Admission is precompute only: building entries and calling them,
+/// scalar and array, must never reach the JIT's code cache. Runs with
+/// default Options, so the ignored UseJit flag is on.
+TEST(ServiceRegistry, AdmissionCompilesNoCode) {
+  const auto CompilesTotal = [] {
+    return metrics::Registry::global().snapshot().valueOr(
+        "gmdiv_jit_compiles_total", {}, 0);
+  };
+  const cache::CacheStats Before = jit::CodeCache::global().stats();
+  const double CompilesBefore = CompilesTotal();
+
+  DividerRegistry R(DividerRegistry::Options{});
+  std::vector<uint8_t> In(64 * 8, 0x5b), Out(64 * 8), Out2(64 * 8);
+  uint64_t Sink = 0;
+  for (uint64_t I = 0; I < 64; ++I) {
+    // Large odd divisors no other test in this binary uses.
+    const uint64_t D = 1000003 + 2 * I;
+    for (const Key K :
+         {keyFor<uint32_t>(static_cast<uint32_t>(D)), keyFor<uint64_t>(D),
+          keyFor<int32_t>(-static_cast<int32_t>(D)),
+          keyFor<int64_t>(static_cast<int64_t>(D))}) {
+      const auto E = R.acquire(K);
+      ASSERT_NE(E, nullptr) << K.describe();
+      Sink += E->divideBits(~I) + E->remainderBits(I * 977);
+      Sink += E->divRemBits(I).first;
+      const size_t Lanes = In.size() / (K.WordBits / 8);
+      E->divideArray(In.data(), Out.data(), Lanes);
+      E->remainderArray(In.data(), Out.data(), Lanes);
+      E->divRemArray(In.data(), Out.data(), Out2.data(), Lanes);
+    }
+  }
+  EXPECT_EQ(R.size(), 256u);
+  EXPECT_NE(Sink, 0u);
+
+  const cache::CacheStats After = jit::CodeCache::global().stats();
+  EXPECT_EQ(After.Hits, Before.Hits);
+  EXPECT_EQ(After.Misses, Before.Misses);
+  EXPECT_EQ(After.NegativeHits, Before.NegativeHits);
+  EXPECT_EQ(After.Inserts, Before.Inserts);
+  EXPECT_EQ(After.Entries, Before.Entries);
+  EXPECT_EQ(CompilesTotal(), CompilesBefore);
 }
 
 //===----------------------------------------------------------------------===//
@@ -253,14 +341,14 @@ TEST(ServiceRegistry, ArrayOpsMatchScalarLoops) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceRegistry, EightThreadCompileOncePerKey) {
-  // Eight threads race acquire() over the same key set (JIT precompute
-  // on, so admission is expensive enough to overlap). Every thread
-  // must observe the same entry per key, and each key must be built
-  // exactly once.
+  // Eight threads race acquire() over the same key set from a start
+  // gate, so several of them miss on the same key at once and meet at
+  // the shard's writer lock. Every thread must observe the same entry
+  // per key, and each key must be built exactly once.
   constexpr size_t Threads = 8;
   constexpr size_t NumKeys = 24;
   constexpr size_t Rounds = 50;
-  DividerRegistry R(smallOptions(4, 64, /*UseJit=*/true));
+  DividerRegistry R(smallOptions(4, 64));
 
   std::vector<Key> Keys;
   for (size_t I = 0; I < NumKeys; ++I)
@@ -306,7 +394,7 @@ TEST(ServiceRegistry, CountersExactUnderContention) {
   constexpr size_t Threads = 8;
   constexpr size_t NumKeys = 32;
   constexpr size_t Rounds = 400;
-  DividerRegistry R(smallOptions(8, 64, /*UseJit=*/false));
+  DividerRegistry R(smallOptions(8, 64));
 
   std::vector<std::thread> Pool;
   for (size_t T = 0; T < Threads; ++T) {
