@@ -165,8 +165,7 @@ BENCHMARK_TEMPLATE(BM_ScalarDividerLoop, int32_t)->GMDIV_BATCH_RANGE();
 #define GMDIV_BENCH_ALL_BACKENDS(OP, T)                                      \
   BENCHMARK_TEMPLATE(OP, T, Backend::Scalar)->GMDIV_BATCH_RANGE();           \
   BENCHMARK_TEMPLATE(OP, T, Backend::SSE2)->GMDIV_BATCH_RANGE();             \
-  BENCHMARK_TEMPLATE(OP, T, Backend::AVX2)->GMDIV_BATCH_RANGE();             \
-  BENCHMARK_TEMPLATE(OP, T, Backend::NEON)->GMDIV_BATCH_RANGE()
+  BENCHMARK_TEMPLATE(OP, T, Backend::AVX2)->GMDIV_BATCH_RANGE()
 
 GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivide, uint8_t);
 GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivide, uint16_t);

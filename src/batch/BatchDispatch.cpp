@@ -8,10 +8,11 @@
 // Picks the widest kernel set the running CPU supports: compiled-in
 // backends are probed via the null/non-null kernel-table pointers, and
 // AVX2 additionally requires a CPUID check (__builtin_cpu_supports,
-// which also verifies OS XSAVE state). The GMDIV_BATCH_BACKEND
-// environment variable overrides the choice when it names an available
-// backend. Every selection is reported through one "batch.backend"
-// telemetry remark (see docs/OBSERVABILITY.md).
+// which also verifies OS XSAVE state). Backend::NEON has no kernels and
+// is never available. The GMDIV_BATCH_BACKEND environment variable
+// overrides the choice when it names an available backend. Every
+// selection is reported through one "batch.backend" telemetry remark
+// (see docs/OBSERVABILITY.md).
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,43 +42,47 @@ const char *backendName(Backend B) {
   return "scalar";
 }
 
+namespace {
+
+/// The SIMD kernel table compiled in for \p B; null for Scalar and for
+/// a backend this binary has no kernels for (NEON never has any).
+const KernelTables *simdTables(Backend B) {
+  switch (B) {
+  case Backend::SSE2:
+    return sse2Kernels();
+  case Backend::AVX2:
+    return avx2Kernels();
+  case Backend::Scalar:
+  case Backend::NEON:
+    return nullptr;
+  }
+  return nullptr;
+}
+
+} // namespace
+
 /// Internal: the kernel table backing \p B; scalar when \p B is not
 /// available (callers should have checked backendAvailable).
 const KernelTables &tablesForBackend(Backend B) {
-  const KernelTables *Tables = nullptr;
-  switch (B) {
-  case Backend::Scalar:
-    return scalarKernels();
-  case Backend::SSE2:
-    Tables = sse2Kernels();
-    break;
-  case Backend::AVX2:
-    Tables = avx2Kernels();
-    break;
-  case Backend::NEON:
-    Tables = neonKernels();
-    break;
-  }
+  const KernelTables *Tables = simdTables(B);
   return Tables ? *Tables : scalarKernels();
 }
 
 std::vector<Backend> compiledBackends() {
   std::vector<Backend> Result{Backend::Scalar};
-  if (sse2Kernels())
-    Result.push_back(Backend::SSE2);
-  if (avx2Kernels())
-    Result.push_back(Backend::AVX2);
-  if (neonKernels())
-    Result.push_back(Backend::NEON);
+  for (Backend B : {Backend::SSE2, Backend::AVX2})
+    if (simdTables(B))
+      Result.push_back(B);
   return Result;
 }
 
-namespace {
-
-/// CPU check over and above "the kernels were compiled in". SSE2 and
-/// NEON are baseline on the targets where their TUs compile; AVX2 needs
-/// the runtime probe.
-bool cpuSupports(Backend B) {
+bool backendAvailable(Backend B) {
+  if (B == Backend::Scalar)
+    return true;
+  if (!simdTables(B))
+    return false;
+  // SSE2 is baseline wherever its TU compiles; AVX2 needs the runtime
+  // probe, which also verifies OS XSAVE state.
   if (B != Backend::AVX2)
     return true;
 #if (defined(__x86_64__) || defined(__i386__)) && \
@@ -86,30 +91,6 @@ bool cpuSupports(Backend B) {
 #else
   return false;
 #endif
-}
-
-} // namespace
-
-bool backendAvailable(Backend B) {
-  if (B == Backend::Scalar)
-    return true;
-  switch (B) {
-  case Backend::SSE2:
-    if (!sse2Kernels())
-      return false;
-    break;
-  case Backend::AVX2:
-    if (!avx2Kernels())
-      return false;
-    break;
-  case Backend::NEON:
-    if (!neonKernels())
-      return false;
-    break;
-  case Backend::Scalar:
-    break;
-  }
-  return cpuSupports(B);
 }
 
 const char *selectionSourceName(SelectionSource S) {
@@ -162,26 +143,12 @@ void noteBackendSelected(Backend B, SelectionSource Source) {
   telemetry::emitRemark(R);
 }
 
-namespace {
-
 /// Calls with fewer elements than this are routed "below break-even":
 /// per §10 (and arch::estimateBatchCost) the vector setup cost has not
 /// amortized yet and the scalar per-element API would have been at
-/// least as fast. The default matches the cost model's typical
-/// break-even batch for 32-bit lanes; tools with a profile in hand can
-/// refine it via setBatchBreakEvenHint().
-std::atomic<size_t> BreakEvenHint{8};
-
-} // namespace
-
-void setBatchBreakEvenHint(size_t Elements) {
-  BreakEvenHint.store(Elements == 0 ? 1 : Elements,
-                      std::memory_order_relaxed);
-}
-
-size_t batchBreakEvenHint() {
-  return BreakEvenHint.load(std::memory_order_relaxed);
-}
+/// least as fast. Matches the cost model's typical break-even batch for
+/// 32-bit lanes.
+constexpr size_t BreakEvenElements = 8;
 
 void noteBatchCall(size_t Count) {
   auto &Reg = metrics::Registry::global();
@@ -194,15 +161,14 @@ void noteBatchCall(size_t Count) {
       "Batch calls smaller than the break-even batch size");
   Calls.inc();
   Elements.add(Count);
-  if (Count < BreakEvenHint.load(std::memory_order_relaxed))
+  if (Count < BreakEvenElements)
     BelowBreakEven.inc();
 }
 
 Backend activeBackend() {
   static const Backend Resolved = [] {
     if (const char *Env = std::getenv("GMDIV_BATCH_BACKEND")) {
-      for (Backend B : {Backend::Scalar, Backend::SSE2, Backend::AVX2,
-                        Backend::NEON}) {
+      for (Backend B : {Backend::Scalar, Backend::SSE2, Backend::AVX2}) {
         if (std::strcmp(Env, backendName(B)) == 0) {
           if (backendAvailable(B)) {
             noteBackendSelected(B, SelectionSource::EnvOverride);
@@ -212,7 +178,7 @@ Backend activeBackend() {
         }
       }
     }
-    for (Backend B : {Backend::AVX2, Backend::SSE2, Backend::NEON}) {
+    for (Backend B : {Backend::AVX2, Backend::SSE2}) {
       if (backendAvailable(B)) {
         noteBackendSelected(B, SelectionSource::Autodetect);
         return B;

@@ -5,19 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Builds the flattened batch state from the scalar dividers — the same
-// ChooseMultiplier / Figure 5.2 / §9 precomputation the per-element API
-// runs, done once per BatchDivider — and binds the kernel table of the
-// selected backend.
+// Builds the core dividers — the ChooseMultiplier / Figure 5.2 / §9
+// precomputation, done once per BatchDivider — and binds the kernel
+// table of the selected backend.
 //
 //===----------------------------------------------------------------------===//
 
 #include "batch/BatchDivider.h"
 
-#include "core/Divider.h"
-#include "core/ExactDiv.h"
 #include "metrics/Metrics.h"
-#include "ops/Bits.h"
 
 #include <cinttypes>
 #include <cstdio>
@@ -29,32 +25,6 @@ namespace batch {
 const KernelTables &tablesForBackend(Backend B);
 
 namespace {
-
-template <typename T> UnsignedBatchState<T> buildUnsignedState(T Divisor) {
-  UnsignedBatchState<T> S;
-  S.Divisor = Divisor;
-  const UnsignedDivider<T> Div(Divisor);
-  S.MPrime = Div.magic();
-  S.Shift1 = Div.preShift();
-  S.Shift2 = Div.postShift();
-  const ExactUnsignedDivider<T> Exact(Divisor);
-  S.Inverse = Exact.inverse();
-  S.QMax = Exact.maxQuotient();
-  S.ExactShift = Exact.shift();
-  S.IsPow2 = isPowerOf2(Divisor);
-  S.Pow2Shift = countTrailingZeros(Divisor);
-  return S;
-}
-
-template <typename T> SignedBatchState<T> buildSignedState(T Divisor) {
-  SignedBatchState<T> S;
-  S.Divisor = Divisor;
-  const SignedDivider<T> Div(Divisor);
-  S.MPrime = Div.magic();
-  S.ShiftPost = Div.postShift();
-  S.DSign = Div.divisorSign();
-  return S;
-}
 
 template <typename T> const char *laneName() {
   if constexpr (std::is_signed_v<T>)
@@ -71,14 +41,11 @@ template <typename T> const char *laneName() {
 
 template <typename T>
 BatchDivider<T>::BatchDivider(T Divisor, Backend B)
-    : Selected(backendAvailable(B) ? B : Backend::Scalar) {
-  if constexpr (IsSigned) {
-    State = buildSignedState<T>(Divisor);
+    : State(Divisor), Selected(backendAvailable(B) ? B : Backend::Scalar) {
+  if constexpr (IsSigned)
     Kernels = tablesForBackend(Selected).template signedFor<T>();
-  } else {
-    State = buildUnsignedState<T>(Divisor);
+  else
     Kernels = tablesForBackend(Selected).template unsignedFor<T>();
-  }
   GMDIV_STAT_ADD(batch, dividers_constructed, 1);
   noteBackendSelected(Selected, SelectionSource::Divider);
 }
@@ -93,19 +60,23 @@ template <typename T> std::string BatchDivider<T>::describe() const {
     std::snprintf(Buf, sizeof(Buf),
                   "%s d=%" PRId64 ": backend=%s, m'=0x%" PRIx64
                   ", sh_post=%d, dsign=%d",
-                  laneName<T>(), static_cast<int64_t>(State.Divisor),
-                  backendName(Selected), static_cast<uint64_t>(State.MPrime),
-                  State.ShiftPost, static_cast<int>(State.DSign));
+                  laneName<T>(), static_cast<int64_t>(State.Div.divisor()),
+                  backendName(Selected),
+                  static_cast<uint64_t>(State.Div.magic()),
+                  State.Div.postShift(),
+                  static_cast<int>(State.Div.divisorSign()));
   } else {
     std::snprintf(Buf, sizeof(Buf),
                   "%s d=%" PRIu64 ": backend=%s, m'=0x%" PRIx64
                   ", sh1=%d, sh2=%d, inverse=0x%" PRIx64 ", qmax=%" PRIu64
                   ", e=%d",
-                  laneName<T>(), static_cast<uint64_t>(State.Divisor),
-                  backendName(Selected), static_cast<uint64_t>(State.MPrime),
-                  State.Shift1, State.Shift2,
-                  static_cast<uint64_t>(State.Inverse),
-                  static_cast<uint64_t>(State.QMax), State.ExactShift);
+                  laneName<T>(), static_cast<uint64_t>(State.Div.divisor()),
+                  backendName(Selected),
+                  static_cast<uint64_t>(State.Div.magic()),
+                  State.Div.preShift(), State.Div.postShift(),
+                  static_cast<uint64_t>(State.Exact.inverse()),
+                  static_cast<uint64_t>(State.Exact.maxQuotient()),
+                  State.Exact.shift());
   }
   return std::string(Buf);
 }

@@ -16,16 +16,20 @@
 ///   SSE2    128-bit x86 vectors (baseline on x86-64).
 ///   AVX2    256-bit x86 vectors (own TU compiled with -mavx2, chosen
 ///           only after a runtime CPUID check).
-///   NEON    128-bit ARM vectors (64-bit lanes fall back to scalar, as
-///           in Highway's contrib/intdiv).
+///
+/// A BatchDivider holds one precomputed object per divisor: the core
+/// UnsignedDivider (plus ExactUnsignedDivider for §9) or SignedDivider.
+/// The vector bodies broadcast its m' and shift counts, every scalar
+/// tail calls it, and scalar() hands it to callers that divide one
+/// element at a time.
 ///
 /// The per-lane MULUH uses widening multiplies: even/odd
 /// _mm*_mul_epu32 splits for 32/64-bit lanes, mulhi instructions for
 /// 16-bit, a promote-multiply-narrow for 8-bit. All backends agree
 /// bit-for-bit with UnsignedDivider / SignedDivider; the dispatch
-/// (CPUID/HWCAP plus the GMDIV_BATCH_BACKEND environment override)
-/// emits one telemetry remark per backend selection (kind
-/// "batch.backend", see docs/OBSERVABILITY.md).
+/// (CPUID plus the GMDIV_BATCH_BACKEND environment override) emits one
+/// telemetry remark per backend selection (kind "batch.backend", see
+/// docs/OBSERVABILITY.md).
 ///
 /// Break-even guidance — the batch size at which a vector backend
 /// overtakes the scalar loop on a given architecture profile — comes
@@ -52,7 +56,7 @@ enum class Backend {
   Scalar, ///< Portable C++ / SWAR fallback; always available.
   SSE2,   ///< x86-64 baseline 128-bit vectors.
   AVX2,   ///< 256-bit vectors; requires runtime CPUID support.
-  NEON,   ///< AArch64 128-bit vectors.
+  NEON,   ///< No kernels: never compiled in, so never available.
 };
 
 /// Stable lowercase slug: "scalar", "sse2", "avx2", "neon".
@@ -66,22 +70,14 @@ bool backendAvailable(Backend B);
 
 /// The backend batch dividers use by default: the widest available one,
 /// unless the GMDIV_BATCH_BACKEND environment variable (scalar | sse2 |
-/// avx2 | neon) overrides it. Resolved once per process; the resolution
+/// avx2) overrides it. Resolved once per process; the resolution
 /// emits one "batch.backend" telemetry remark.
 Backend activeBackend();
 
-/// Break-even routing accounting (the metrics plane's
-/// gmdiv_batch_calls_below_break_even_total): calls with fewer than
-/// this many elements have not amortized the vector setup cost (§10).
-/// Defaults to 8; tools with an arch::estimateBatchCost profile in
-/// hand can tighten it.
-void setBatchBreakEvenHint(size_t Elements);
-size_t batchBreakEvenHint();
-
-/// Internal: records one kernel call (call count, element count,
-/// break-even routing) in the metrics plane. Called by every
-/// BatchDivider array entry point; a few ns against a whole-array
-/// kernel.
+/// Internal: records one kernel call (call count, element count, and
+/// gmdiv_batch_calls_below_break_even_total for calls under 8 elements)
+/// in the metrics plane. Called by every BatchDivider array entry
+/// point; a few ns against a whole-array kernel.
 void noteBatchCall(size_t Count);
 
 /// Internal: why a backend was selected — the "source" label of
@@ -93,7 +89,7 @@ enum class SelectionSource { Divider, EnvOverride, Autodetect, Fallback };
 void noteBackendSelected(Backend B, SelectionSource Source);
 
 /// Divides many dividends by one invariant divisor. The constructor
-/// runs the divisor-dependent precomputation once (reusing
+/// runs the divisor-dependent precomputation once (building
 /// UnsignedDivider / SignedDivider / ExactUnsignedDivider); every array
 /// call then streams through the selected backend's kernels. Immutable
 /// after construction and safe to share across threads.
@@ -103,6 +99,9 @@ void noteBackendSelected(Backend B, SelectionSource Source);
 template <typename T> class BatchDivider {
 public:
   static constexpr bool IsSigned = std::is_signed_v<T>;
+  /// The core Figure 4.1 / 5.1 divider the kernels read.
+  using ScalarDivider =
+      std::conditional_t<IsSigned, SignedDivider<T>, UnsignedDivider<T>>;
 
   /// Precomputes state for \p Divisor (nonzero) on activeBackend().
   explicit BatchDivider(T Divisor);
@@ -110,8 +109,11 @@ public:
   /// is unavailable at runtime) — used by tests and benchmarks.
   BatchDivider(T Divisor, Backend B);
 
-  T divisor() const { return State.Divisor; }
+  T divisor() const { return State.Div.divisor(); }
   Backend backend() const { return Selected; }
+  /// The core divider for one-element calls; the same object whose
+  /// state the array kernels broadcast.
+  const ScalarDivider &scalar() const { return State.Div; }
 
   /// Out[i] = In[i] / d for i < Count (⌊n/d⌋ unsigned, trunc signed).
   /// In and Out may alias exactly (in-place) but not partially overlap.

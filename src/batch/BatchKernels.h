@@ -6,24 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internals shared by the batch backends: the flattened precomputed
-/// state (built once per divisor from the scalar dividers), the
-/// per-element reference sequences every backend must match bit-for-bit,
-/// and the kernel function tables one per backend.
+/// Internals shared by the batch backends: the per-divisor state, the
+/// floor/ceil fix-ups, and the kernel function tables one per backend.
 ///
-/// The state is a plain struct of words and shift counts so a SIMD
-/// backend can broadcast each field into a vector register without
-/// touching the divider classes. buildUnsignedState/buildSignedState
-/// (BatchDivider.cpp) populate it from UnsignedDivider, SignedDivider
-/// and ExactUnsignedDivider — the same Figure 4.1/5.1/§9 precomputation
-/// the scalar path uses, done exactly once.
+/// The state is the core dividers themselves (core/Divider.h,
+/// core/ExactDiv.h): the Figure 4.1/5.1 m' and shift counts and the §9
+/// inverse are computed once per divisor, and both halves of a kernel
+/// read that one object. A SIMD body broadcasts the values it needs
+/// through the accessors (magic(), preShift(), postShift(),
+/// divisorSign(), inverse(), shift(), maxQuotient()); every scalar tail
+/// calls the core divide/remainder/divRem/isDivisible, so tails agree
+/// bit-for-bit with the per-element API by construction and vector
+/// bodies by test.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GMDIV_BATCH_BATCHKERNELS_H
 #define GMDIV_BATCH_BATCHKERNELS_H
 
-#include "ops/Ops.h"
+#include "core/Divider.h"
+#include "core/ExactDiv.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -32,119 +34,34 @@ namespace gmdiv {
 namespace batch {
 
 //===----------------------------------------------------------------------===//
-// Flattened per-divisor state
+// Per-divisor state
 //===----------------------------------------------------------------------===//
 
-/// Figure 4.1 state plus the §9 divisibility constants, flattened for
-/// broadcast into vector registers.
-template <typename UWordT> struct UnsignedBatchState {
-  using UWord = UWordT;
-  UWord Divisor = 1;
-  // Figure 4.1: q = SRL(t1 + SRL(n - t1, Shift1), Shift2),
-  //             t1 = MULUH(MPrime, n). Valid for every d >= 1.
-  UWord MPrime = 1;
-  int Shift1 = 0;
-  int Shift2 = 0;
-  // §9: d = 2^ExactShift * d_odd; Inverse = d_odd^-1 mod 2^N.
-  // n divisible by d iff ROR(MULL(Inverse, n), ExactShift) <= QMax.
-  UWord Inverse = 1;
-  UWord QMax = 0;
-  int ExactShift = 0;
-  // Power-of-two divisors reduce every kernel to one shift.
-  bool IsPow2 = false;
-  int Pow2Shift = 0;
+/// Figure 4.1 division plus the §9 divisibility test.
+template <typename T> struct UnsignedBatchState {
+  explicit UnsignedBatchState(T Divisor) : Div(Divisor), Exact(Divisor) {}
+  UnsignedDivider<T> Div;
+  ExactUnsignedDivider<T> Exact;
 };
 
-/// Figure 5.1 state, flattened for broadcast.
-template <typename SWordT> struct SignedBatchState {
-  using SWord = SWordT;
-  using UWord = typename SignedWordTraits<SWord>::Traits::UWord;
-  SWord Divisor = 1;
-  // q0 = n + MULSH(MPrime, n); q1 = SRA(q0, ShiftPost) - XSIGN(n);
-  // q = EOR(q1, DSign) - DSign.
-  UWord MPrime = 1; ///< Bit pattern of m - 2^N (an sword value).
-  int ShiftPost = 0;
-  SWord DSign = 0; ///< XSIGN(d).
+/// Figure 5.1 division.
+template <typename T> struct SignedBatchState {
+  explicit SignedBatchState(T Divisor) : Div(Divisor) {}
+  SignedDivider<T> Div;
 };
 
-//===----------------------------------------------------------------------===//
-// Per-element reference sequences
-//
-// Every backend — including the SIMD tail loops — funnels single
-// elements through these, so "bit-for-bit agreement" is by construction
-// for tails and by test for vector bodies.
-//===----------------------------------------------------------------------===//
-
-template <typename UWord>
-inline UWord divideOneU(const UnsignedBatchState<UWord> &S, UWord N0) {
-  const UWord T1 = mulUH(S.MPrime, N0);
-  const UWord Sum =
-      static_cast<UWord>(T1 + srl(static_cast<UWord>(N0 - T1), S.Shift1));
-  return srl(Sum, S.Shift2);
-}
-
-template <typename UWord>
-inline UWord remainderOneU(const UnsignedBatchState<UWord> &S, UWord N0) {
-  return static_cast<UWord>(N0 - mulL(divideOneU(S, N0), S.Divisor));
-}
-
-template <typename UWord>
-inline bool divisibleOneU(const UnsignedBatchState<UWord> &S, UWord N0) {
-  constexpr int N = WordTraits<UWord>::Bits;
-  const UWord Q0 = mulL(S.Inverse, N0);
-  const UWord Rotated =
-      S.ExactShift == 0
-          ? Q0
-          : static_cast<UWord>(srl(Q0, S.ExactShift) |
-                               sll(Q0, N - S.ExactShift));
-  return Rotated <= S.QMax;
-}
-
-template <typename SWord>
-inline SWord divideOneS(const SignedBatchState<SWord> &S, SWord N0) {
-  using UWord = typename SignedBatchState<SWord>::UWord;
-  const UWord UN = static_cast<UWord>(N0);
-  const UWord Q0 = static_cast<UWord>(
-      UN + static_cast<UWord>(mulSH(static_cast<SWord>(S.MPrime), N0)));
-  const SWord Shifted = sra(static_cast<SWord>(Q0), S.ShiftPost);
-  const UWord Q1 = static_cast<UWord>(static_cast<UWord>(Shifted) -
-                                      static_cast<UWord>(xsign(N0)));
-  const UWord Mask = static_cast<UWord>(S.DSign);
-  return static_cast<SWord>(static_cast<UWord>((Q1 ^ Mask) - Mask));
-}
-
-template <typename SWord>
-inline SWord remainderOneS(const SignedBatchState<SWord> &S, SWord N0) {
-  using UWord = typename SignedBatchState<SWord>::UWord;
-  return static_cast<SWord>(static_cast<UWord>(N0) -
-                            mulL(static_cast<UWord>(divideOneS(S, N0)),
-                                 static_cast<UWord>(S.Divisor)));
-}
-
-/// ⌊n/d⌋ = trunc(n/d) - (r != 0 && sign(r) != sign(d)).
-template <typename SWord>
-inline SWord floorDivideOneS(const SignedBatchState<SWord> &S, SWord N0) {
-  using UWord = typename SignedBatchState<SWord>::UWord;
-  const SWord Q = divideOneS(S, N0);
-  const SWord R = static_cast<SWord>(
-      static_cast<UWord>(N0) -
-      mulL(static_cast<UWord>(Q), static_cast<UWord>(S.Divisor)));
-  const bool Fix = R != 0 && ((R < 0) != (S.Divisor < 0));
-  return static_cast<SWord>(static_cast<UWord>(Q) -
-                            static_cast<UWord>(Fix ? 1 : 0));
-}
-
-/// ⌈n/d⌉ = trunc(n/d) + (r != 0 && sign(r) == sign(d)).
-template <typename SWord>
-inline SWord ceilDivideOneS(const SignedBatchState<SWord> &S, SWord N0) {
-  using UWord = typename SignedBatchState<SWord>::UWord;
-  const SWord Q = divideOneS(S, N0);
-  const SWord R = static_cast<SWord>(
-      static_cast<UWord>(N0) -
-      mulL(static_cast<UWord>(Q), static_cast<UWord>(S.Divisor)));
-  const bool Fix = R != 0 && ((R < 0) == (S.Divisor < 0));
-  return static_cast<SWord>(static_cast<UWord>(Q) +
-                            static_cast<UWord>(Fix ? 1 : 0));
+/// Floor (Round = -1) / ceil (Round = +1) over the core trunc divRem:
+/// floor subtracts one when the remainder is nonzero and its sign
+/// differs from d's, ceil adds one when it is nonzero and its sign
+/// matches.
+template <int Round, typename T>
+inline T roundDivideOne(const SignedDivider<T> &Div, T N0) {
+  using UWord = typename SignedDivider<T>::UWord;
+  const auto [Q, R] = Div.divRem(N0);
+  const bool Fix =
+      R != 0 && (((R < 0) == (Div.divisor() < 0)) == (Round > 0));
+  return static_cast<T>(static_cast<UWord>(Q) +
+                        static_cast<UWord>(Fix ? Round : 0));
 }
 
 //===----------------------------------------------------------------------===//
@@ -207,11 +124,10 @@ struct KernelTables {
 
 /// The portable fallback; always present.
 const KernelTables &scalarKernels();
-/// SIMD backends; null when not compiled in (wrong architecture or
-/// GMDIV_FORCE_SCALAR_BATCH).
+/// SIMD backends; null when not compiled in (not x86, AVX2 codegen
+/// unavailable, or GMDIV_FORCE_SCALAR_BATCH).
 const KernelTables *sse2Kernels();
 const KernelTables *avx2Kernels();
-const KernelTables *neonKernels();
 
 } // namespace batch
 } // namespace gmdiv

@@ -5,11 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The always-available fallback backend: plain loops over the
-// per-element Figure 4.1/5.1 sequences, plus one genuinely packed path
-// — a SWAR kernel for 8-bit unsigned lanes that runs the Figure 4.1
-// sequence on eight bytes packed in a uint64_t. Because every 16-bit
-// sublane product m' * byte is < 2^16, a single 64-bit multiply
+// The always-available fallback backend: plain loops over the core
+// dividers' per-element Figure 4.1/5.1 sequences, plus one genuinely
+// packed path — a SWAR kernel for 8-bit unsigned lanes that runs the
+// Figure 4.1 sequence on eight bytes packed in a uint64_t. Because every
+// 16-bit sublane product m' * byte is < 2^16, a single 64-bit multiply
 // computes four byte-MULUHs with no cross-lane carries.
 //
 //===----------------------------------------------------------------------===//
@@ -17,6 +17,8 @@
 #include "batch/BatchKernels.h"
 
 #include <cstring>
+#include <tuple>
+#include <type_traits>
 
 namespace gmdiv {
 namespace batch {
@@ -51,112 +53,75 @@ inline uint64_t swarSrl8(uint64_t X, int Count) {
 
 /// Figure 4.1 on eight packed bytes: two 64-bit multiplies replace
 /// eight widening byte multiplies.
-inline uint64_t swarDivide8(const UnsignedBatchState<uint8_t> &S,
+inline uint64_t swarDivide8(const UnsignedDivider<uint8_t> &Div,
                             uint64_t Packed) {
-  const uint64_t M = S.MPrime;
+  const uint64_t M = Div.magic();
   const uint64_t ProdEven = (Packed & EvenBytes) * M;
   const uint64_t ProdOdd = ((Packed >> 8) & EvenBytes) * M;
   const uint64_t T1 = ((ProdEven >> 8) & EvenBytes) | (ProdOdd & OddBytes);
   const uint64_t Diff = swarSub8(Packed, T1);
-  const uint64_t Sum = swarAdd8(T1, swarSrl8(Diff, S.Shift1));
-  return swarSrl8(Sum, S.Shift2);
+  const uint64_t Sum = swarAdd8(T1, swarSrl8(Diff, Div.preShift()));
+  return swarSrl8(Sum, Div.postShift());
 }
 
 //===----------------------------------------------------------------------===//
 // Generic scalar kernels
 //===----------------------------------------------------------------------===//
 
-template <typename T>
-void divideU(const UnsignedBatchState<T> &S, const T *In, T *Out,
-             size_t Count) {
-  if constexpr (sizeof(T) == 1) {
+// Both state kinds carry their core divider as S.Div, so one loop serves
+// unsigned and signed lanes.
+
+template <class State, typename T>
+void divideLoop(const State &S, const T *In, T *Out, size_t Count) {
+  size_t I = 0;
+  if constexpr (std::is_same_v<T, uint8_t>) {
     // SWAR bulk path: eight lanes per 64-bit word.
-    size_t I = 0;
     for (; I + 8 <= Count; I += 8) {
       uint64_t Packed;
       std::memcpy(&Packed, In + I, 8);
-      const uint64_t Q = swarDivide8(S, Packed);
+      const uint64_t Q = swarDivide8(S.Div, Packed);
       std::memcpy(Out + I, &Q, 8);
     }
-    for (; I < Count; ++I)
-      Out[I] = divideOneU(S, In[I]);
-  } else {
-    for (size_t I = 0; I < Count; ++I)
-      Out[I] = divideOneU(S, In[I]);
   }
+  for (; I < Count; ++I)
+    Out[I] = S.Div.divide(In[I]);
 }
 
-template <typename T>
-void remainderU(const UnsignedBatchState<T> &S, const T *In, T *Out,
-                size_t Count) {
+template <class State, typename T>
+void remainderLoop(const State &S, const T *In, T *Out, size_t Count) {
   for (size_t I = 0; I < Count; ++I)
-    Out[I] = remainderOneU(S, In[I]);
+    Out[I] = S.Div.remainder(In[I]);
 }
 
-template <typename T>
-void divRemU(const UnsignedBatchState<T> &S, const T *In, T *Quot, T *Rem,
-             size_t Count) {
-  for (size_t I = 0; I < Count; ++I) {
-    const T Q = divideOneU(S, In[I]);
-    Quot[I] = Q;
-    Rem[I] = static_cast<T>(In[I] - mulL(Q, S.Divisor));
-  }
+template <class State, typename T>
+void divRemLoop(const State &S, const T *In, T *Quot, T *Rem, size_t Count) {
+  for (size_t I = 0; I < Count; ++I)
+    std::tie(Quot[I], Rem[I]) = S.Div.divRem(In[I]);
 }
 
 template <typename T>
 void divisibleU(const UnsignedBatchState<T> &S, const T *In, uint8_t *Out,
                 size_t Count) {
   for (size_t I = 0; I < Count; ++I)
-    Out[I] = divisibleOneU(S, In[I]) ? 1 : 0;
+    Out[I] = S.Exact.isDivisible(In[I]) ? 1 : 0;
 }
 
-template <typename T>
-void divideS(const SignedBatchState<T> &S, const T *In, T *Out,
-             size_t Count) {
-  for (size_t I = 0; I < Count; ++I)
-    Out[I] = divideOneS(S, In[I]);
-}
-
-template <typename T>
-void remainderS(const SignedBatchState<T> &S, const T *In, T *Out,
-                size_t Count) {
-  for (size_t I = 0; I < Count; ++I)
-    Out[I] = remainderOneS(S, In[I]);
-}
-
-template <typename T>
-void divRemS(const SignedBatchState<T> &S, const T *In, T *Quot, T *Rem,
-             size_t Count) {
-  using UWord = typename SignedBatchState<T>::UWord;
-  for (size_t I = 0; I < Count; ++I) {
-    const T Q = divideOneS(S, In[I]);
-    Quot[I] = Q;
-    Rem[I] = static_cast<T>(static_cast<UWord>(In[I]) -
-                            mulL(static_cast<UWord>(Q),
-                                 static_cast<UWord>(S.Divisor)));
-  }
-}
-
-template <typename T>
-void floorDivideS(const SignedBatchState<T> &S, const T *In, T *Out,
+template <typename T, int Round>
+void roundDivideS(const SignedBatchState<T> &S, const T *In, T *Out,
                   size_t Count) {
   for (size_t I = 0; I < Count; ++I)
-    Out[I] = floorDivideOneS(S, In[I]);
-}
-
-template <typename T>
-void ceilDivideS(const SignedBatchState<T> &S, const T *In, T *Out,
-                 size_t Count) {
-  for (size_t I = 0; I < Count; ++I)
-    Out[I] = ceilDivideOneS(S, In[I]);
+    Out[I] = roundDivideOne<Round>(S.Div, In[I]);
 }
 
 template <typename T> constexpr UnsignedKernels<T> makeUnsigned() {
-  return {divideU<T>, remainderU<T>, divRemU<T>, divisibleU<T>};
+  using S = UnsignedBatchState<T>;
+  return {divideLoop<S, T>, remainderLoop<S, T>, divRemLoop<S, T>,
+          divisibleU<T>};
 }
 template <typename T> constexpr SignedKernels<T> makeSigned() {
-  return {divideS<T>, remainderS<T>, divRemS<T>, floorDivideS<T>,
-          ceilDivideS<T>};
+  using S = SignedBatchState<T>;
+  return {divideLoop<S, T>, remainderLoop<S, T>, divRemLoop<S, T>,
+          roundDivideS<T, -1>, roundDivideS<T, 1>};
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include "batch/BatchKernels.h"
 
 #include <cstring>
+#include <tuple>
 
 namespace gmdiv {
 namespace batch {
@@ -260,31 +261,46 @@ template <class Ops> struct Vec {
 
 /// Figure 4.1 on one vector: q = SRL(t1 + SRL(n - t1, sh1), sh2).
 template <class Ops, typename T>
-inline typename Ops::V divVecU(const UnsignedBatchState<T> &S,
+inline typename Ops::V divVecU(const UnsignedDivider<T> &Div,
                                typename Ops::V X, typename Ops::V MB) {
   using W = Vec<Ops>;
   const auto T1 = W::template muluh<T>(X, MB);
   const auto Diff = W::template sub<T>(X, T1);
   const auto Sum =
-      W::template add<T>(T1, W::template srl<T>(Diff, S.Shift1));
-  return W::template srl<T>(Sum, S.Shift2);
+      W::template add<T>(T1, W::template srl<T>(Diff, Div.preShift()));
+  return W::template srl<T>(Sum, Div.postShift());
 }
+
+/// The Figure 5.1 constants of one SignedDivider, broadcast once per
+/// array call.
+template <class Ops, typename T> struct SignedBroadcast {
+  explicit SignedBroadcast(const SignedDivider<T> &Div)
+      : MB(Vec<Ops>::template set1<T>(static_cast<T>(Div.magic()))),
+        MNeg(static_cast<T>(Div.magic()) < 0), Shift(Div.postShift()),
+        DMask(Vec<Ops>::template set1<T>(Div.divisorSign())),
+        DB(Vec<Ops>::template set1<T>(Div.divisor())) {}
+  typename Ops::V MB;
+  bool MNeg;
+  int Shift;
+  typename Ops::V DMask;
+  typename Ops::V DB;
+};
 
 /// Figure 5.1 on one vector: q = EOR(SRA(n + MULSH(m', n), sh) -
 /// XSIGN(n), dsign) - dsign.
 template <class Ops, typename T>
-inline typename Ops::V divVecS(const SignedBatchState<T> &S,
-                               typename Ops::V X, typename Ops::V MB,
-                               bool MNeg, typename Ops::V DMask) {
+inline typename Ops::V divVecS(const SignedBroadcast<Ops, T> &B,
+                               typename Ops::V X) {
   using W = Vec<Ops>;
-  const auto Q0 = W::template add<T>(X, W::template mulsh<T>(X, MB, MNeg));
-  const auto Shifted = W::template sra<T>(Q0, S.ShiftPost);
+  const auto Q0 =
+      W::template add<T>(X, W::template mulsh<T>(X, B.MB, B.MNeg));
+  const auto Shifted = W::template sra<T>(Q0, B.Shift);
   const auto Q1 = W::template sub<T>(Shifted, W::template xsignV<T>(X));
-  return W::template sub<T>(Ops::xor_(Q1, DMask), DMask);
+  return W::template sub<T>(Ops::xor_(Q1, B.DMask), B.DMask);
 }
 
 //===----------------------------------------------------------------------===//
-// Array kernels (vector body + scalar tail)
+// Array kernels (vector body + scalar tail on the core divider)
 //===----------------------------------------------------------------------===//
 
 template <class Ops, typename T>
@@ -292,12 +308,12 @@ void divideSimdU(const UnsignedBatchState<T> &S, const T *In, T *Out,
                  size_t Count) {
   using W = Vec<Ops>;
   constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(S.MPrime);
+  const auto MB = W::template set1<T>(S.Div.magic());
   size_t I = 0;
   for (; I + L <= Count; I += L)
-    Ops::store(Out + I, divVecU<Ops, T>(S, Ops::load(In + I), MB));
+    Ops::store(Out + I, divVecU<Ops, T>(S.Div, Ops::load(In + I), MB));
   for (; I < Count; ++I)
-    Out[I] = divideOneU(S, In[I]);
+    Out[I] = S.Div.divide(In[I]);
 }
 
 template <class Ops, typename T>
@@ -305,17 +321,17 @@ void remainderSimdU(const UnsignedBatchState<T> &S, const T *In, T *Out,
                     size_t Count) {
   using W = Vec<Ops>;
   constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(S.MPrime);
-  const auto DB = W::template set1<T>(S.Divisor);
+  const auto MB = W::template set1<T>(S.Div.magic());
+  const auto DB = W::template set1<T>(S.Div.divisor());
   size_t I = 0;
   for (; I + L <= Count; I += L) {
     const auto X = Ops::load(In + I);
-    const auto Q = divVecU<Ops, T>(S, X, MB);
+    const auto Q = divVecU<Ops, T>(S.Div, X, MB);
     Ops::store(Out + I,
                W::template sub<T>(X, W::template mullo<T>(Q, DB)));
   }
   for (; I < Count; ++I)
-    Out[I] = remainderOneU(S, In[I]);
+    Out[I] = S.Div.remainder(In[I]);
 }
 
 template <class Ops, typename T>
@@ -323,26 +339,23 @@ void divRemSimdU(const UnsignedBatchState<T> &S, const T *In, T *Quot,
                  T *Rem, size_t Count) {
   using W = Vec<Ops>;
   constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(S.MPrime);
-  const auto DB = W::template set1<T>(S.Divisor);
+  const auto MB = W::template set1<T>(S.Div.magic());
+  const auto DB = W::template set1<T>(S.Div.divisor());
   size_t I = 0;
   for (; I + L <= Count; I += L) {
     const auto X = Ops::load(In + I);
-    const auto Q = divVecU<Ops, T>(S, X, MB);
+    const auto Q = divVecU<Ops, T>(S.Div, X, MB);
     Ops::store(Quot + I, Q);
     Ops::store(Rem + I,
                W::template sub<T>(X, W::template mullo<T>(Q, DB)));
   }
-  for (; I < Count; ++I) {
-    const T Q = divideOneU(S, In[I]);
-    Quot[I] = Q;
-    Rem[I] = static_cast<T>(In[I] - mulL(Q, S.Divisor));
-  }
+  for (; I < Count; ++I)
+    std::tie(Quot[I], Rem[I]) = S.Div.divRem(In[I]);
 }
 
 /// §9 filter: ROR(MULL(d_inv, n), e) <= qmax, unsigned compare via a
-/// sign-bit flip. 8/16/32-bit lanes only (64-bit table entries point at
-/// the scalar loop below).
+/// sign-bit flip. 8/16/32-bit lanes only (the 64-bit table entry is the
+/// scalar backend's loop).
 template <class Ops, typename T>
 void divisibleSimdU(const UnsignedBatchState<T> &S, const T *In,
                     uint8_t *Out, size_t Count) {
@@ -350,20 +363,19 @@ void divisibleSimdU(const UnsignedBatchState<T> &S, const T *In,
   constexpr size_t L = W::template lanes<T>();
   constexpr int N = static_cast<int>(sizeof(T) * 8);
   constexpr T SignBit = static_cast<T>(T{1} << (N - 1));
-  const auto InvB = W::template set1<T>(S.Inverse);
+  const int E = S.Exact.shift();
+  const auto InvB = W::template set1<T>(S.Exact.inverse());
   const auto SignB = W::template set1<T>(SignBit);
   const auto QMaxFlipped =
-      W::template set1<T>(static_cast<T>(S.QMax ^ SignBit));
+      W::template set1<T>(static_cast<T>(S.Exact.maxQuotient() ^ SignBit));
   const auto OneB = W::template set1<T>(static_cast<T>(1));
   T Tmp[Ops::VectorBytes / sizeof(T)];
   size_t I = 0;
   for (; I + L <= Count; I += L) {
     const auto Q0 = W::template mullo<T>(Ops::load(In + I), InvB);
-    const auto Ror =
-        S.ExactShift == 0
-            ? Q0
-            : Ops::or_(W::template srl<T>(Q0, S.ExactShift),
-                       W::template sll<T>(Q0, N - S.ExactShift));
+    const auto Ror = E == 0 ? Q0
+                            : Ops::or_(W::template srl<T>(Q0, E),
+                                       W::template sll<T>(Q0, N - E));
     const auto NotDiv =
         W::template cmpgt<T>(Ops::xor_(Ror, SignB), QMaxFlipped);
     Ops::store(Tmp, Ops::andnot(NotDiv, OneB));
@@ -371,31 +383,19 @@ void divisibleSimdU(const UnsignedBatchState<T> &S, const T *In,
       Out[I + J] = static_cast<uint8_t>(Tmp[J]);
   }
   for (; I < Count; ++I)
-    Out[I] = divisibleOneU(S, In[I]) ? 1 : 0;
-}
-
-/// Scalar fallback registered for the 64-bit divisibility entry.
-template <typename T>
-void divisibleScalarU(const UnsignedBatchState<T> &S, const T *In,
-                      uint8_t *Out, size_t Count) {
-  for (size_t I = 0; I < Count; ++I)
-    Out[I] = divisibleOneU(S, In[I]) ? 1 : 0;
+    Out[I] = S.Exact.isDivisible(In[I]) ? 1 : 0;
 }
 
 template <class Ops, typename T>
 void divideSimdS(const SignedBatchState<T> &S, const T *In, T *Out,
                  size_t Count) {
-  using W = Vec<Ops>;
-  constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(static_cast<T>(S.MPrime));
-  const bool MNeg = static_cast<T>(S.MPrime) < 0;
-  const auto DMask = W::template set1<T>(S.DSign);
+  constexpr size_t L = Vec<Ops>::template lanes<T>();
+  const SignedBroadcast<Ops, T> B(S.Div);
   size_t I = 0;
   for (; I + L <= Count; I += L)
-    Ops::store(Out + I,
-               divVecS<Ops, T>(S, Ops::load(In + I), MB, MNeg, DMask));
+    Ops::store(Out + I, divVecS<Ops, T>(B, Ops::load(In + I)));
   for (; I < Count; ++I)
-    Out[I] = divideOneS(S, In[I]);
+    Out[I] = S.Div.divide(In[I]);
 }
 
 template <class Ops, typename T>
@@ -403,19 +403,16 @@ void remainderSimdS(const SignedBatchState<T> &S, const T *In, T *Out,
                     size_t Count) {
   using W = Vec<Ops>;
   constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(static_cast<T>(S.MPrime));
-  const bool MNeg = static_cast<T>(S.MPrime) < 0;
-  const auto DMask = W::template set1<T>(S.DSign);
-  const auto DB = W::template set1<T>(S.Divisor);
+  const SignedBroadcast<Ops, T> B(S.Div);
   size_t I = 0;
   for (; I + L <= Count; I += L) {
     const auto X = Ops::load(In + I);
-    const auto Q = divVecS<Ops, T>(S, X, MB, MNeg, DMask);
+    const auto Q = divVecS<Ops, T>(B, X);
     Ops::store(Out + I,
-               W::template sub<T>(X, W::template mullo<T>(Q, DB)));
+               W::template sub<T>(X, W::template mullo<T>(Q, B.DB)));
   }
   for (; I < Count; ++I)
-    Out[I] = remainderOneS(S, In[I]);
+    Out[I] = S.Div.remainder(In[I]);
 }
 
 template <class Ops, typename T>
@@ -423,23 +420,17 @@ void divRemSimdS(const SignedBatchState<T> &S, const T *In, T *Quot, T *Rem,
                  size_t Count) {
   using W = Vec<Ops>;
   constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(static_cast<T>(S.MPrime));
-  const bool MNeg = static_cast<T>(S.MPrime) < 0;
-  const auto DMask = W::template set1<T>(S.DSign);
-  const auto DB = W::template set1<T>(S.Divisor);
+  const SignedBroadcast<Ops, T> B(S.Div);
   size_t I = 0;
   for (; I + L <= Count; I += L) {
     const auto X = Ops::load(In + I);
-    const auto Q = divVecS<Ops, T>(S, X, MB, MNeg, DMask);
+    const auto Q = divVecS<Ops, T>(B, X);
     Ops::store(Quot + I, Q);
     Ops::store(Rem + I,
-               W::template sub<T>(X, W::template mullo<T>(Q, DB)));
+               W::template sub<T>(X, W::template mullo<T>(Q, B.DB)));
   }
-  for (; I < Count; ++I) {
-    const T Q = divideOneS(S, In[I]);
-    Quot[I] = Q;
-    Rem[I] = remainderOneS(S, In[I]);
-  }
+  for (; I < Count; ++I)
+    std::tie(Quot[I], Rem[I]) = S.Div.divRem(In[I]);
 }
 
 /// Floor (Round = -1) / ceil (Round = +1): trunc quotient plus the
@@ -450,18 +441,16 @@ void roundDivSimdS(const SignedBatchState<T> &S, const T *In, T *Out,
                    size_t Count) {
   using W = Vec<Ops>;
   constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(static_cast<T>(S.MPrime));
-  const bool MNeg = static_cast<T>(S.MPrime) < 0;
-  const auto DMask = W::template set1<T>(S.DSign);
-  const auto DB = W::template set1<T>(S.Divisor);
+  const SignedBroadcast<Ops, T> B(S.Div);
   // floor fixes lanes whose remainder sign differs from d's, ceil
   // lanes whose remainder sign matches.
-  const bool FixNegativeRem = Round < 0 ? S.Divisor > 0 : S.Divisor < 0;
+  const bool FixNegativeRem =
+      Round < 0 ? S.Div.divisor() > 0 : S.Div.divisor() < 0;
   size_t I = 0;
   for (; I + L <= Count; I += L) {
     const auto X = Ops::load(In + I);
-    auto Q = divVecS<Ops, T>(S, X, MB, MNeg, DMask);
-    const auto R = W::template sub<T>(X, W::template mullo<T>(Q, DB));
+    auto Q = divVecS<Ops, T>(B, X);
+    const auto R = W::template sub<T>(X, W::template mullo<T>(Q, B.DB));
     const auto Fix =
         FixNegativeRem ? W::template xsignV<T>(R) : W::template gtZero<T>(R);
     // Fix lanes are all-ones (-1): floor adds the mask, ceil subtracts.
@@ -469,7 +458,7 @@ void roundDivSimdS(const SignedBatchState<T> &S, const T *In, T *Out,
     Ops::store(Out + I, Q);
   }
   for (; I < Count; ++I)
-    Out[I] = Round < 0 ? floorDivideOneS(S, In[I]) : ceilDivideOneS(S, In[I]);
+    Out[I] = roundDivideOne<Round>(S.Div, In[I]);
 }
 
 /// Builds the full table for one VecOps instantiation.
@@ -482,7 +471,7 @@ template <class Ops> KernelTables makeTables() {
   Tables.U32 = {divideSimdU<Ops, uint32_t>, remainderSimdU<Ops, uint32_t>,
                 divRemSimdU<Ops, uint32_t>, divisibleSimdU<Ops, uint32_t>};
   Tables.U64 = {divideSimdU<Ops, uint64_t>, remainderSimdU<Ops, uint64_t>,
-                divRemSimdU<Ops, uint64_t>, divisibleScalarU<uint64_t>};
+                divRemSimdU<Ops, uint64_t>, scalarKernels().U64.Divisible};
   Tables.S8 = {divideSimdS<Ops, int8_t>, remainderSimdS<Ops, int8_t>,
                divRemSimdS<Ops, int8_t>, roundDivSimdS<Ops, int8_t, -1>,
                roundDivSimdS<Ops, int8_t, 1>};

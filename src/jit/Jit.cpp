@@ -65,8 +65,8 @@ bool gmdiv::jit::vectorHostSupported(VectorIsa Isa) {
   if (!execMemorySupported())
     return false;
   if (Isa == VectorIsa::Avx512)
-    // The 512-bit emitter sticks to F-level ops today, but gate on the
-    // server-class quartet so future ops (vpmullq, byte packs) do not
+    // The 512-bit emitter's compares widen k1 with vpmovm2d/q (DQ); gate
+    // on the server-class quartet so future ops (vpmullq) do not
     // silently require a wider check.
     return __builtin_cpu_supports("avx512f") &&
            __builtin_cpu_supports("avx512dq") &&

@@ -20,7 +20,7 @@
 ///
 /// Fallback is total and bit-for-bit: non-x86-64 hosts, CPUs without
 /// AVX2, GMDIV_NO_JIT=1, GMDIV_JIT_VECTOR=0, 8/16-bit lane types, and
-/// emitter bails (e.g. the §9 filter on the AVX-512 emitter) all route
+/// emitter bails (e.g. a sequence that runs out of registers) all route
 /// every element through the owned batch::BatchDivider — the same
 /// kernels, the same dispatch, the same answers, proven by the
 /// jit-batch-* properties in src/verify. The jitted loop processes a

@@ -321,6 +321,37 @@ public:
     end("vmovd " + memText(M) + ", " + xr(Xmm));
   }
 
+  // ---- EVEX-only mask compare and narrowing store ----
+
+  /// k1 = (A < B) per lane: vpcmp[u]{d,q} k1, A, B, 1 (LT). EVEX integer
+  /// compares write a mask register, never a vector.
+  void vpcmpLtK1(bool Signed, int W, int SrcA, int SrcB) {
+    begin();
+    evexPfx(3, 1, W, SrcA, false, false, SrcB >= 8);
+    byte(Signed ? 0x1F : 0x1E);
+    byte(modrm(3, 1, SrcB));
+    byte(1);
+    end(std::string(Signed ? "vpcmp" : "vpcmpu") + (W ? "q" : "d") +
+        " k1, " + vr(SrcA) + ", " + vr(SrcB) + ", 1");
+  }
+  /// Dst lanes = all-ones where k1 is set: vpmovm2{d,q} Dst, k1.
+  void vpmovm2K1(int W, int Dst) {
+    begin();
+    evexPfx(2, 2, W, 0, Dst >= 8, false, false);
+    byte(0x38);
+    byte(modrm(3, Dst, 1));
+    end(std::string("vpmovm2") + (W ? "q " : "d ") + vr(Dst) + ", k1");
+  }
+  /// Truncating one-byte-per-lane store: vpmov{d,q}b [M], Src.
+  void vpmovByteStore(int W, const MemRef &M, int Src) {
+    begin();
+    evexPfx(2, 2, 0, 0, Src >= 8, false, M.Base >= 8);
+    byte(W ? 0x32 : 0x31);
+    memOp(Src, M);
+    end(std::string("vpmov") + (W ? "qb " : "db ") + memText(M) + ", " +
+        vr(Src));
+  }
+
   // ---- GPR loop scaffolding ----
 
   void xorEaxEax() {
@@ -524,6 +555,14 @@ private:
   void storeResults(int Slot);
   void packBytes(int SrcReg, int Slot);
 
+  /// AVX-512 Slt: compare into k1, widen the mask back to all-ones
+  /// lanes, AND down to 0/1.
+  void evexLessThan(int Dst, int Ra, int Rb, bool Signed) {
+    A.vpcmpLtK1(Signed, wmem(), Ra, Rb);
+    A.vpmovm2K1(wmem(), Dst);
+    A.vop(VPAND, Dst, Dst, oneConst());
+  }
+
   /// dst &= mask, for narrow lanes only — N == container width is already
   /// canonical after dword/qword ops.
   void maskNarrow(int R) {
@@ -609,10 +648,6 @@ bool LoopEmitter::validate() {
     fail("byte-packed result requires exactly one result");
     return false;
   }
-  if (Opts.ByteResult0 && Opts.Isa == VectorIsa::Avx512) {
-    fail("byte pack uses vpermd lane moves, AVX2 only");
-    return false;
-  }
   for (int V = 0; V < P.size(); ++V) {
     const Instr &I = P.instr(V);
     switch (I.Op) {
@@ -625,14 +660,6 @@ bool LoopEmitter::validate() {
     case Opcode::Arg:
       if (I.Imm != 0) {
         fail("vector loops take exactly one input array");
-        return false;
-      }
-      break;
-    case Opcode::SltU:
-    case Opcode::SltS:
-      if (Opts.Isa == VectorIsa::Avx512) {
-        fail("EVEX integer compares write k-registers; compare sequences "
-             "stay on AVX2");
         return false;
       }
       break;
@@ -879,7 +906,9 @@ void LoopEmitter::emitInstr32(int V, const Instr &I) {
     }
     break;
   case Opcode::SltU:
-    if (N <= 31) {
+    if (A.Evex) {
+      evexLessThan(Dst, Ra, Rb, false);
+    } else if (N <= 31) {
       // Below 2^31 unsigned and signed orders agree.
       A.vop(VPCMPGTD, Dst, Rb, Ra);
       A.vop(VPAND, Dst, Dst, oneConst());
@@ -898,8 +927,12 @@ void LoopEmitter::emitInstr32(int V, const Instr &I) {
     int Ta, Tb;
     int Ase = sext32Operand(I.Lhs, Ta);
     int Bse = sext32Operand(I.Rhs, Tb);
-    A.vop(VPCMPGTD, Dst, Bse, Ase);
-    A.vop(VPAND, Dst, Dst, oneConst());
+    if (A.Evex) {
+      evexLessThan(Dst, Ase, Bse, true);
+    } else {
+      A.vop(VPCMPGTD, Dst, Bse, Ase);
+      A.vop(VPAND, Dst, Dst, oneConst());
+    }
     freeReg(Ta);
     freeReg(Tb);
     break;
@@ -1041,6 +1074,10 @@ void LoopEmitter::emitInstr64(int V, const Instr &I) {
     xsign64Into(Dst, Ra);
     break;
   case Opcode::SltU: {
+    if (A.Evex) {
+      evexLessThan(Dst, Ra, Rb, false);
+      break;
+    }
     // Bias both sides by the sign bit so the signed qword compare
     // computes the unsigned order.
     int Bias = constReg(ConstDef::B64, uint64_t{1} << 63, 0, "sign bias");
@@ -1054,8 +1091,12 @@ void LoopEmitter::emitInstr64(int V, const Instr &I) {
     break;
   }
   case Opcode::SltS:
-    A.vop(VPCMPGTQ, Dst, Rb, Ra);
-    A.vop(VPAND, Dst, Dst, oneConst());
+    if (A.Evex) {
+      evexLessThan(Dst, Ra, Rb, true);
+    } else {
+      A.vop(VPCMPGTQ, Dst, Rb, Ra);
+      A.vop(VPAND, Dst, Dst, oneConst());
+    }
     break;
   default:
     fail(std::string("unhandled opcode ") + ir::opcodeName(I.Op));
@@ -1078,6 +1119,12 @@ void LoopEmitter::storeResults(int Slot) {
 }
 
 void LoopEmitter::packBytes(int SrcReg, int Slot) {
+  if (A.Evex) {
+    // vpmovdb / vpmovqb truncate every lane to its low byte on the way
+    // to memory; truncation is identity on 0/1 flags.
+    A.vpmovByteStore(wmem(), {RSI, 1, Slot * lanes()}, SrcReg);
+    return;
+  }
   int T = allocReg();
   if (CBits == 32) {
     // 8 dword 0/1 flags -> 8 bytes: two in-lane packs leave each 128-bit

@@ -56,10 +56,9 @@ namespace gmdiv {
 namespace jit {
 
 /// Vector instruction set the loop targets. Avx512 uses 512-bit zmm
-/// registers with EVEX encoding (AVX-512F only, registers 0-15, no mask
-/// registers); programs containing SltU/SltS compares bail under it —
-/// AVX-512 integer compares write k-registers, so the §9 divisibility
-/// filter stays on the AVX2 path.
+/// registers with EVEX encoding (registers 0-15, no masking). Its
+/// SltU/SltS compares write k1 and widen it back with vpmovm2d/q
+/// (AVX-512DQ), and byte-packed results store with vpmovdb/vpmovqb.
 enum class VectorIsa : uint8_t { Avx2, Avx512 };
 
 const char *vectorIsaName(VectorIsa Isa); ///< "avx2" / "avx512"
@@ -71,8 +70,8 @@ struct VectorEmitOptions {
   /// different memory offsets, so unrolling costs no register pressure.
   int Unroll = 4;
   /// Store result 0 as one *byte* per element (0/1 flags packed with
-  /// vpackssdw/vpackuswb/vpermd) — the §9 divisibility filter's output
-  /// convention. AVX2 only.
+  /// vpackssdw/vpackuswb/vpermd on AVX2, truncated by vpmovdb/vpmovqb
+  /// on AVX-512) — the §9 divisibility filter's output convention.
   bool ByteResult0 = false;
 };
 

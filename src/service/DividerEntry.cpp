@@ -8,7 +8,6 @@
 #include "service/DividerEntry.h"
 
 #include "batch/BatchDivider.h"
-#include "core/Divider.h"
 
 #include <sstream>
 
@@ -42,8 +41,6 @@ namespace {
 
 template <typename T> class TypedEntry final : public DividerEntry {
   using U = std::make_unsigned_t<T>;
-  using Scalar = std::conditional_t<std::is_signed_v<T>, SignedDivider<T>,
-                                    UnsignedDivider<T>>;
 
   static T fromBits(uint64_t Bits) {
     return static_cast<T>(static_cast<U>(Bits));
@@ -54,16 +51,18 @@ template <typename T> class TypedEntry final : public DividerEntry {
 
 public:
   TypedEntry(const Key &EntryKey, T Divisor)
-      : DividerEntry(EntryKey), Ref(Divisor), Batch(Divisor) {}
+      : DividerEntry(EntryKey), Batch(Divisor) {}
 
+  // Scalar calls run the batch divider's own core divider, so one
+  // admission does one precompute.
   uint64_t divideBits(uint64_t NBits) const override {
-    return toBits(Ref.divide(fromBits(NBits)));
+    return toBits(Batch.scalar().divide(fromBits(NBits)));
   }
   uint64_t remainderBits(uint64_t NBits) const override {
-    return toBits(Ref.remainder(fromBits(NBits)));
+    return toBits(Batch.scalar().remainder(fromBits(NBits)));
   }
   std::pair<uint64_t, uint64_t> divRemBits(uint64_t NBits) const override {
-    const auto [Q, R] = Ref.divRem(fromBits(NBits));
+    const auto [Q, R] = Batch.scalar().divRem(fromBits(NBits));
     return {toBits(Q), toBits(R)};
   }
 
@@ -90,7 +89,6 @@ public:
   }
 
 private:
-  Scalar Ref;
   batch::BatchDivider<T> Batch;
 };
 

@@ -7,11 +7,12 @@
 ///
 /// \file
 /// One registry entry owns the precomputed state for a (kind, width,
-/// divisor) triple: the core Divider (the Figure 4.1/5.1 runtime
-/// multiplier, used by every scalar call) and the BatchDivider (SIMD
-/// array kernels). Building one is precompute only: no code generation
-/// and no executable pages, because a divisor that arrives at run time
-/// is exactly the case the paper's runtime algorithms are for.
+/// divisor) triple: one BatchDivider, whose core divider (the Figure
+/// 4.1/5.1 runtime multiplier) serves every scalar call and whose SIMD
+/// array kernels broadcast that same state. Building one is precompute
+/// only: no code generation and no executable pages, because a divisor
+/// that arrives at run time is exactly the case the paper's runtime
+/// algorithms are for.
 /// The registry stores entries type-erased behind this interface so
 /// one shard table serves all eight lane types; callers that know
 /// their lane type get it back through the divide<T>() templates,
@@ -99,10 +100,10 @@ private:
   Key K;
 };
 
-/// Builds the entry for \p K: precomputes the core divider and batch
-/// state. Returns null for an invalid key, never fails for a valid one.
-/// The bool is ignored; it stays only until the next change to the
-/// end-to-end benchmark (bench/e2e) stops passing it.
+/// Builds the entry for \p K: precomputes its BatchDivider's core
+/// divider once. Returns null for an invalid key, never fails for a
+/// valid one. The bool is ignored; it stays only until the next change
+/// to the end-to-end benchmark (bench/e2e) stops passing it.
 std::shared_ptr<const DividerEntry> makeDividerEntry(const Key &K,
                                                      bool Ignored = false);
 

@@ -9,7 +9,8 @@
 // dividers of core/Divider.h: exhaustively over the whole (n, d) space
 // for 8-bit lanes, and over randomized + adversarial edge vectors for
 // 16/32/64-bit lanes. The buffer sizes are deliberately not multiples
-// of any vector width so the SIMD tails execute too.
+// of any vector width so the SIMD tails execute too, and one sweep runs
+// every length 0..67 so every tail length does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "arch/Arch.h"
 #include "arch/CostModel.h"
 #include "core/Divider.h"
+#include "core/ExactDiv.h"
 #include "telemetry/Remarks.h"
 
 #include "gtest/gtest.h"
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 using namespace gmdiv;
@@ -34,8 +37,7 @@ namespace {
 
 std::vector<Backend> availableBackends() {
   std::vector<Backend> Result;
-  for (Backend B :
-       {Backend::Scalar, Backend::SSE2, Backend::AVX2, Backend::NEON})
+  for (Backend B : compiledBackends())
     if (backendAvailable(B))
       Result.push_back(B);
   return Result;
@@ -59,12 +61,13 @@ template <typename T> std::vector<T> makeInputs() {
                        T(std::numeric_limits<T>::min() + 1),
                        T(std::numeric_limits<T>::max() / 2),
                        T(std::numeric_limits<T>::max() / 2 + 1)};
+  // Unsigned arithmetic: P - 1 and -P wrap at the signed minimum.
+  using U = std::make_unsigned_t<T>;
   for (int Bit = 0; Bit < static_cast<int>(sizeof(T) * 8); ++Bit) {
-    const T P = static_cast<T>(typename std::make_unsigned<T>::type(1)
-                               << Bit);
-    In.push_back(P);
+    const U P = static_cast<U>(U(1) << Bit);
+    In.push_back(static_cast<T>(P));
     In.push_back(static_cast<T>(P - 1));
-    In.push_back(static_cast<T>(T(0) - P));
+    In.push_back(static_cast<T>(U(0) - P));
   }
   uint64_t Seed = 0x9E3779B97F4A7C15ull ^ (sizeof(T) * 8);
   while (In.size() < 1031)
@@ -229,17 +232,72 @@ TEST(BatchDivider, Exhaustive16Dividends) {
 // Dispatch: scalar and SIMD backends agree bit-for-bit
 //===----------------------------------------------------------------------===//
 
+/// Longest array the tail sweep runs: past two full AVX2 vectors of
+/// 8-bit lanes, so every tail length on every vector width occurs.
+constexpr size_t MaxTailSweepLength = 67;
+
+/// Every available backend, pinned, over every length 0..67: each
+/// operation must match the core dividers element by element and must
+/// not write past the last lane.
 template <typename T> void checkBackendsMatchScalar() {
-  const std::vector<T> In = makeInputs<T>();
-  const size_t N = In.size();
+  constexpr T Canary = T(0x5A);
+  const std::vector<T> Inputs = makeInputs<T>();
   for (T D : makeDivisors<T>()) {
-    const BatchDivider<T> Scalar(D, Backend::Scalar);
-    std::vector<T> Want(N), Got(N);
-    Scalar.divide(In.data(), Want.data(), N);
     for (Backend B : availableBackends()) {
-      const BatchDivider<T> Simd(D, B);
-      Simd.divide(In.data(), Got.data(), N);
-      ASSERT_EQ(Got, Want) << Simd.describe();
+      const BatchDivider<T> Batch(D, B);
+      ASSERT_EQ(Batch.backend(), B) << Batch.describe();
+      for (size_t Len = 0; Len <= MaxTailSweepLength; ++Len) {
+        // Only evaluated when an assertion fails.
+        const auto Where = [&](size_t I) {
+          return "len=" + std::to_string(Len) + " i=" + std::to_string(I) +
+                 " " + Batch.describe();
+        };
+        // A different window of the edge values and randoms per length.
+        const T *In = Inputs.data() + Len * 14;
+        std::vector<T> Quot(Len + 1, Canary), Rem(Len + 1, Canary),
+            Quot2(Len + 1, Canary), Rem2(Len + 1, Canary);
+        Batch.divide(In, Quot.data(), Len);
+        Batch.remainder(In, Rem.data(), Len);
+        Batch.divRem(In, Quot2.data(), Rem2.data(), Len);
+        ASSERT_EQ(Quot[Len], Canary) << Where(Len);
+        ASSERT_EQ(Rem[Len], Canary) << Where(Len);
+        ASSERT_EQ(Quot2[Len], Canary) << Where(Len);
+        ASSERT_EQ(Rem2[Len], Canary) << Where(Len);
+        if constexpr (std::is_signed_v<T>) {
+          const SignedDivider<T> Ref(D);
+          const FloorDivider<T> FloorRef(D);
+          const CeilDivider<T> CeilRef(D);
+          std::vector<T> Floor(Len + 1, Canary), Ceil(Len + 1, Canary);
+          Batch.floorDivide(In, Floor.data(), Len);
+          Batch.ceilDivide(In, Ceil.data(), Len);
+          ASSERT_EQ(Floor[Len], Canary) << Where(Len);
+          ASSERT_EQ(Ceil[Len], Canary) << Where(Len);
+          for (size_t I = 0; I < Len; ++I) {
+            const auto [Q, R] = Ref.divRem(In[I]);
+            ASSERT_EQ(Quot[I], Q) << "divide " << Where(I);
+            ASSERT_EQ(Rem[I], R) << "remainder " << Where(I);
+            ASSERT_EQ(Quot2[I], Q) << "divRem " << Where(I);
+            ASSERT_EQ(Rem2[I], R) << "divRem " << Where(I);
+            ASSERT_EQ(Floor[I], FloorRef.divide(In[I])) << "floor " << Where(I);
+            ASSERT_EQ(Ceil[I], CeilRef.divide(In[I])) << "ceil " << Where(I);
+          }
+        } else {
+          const UnsignedDivider<T> Ref(D);
+          const ExactUnsignedDivider<T> ExactRef(D);
+          std::vector<uint8_t> Div(Len + 1, 0xA5);
+          Batch.divisible(In, Div.data(), Len);
+          ASSERT_EQ(Div[Len], 0xA5) << Where(Len);
+          for (size_t I = 0; I < Len; ++I) {
+            const auto [Q, R] = Ref.divRem(In[I]);
+            ASSERT_EQ(Quot[I], Q) << "divide " << Where(I);
+            ASSERT_EQ(Rem[I], R) << "remainder " << Where(I);
+            ASSERT_EQ(Quot2[I], Q) << "divRem " << Where(I);
+            ASSERT_EQ(Rem2[I], R) << "divRem " << Where(I);
+            ASSERT_EQ(Div[I], ExactRef.isDivisible(In[I]) ? 1 : 0)
+                << "divisible " << Where(I);
+          }
+        }
+      }
     }
   }
 }
@@ -267,12 +325,9 @@ TEST(BatchDispatch, ActiveBackendIsAvailable) {
 }
 
 TEST(BatchDispatch, PinningUnavailableBackendFallsBackToScalar) {
-  Backend Missing = Backend::NEON;
-  if (backendAvailable(Backend::NEON))
-    Missing = Backend::SSE2; // On ARM, SSE2 is the impossible one.
-  if (backendAvailable(Missing))
-    GTEST_SKIP() << "all backends available; nothing to fall back from";
-  const BatchDivider<uint32_t> Div(7, Missing);
+  // NEON has no kernels in any build, so it is never available.
+  ASSERT_FALSE(backendAvailable(Backend::NEON));
+  const BatchDivider<uint32_t> Div(7, Backend::NEON);
   EXPECT_EQ(Div.backend(), Backend::Scalar);
   uint32_t In = 63, Out = 0;
   Div.divide(&In, &Out, 1);
@@ -284,6 +339,40 @@ TEST(BatchDispatch, BackendNamesAreStable) {
   EXPECT_STREQ(backendName(Backend::SSE2), "sse2");
   EXPECT_STREQ(backendName(Backend::AVX2), "avx2");
   EXPECT_STREQ(backendName(Backend::NEON), "neon");
+}
+
+/// scalar() must be the same Figure 4.1/5.1 state a freshly built core
+/// divider computes, on every backend the divisor is pinned to.
+template <typename T> void checkScalarIsCoreDivider() {
+  for (T D : makeDivisors<T>())
+    for (Backend B : availableBackends()) {
+      const BatchDivider<T> Batch(D, B);
+      const auto &Core = Batch.scalar();
+      EXPECT_EQ(Core.divisor(), D) << Batch.describe();
+      if constexpr (std::is_signed_v<T>) {
+        const SignedDivider<T> Fresh(D);
+        EXPECT_EQ(Core.magic(), Fresh.magic()) << Batch.describe();
+        EXPECT_EQ(Core.postShift(), Fresh.postShift()) << Batch.describe();
+        EXPECT_EQ(Core.divisorSign(), Fresh.divisorSign())
+            << Batch.describe();
+      } else {
+        const UnsignedDivider<T> Fresh(D);
+        EXPECT_EQ(Core.magic(), Fresh.magic()) << Batch.describe();
+        EXPECT_EQ(Core.preShift(), Fresh.preShift()) << Batch.describe();
+        EXPECT_EQ(Core.postShift(), Fresh.postShift()) << Batch.describe();
+      }
+    }
+}
+
+TEST(BatchDivider, ScalarMatchesFreshCoreDivider) {
+  checkScalarIsCoreDivider<uint8_t>();
+  checkScalarIsCoreDivider<uint16_t>();
+  checkScalarIsCoreDivider<uint32_t>();
+  checkScalarIsCoreDivider<uint64_t>();
+  checkScalarIsCoreDivider<int8_t>();
+  checkScalarIsCoreDivider<int16_t>();
+  checkScalarIsCoreDivider<int32_t>();
+  checkScalarIsCoreDivider<int64_t>();
 }
 
 TEST(BatchDivider, DescribeMentionsBackendAndDivisor) {

@@ -26,11 +26,14 @@
 
 #include "batch/BatchDivider.h"
 #include "core/Divider.h"
+#include "ir/Builder.h"
+#include "ir/Interp.h"
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <random>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -54,12 +57,13 @@ template <typename T> bool expectJitted() {
 /// Dividend buffer with the corner values pinned up front and random
 /// fill behind, sized to leave a ragged tail on every vector width.
 template <typename T> std::vector<T> dividends(T D, size_t Count) {
+  using UT = std::make_unsigned_t<T>; // 2d wraps without signed overflow.
   std::vector<T> In(Count);
   for (T &Value : In)
     Value = static_cast<T>(rng()());
   const T Corners[] = {T(0), T(1), std::numeric_limits<T>::max(),
                        std::numeric_limits<T>::min(), D,
-                       static_cast<T>(D + D)};
+                       static_cast<T>(static_cast<UT>(D) * 2u)};
   for (size_t I = 0; I < sizeof(Corners) / sizeof(Corners[0]) && I < Count;
        ++I)
     In[I] = Corners[I];
@@ -154,6 +158,62 @@ TEST(JitBatchDivider, DivisibleMatrix) {
   for (uint64_t D : {uint64_t{7}, uint64_t{10}, uint64_t{0x100000001}})
     for (size_t Count : Counts)
       checkDivisibleCell<uint64_t>(D, Count);
+}
+
+/// SltU/SltS vector loops against the interpreter on every ISA this
+/// host can run, both operand orders, narrow and full widths. AVX2
+/// compares with vpcmpgt; AVX-512 compares into k1 and widens it back
+/// with vpmovm2d/q. The divider front ends reach only SltU (the §9
+/// filter), so this is the one place SltS loops run.
+TEST(JitBatchDivider, CompareLoopsMatchInterpreterOnEveryIsa) {
+  for (jit::VectorIsa Isa : {jit::VectorIsa::Avx2, jit::VectorIsa::Avx512}) {
+    if (!jit::enabled() || !jit::vectorHostSupported(Isa))
+      continue;
+    for (int W : {8, 13, 32, 64}) {
+      const uint64_t Mask = W == 64 ? ~uint64_t{0} : (uint64_t{1} << W) - 1;
+      const uint64_t SignBit = uint64_t{1} << (W - 1);
+      for (uint64_t C :
+           {uint64_t{1}, SignBit - 1, SignBit, Mask, uint64_t{0x5A} & Mask}) {
+        ir::Builder B(W, 1);
+        const int N0 = B.arg(0);
+        const int K = B.constant(C);
+        B.markResult(B.sltU(N0, K), "n <u c");
+        B.markResult(B.sltS(K, N0), "c <s n");
+        const ir::Program P = jit::prepareForJit(B.take());
+        jit::VectorEmitOptions Opts;
+        Opts.Isa = Isa;
+        std::string Error;
+        const auto Loop = jit::compileVectorLoop(P, Opts, {}, &Error);
+        ASSERT_TRUE(Loop) << jit::vectorIsaName(Isa) << " W=" << W << ": "
+                          << Error;
+
+        std::vector<uint64_t> Ns = {0, 1, C, (C + 1) & Mask, (C - 1) & Mask,
+                                    SignBit - 1, SignBit, Mask};
+        const size_t Lanes = static_cast<size_t>(Loop->vectorShape().Lanes);
+        while (Ns.size() % Lanes || Ns.size() < 4 * Lanes)
+          Ns.push_back(rng()() & Mask);
+        const auto Check = [&](auto Zero) {
+          using Elem = decltype(Zero);
+          std::vector<Elem> In(Ns.begin(), Ns.end()), Lt(Ns.size()),
+              Gt(Ns.size());
+          ASSERT_EQ(Loop->batchFn()(In.data(), Lt.data(), Gt.data(),
+                                    In.size()),
+                    In.size());
+          for (size_t I = 0; I < Ns.size(); ++I) {
+            const std::vector<uint64_t> Want = ir::run(P, {Ns[I]});
+            ASSERT_EQ(Lt[I], Want[0]) << jit::vectorIsaName(Isa) << " W="
+                                      << W << " c=" << C << " n=" << Ns[I];
+            ASSERT_EQ(Gt[I], Want[1]) << jit::vectorIsaName(Isa) << " W="
+                                      << W << " c=" << C << " n=" << Ns[I];
+          }
+        };
+        if (W == 64)
+          Check(uint64_t{0});
+        else
+          Check(uint32_t{0});
+      }
+    }
+  }
 }
 
 TEST(JitBatchDivider, NarrowLaneTypesDelegateWholesale) {
