@@ -281,9 +281,7 @@ FamilyChoice selectFamily(DivOp Op, int WidthBits, uint64_t Divisor,
   if (SignedOperands) {
     const uint64_t SignBit = uint64_t{1} << (WidthBits - 1);
     if (Divisor & SignBit) {
-      const uint64_t Mask =
-          WidthBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WidthBits) - 1;
-      Divisor = (~Divisor + 1) & Mask;
+      Divisor = (~Divisor + 1) & maskFor(WidthBits);
       if (Divisor == 0)
         Divisor = SignBit; // INT_MIN: |d| wraps to itself
     }

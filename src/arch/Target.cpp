@@ -8,6 +8,7 @@
 #include "arch/Target.h"
 
 #include "ir/Interp.h"
+#include "ops/Bits.h"
 
 #include <algorithm>
 #include <cassert>
@@ -484,8 +485,7 @@ std::string target::emitAssembly(const MachineFunction &MF) {
 std::vector<uint64_t> target::runMachine(const MachineFunction &MF,
                                          const std::vector<uint64_t> &Args) {
   const int Bits = MF.Target->WordBits;
-  const uint64_t Mask =
-      Bits == 64 ? ~uint64_t{0} : (uint64_t{1} << Bits) - 1;
+  const uint64_t Mask = maskFor(Bits);
   assert(static_cast<int>(Args.size()) == MF.NumArgs &&
          "argument count mismatch");
   const int RegCount =

@@ -10,6 +10,7 @@
 #include "codegen/MulByConst.h"
 #include "ir/Builder.h"
 #include "metrics/Metrics.h"
+#include "ops/Bits.h"
 #include "telemetry/Remarks.h"
 #include "trace/Trace.h"
 
@@ -21,14 +22,6 @@ using namespace gmdiv::codegen;
 using namespace gmdiv::ir;
 
 namespace {
-
-/// Sign-extends an N-bit constant to int64.
-int64_t signExtendConst(uint64_t Value, int WordBits) {
-  const uint64_t SignBit = uint64_t{1} << (WordBits - 1);
-  const uint64_t Mask =
-      WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
-  return static_cast<int64_t>(((Value & Mask) ^ SignBit) - SignBit);
-}
 
 /// q*d, honoring the multiply-expansion option.
 int emitQuotientTimesDivisor(Builder &B, int Q, uint64_t D,
@@ -172,7 +165,7 @@ Program codegen::lowerDivisions(const Program &P, const GenOptions &Options,
       case Opcode::DivS:
         GMDIV_STAT(lowering, signed_div);
         NewIndex = emitSignedDiv(
-            B, Lhs, signExtendConst(DivisorBits, P.wordBits()), Options);
+            B, Lhs, signExtend64(DivisorBits, P.wordBits()), Options);
         ++Local.SignedDivsLowered;
         break;
       case Opcode::RemU: {
@@ -195,7 +188,7 @@ Program codegen::lowerDivisions(const Program &P, const GenOptions &Options,
       case Opcode::RemS: {
         GMDIV_STAT(lowering, signed_rem);
         const int Q = emitSignedDiv(
-            B, Lhs, signExtendConst(DivisorBits, P.wordBits()), Options);
+            B, Lhs, signExtend64(DivisorBits, P.wordBits()), Options);
         NewIndex = B.sub(Lhs, emitQuotientTimesDivisor(B, Q, DivisorBits,
                                                        Options),
                          "r = n - q*d");

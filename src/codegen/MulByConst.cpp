@@ -41,7 +41,7 @@ struct Plan {
 class Planner {
 public:
   explicit Planner(int WordBits) : WordBits(WordBits) {
-    Mask = WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
+    Mask = maskFor(WordBits);
   }
 
   const Plan &plan(uint64_t C) {

@@ -30,6 +30,7 @@
 #ifndef GMDIV_CORE_FASTMODDIVIDER_H
 #define GMDIV_CORE_FASTMODDIVIDER_H
 
+#include "core/SignMagnitude.h"
 #include "ops/Ops.h"
 
 #include <cassert>
@@ -163,65 +164,19 @@ private:
   bool Trivial;
 };
 
-/// Signed LKK divider: run the unsigned machinery on |n|, |d| and patch
-/// signs with the paper's EOR/subtract idiom (quotient sign is
-/// sign(n) ^ sign(d), remainder takes the sign of n — C truncated
-/// semantics). INT_MIN / -1 wraps to INT_MIN with remainder 0, matching
-/// the Oracle's documented policy for the overflow case.
-template <typename SWordT>
-class FastModSignedDivider {
-public:
-  using SWord = SWordT;
-  using Traits = typename SignedWordTraits<SWord>::Traits;
-  using UWord = typename Traits::UWord;
-  using UDWord = typename Traits::UDWord;
-  static constexpr int N = Traits::Bits;
+/// describe() of the signed form over |d| (core/SignMagnitude.h).
+template <typename UWord>
+std::string describeSigned(const FastModDivider<UWord> &Magnitude) {
+  return "fastmod-signed over |d|=" +
+         std::to_string(uint64_t(Magnitude.divisor())) + ": " +
+         Magnitude.describe();
+}
 
-  explicit FastModSignedDivider(SWord Divisor)
-      : D(Divisor), U(absWord(Divisor)),
-        DSignMask(static_cast<UWord>(xsign(Divisor))) {
-    assert(Divisor != static_cast<SWord>(0) && "divisor must be nonzero");
-  }
-
-  SWord divisor() const { return D; }
-  UDWord magic() const { return U.magic(); }
-
-  SWord divide(SWord Numerator) const {
-    const UWord Quot = U.divide(absWord(Numerator));
-    const UWord Mask =
-        static_cast<UWord>(static_cast<UWord>(xsign(Numerator)) ^ DSignMask);
-    return static_cast<SWord>(
-        static_cast<UWord>((Quot ^ Mask) - Mask));
-  }
-
-  SWord remainder(SWord Numerator) const {
-    const UWord Rem = U.remainder(absWord(Numerator));
-    const UWord Mask = static_cast<UWord>(xsign(Numerator));
-    return static_cast<SWord>(
-        static_cast<UWord>((Rem ^ Mask) - Mask));
-  }
-
-  /// d | n in the signed sense (|d| divides |n|).
-  bool isDivisible(SWord Numerator) const {
-    return U.isDivisible(absWord(Numerator));
-  }
-
-  std::string describe() const {
-    return "fastmod-signed over |d|=" + std::to_string(uint64_t(U.divisor())) +
-           ": " + U.describe();
-  }
-
-private:
-  static UWord absWord(SWord Value) {
-    const UWord Mask = static_cast<UWord>(xsign(Value));
-    return static_cast<UWord>(
-        (static_cast<UWord>(Value) ^ Mask) - Mask);
-  }
-
-  SWord D;
-  FastModDivider<UWord> U;
-  UWord DSignMask;
-};
+/// Signed LKK divider: the unsigned machinery on |n|, |d| with the
+/// EOR/subtract sign patch-up (core/SignMagnitude.h).
+template <typename SWord>
+using FastModSignedDivider =
+    SignMagnitudeDivider<FastModDivider<UnsignedWordOf<SWord>>>;
 
 } // namespace gmdiv
 

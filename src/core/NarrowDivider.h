@@ -104,55 +104,17 @@ private:
   bool Trivial;
 };
 
-/// Signed wrapper: |n|, |d| through the unsigned core, signs patched
-/// with the EOR/subtract idiom. INT_MIN / -1 wraps to INT_MIN with
-/// remainder 0 (the Oracle's documented overflow policy).
-template <typename SWordT>
-class NarrowSignedDivider {
-public:
-  using SWord = SWordT;
-  using Traits = typename SignedWordTraits<SWord>::Traits;
-  using UWord = typename Traits::UWord;
-  using UDWord = typename Traits::UDWord;
-  static constexpr int N = Traits::Bits;
+/// describe() of the signed form over |d| (core/SignMagnitude.h).
+template <typename UWord>
+std::string describeSigned(const NarrowDivider<UWord> &Magnitude) {
+  return "narrow-signed over |d|: " + Magnitude.describe();
+}
 
-  explicit NarrowSignedDivider(SWord Divisor)
-      : D(Divisor), U(absWord(Divisor)),
-        DSignMask(static_cast<UWord>(xsign(Divisor))) {
-    assert(Divisor != static_cast<SWord>(0) && "divisor must be nonzero");
-  }
-
-  SWord divisor() const { return D; }
-  UDWord magic() const { return U.magic(); }
-  int multiplierBits() const { return U.multiplierBits(); }
-
-  SWord divide(SWord Numerator) const {
-    const UWord Quot = U.divide(absWord(Numerator));
-    const UWord Mask =
-        static_cast<UWord>(static_cast<UWord>(xsign(Numerator)) ^ DSignMask);
-    return static_cast<SWord>(static_cast<UWord>((Quot ^ Mask) - Mask));
-  }
-
-  SWord remainder(SWord Numerator) const {
-    const UWord Rem = U.remainder(absWord(Numerator));
-    const UWord Mask = static_cast<UWord>(xsign(Numerator));
-    return static_cast<SWord>(static_cast<UWord>((Rem ^ Mask) - Mask));
-  }
-
-  std::string describe() const {
-    return "narrow-signed over |d|: " + U.describe();
-  }
-
-private:
-  static UWord absWord(SWord Value) {
-    const UWord Mask = static_cast<UWord>(xsign(Value));
-    return static_cast<UWord>((static_cast<UWord>(Value) ^ Mask) - Mask);
-  }
-
-  SWord D;
-  NarrowDivider<UWord> U;
-  UWord DSignMask;
-};
+/// Signed narrow divider: |n|, |d| through the unsigned core, signs
+/// patched with the EOR/subtract idiom (core/SignMagnitude.h).
+template <typename SWord>
+using NarrowSignedDivider =
+    SignMagnitudeDivider<NarrowDivider<UnsignedWordOf<SWord>>>;
 
 /// The canonical Mitsunari–Hoshino instantiations: u32/i32 served by one
 /// 64-bit multiply on 64-bit hosts.

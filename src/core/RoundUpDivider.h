@@ -37,6 +37,7 @@
 #define GMDIV_CORE_ROUNDUPDIVIDER_H
 
 #include "core/Divider.h"
+#include "core/SignMagnitude.h"
 #include "ops/Ops.h"
 
 #include <cassert>
@@ -275,77 +276,20 @@ private:
   std::optional<UnsignedDivider<UWord>> Fallback;
 };
 
-/// Signed front-end over the unsigned round-up machinery: divide on
-/// magnitudes, then restore the sign with the branch-free xor/sub mask
-/// (the same shape as FastModSignedDivider and the paper's Figure 5.2
-/// sign handling). Truncating C semantics: the quotient rounds toward
-/// zero, the remainder takes the dividend's sign. INT_MIN / -1
-/// *wraps*: |INT_MIN| is INT_MIN again in word arithmetic, the
-/// magnitude quotient is INT_MIN, and the sign fixup maps it back to
-/// INT_MIN — exactly what hardware two's-complement division traps on
-/// and what UnsignedDivider-backed SignedDivider already defines; the
-/// family test pins this down.
-template <typename SWordT> class RoundUpSignedDivider {
-public:
-  using SWord = SWordT;
-  using Traits = typename SignedWordTraits<SWord>::Traits;
-  using UWord = typename Traits::UWord;
-  using Choice = RoundUpChoice<UWord>;
-  static constexpr int N = Traits::Bits;
+/// describe() of the signed form over |d| (core/SignMagnitude.h).
+template <typename UWord>
+std::string describeSigned(const RoundUpDivider<UWord> &Magnitude) {
+  return "roundup-signed over |d|=" +
+         std::to_string(static_cast<uint64_t>(Magnitude.divisor())) + ": " +
+         Magnitude.describe();
+}
 
-  explicit RoundUpSignedDivider(SWord Divisor)
-      : D(Divisor), U(absWord(Divisor)),
-        DSignMask(static_cast<UWord>(xsign(Divisor))) {
-    assert(Divisor != static_cast<SWord>(0) && "divisor must be nonzero");
-  }
-
-  SWord divisor() const { return D; }
-  const Choice &choice() const { return U.choice(); }
-  typename Choice::Kind mode() const { return U.mode(); }
-  bool usesFixup() const { return U.usesFixup(); }
-
-  SWord divide(SWord Numerator) const {
-    const UWord Quot = U.divide(absWord(Numerator));
-    const UWord Mask =
-        static_cast<UWord>(static_cast<UWord>(xsign(Numerator)) ^ DSignMask);
-    return static_cast<SWord>(static_cast<UWord>((Quot ^ Mask) - Mask));
-  }
-
-  SWord remainder(SWord Numerator) const {
-    const UWord Rem = U.remainder(absWord(Numerator));
-    const UWord Mask = static_cast<UWord>(xsign(Numerator));
-    return static_cast<SWord>(static_cast<UWord>((Rem ^ Mask) - Mask));
-  }
-
-  struct Result {
-    SWord Quotient;
-    SWord Remainder;
-  };
-
-  Result divRem(SWord Numerator) const {
-    const SWord Q = divide(Numerator);
-    return {Q, static_cast<SWord>(static_cast<UWord>(Numerator) -
-                                  static_cast<UWord>(mulL(
-                                      static_cast<UWord>(Q),
-                                      static_cast<UWord>(D))))};
-  }
-
-  std::string describe() const {
-    return "roundup-signed over |d|=" +
-           std::to_string(static_cast<uint64_t>(U.divisor())) + ": " +
-           U.describe();
-  }
-
-private:
-  static UWord absWord(SWord Value) {
-    const UWord Mask = static_cast<UWord>(xsign(Value));
-    return static_cast<UWord>((static_cast<UWord>(Value) ^ Mask) - Mask);
-  }
-
-  SWord D;
-  RoundUpDivider<UWord> U;
-  UWord DSignMask;
-};
+/// Signed round-up divider: divide on magnitudes, then restore the sign
+/// with the branch-free xor/sub mask (core/SignMagnitude.h). INT_MIN / -1
+/// wraps to INT_MIN, as UnsignedDivider-backed SignedDivider defines.
+template <typename SWord>
+using RoundUpSignedDivider =
+    SignMagnitudeDivider<RoundUpDivider<UnsignedWordOf<SWord>>>;
 
 } // namespace gmdiv
 

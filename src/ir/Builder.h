@@ -18,6 +18,7 @@
 #define GMDIV_IR_BUILDER_H
 
 #include "ir/IR.h"
+#include "ops/Bits.h"
 
 #include <map>
 #include <tuple>
@@ -39,10 +40,7 @@ public:
   int wordBits() const { return P.wordBits(); }
 
   /// The N-bit mask 2^N - 1 for this program's width.
-  uint64_t wordMask() const {
-    return P.wordBits() == 64 ? ~uint64_t{0}
-                              : (uint64_t{1} << P.wordBits()) - 1;
-  }
+  uint64_t wordMask() const { return maskFor(P.wordBits()); }
 
   int arg(int Index, std::string Comment = "");
   int constant(uint64_t Value, std::string Comment = "");

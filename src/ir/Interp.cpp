@@ -14,10 +14,6 @@ using namespace gmdiv::ir;
 
 namespace {
 
-uint64_t maskFor(int WordBits) {
-  return WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
-}
-
 template <typename UWord>
 uint64_t evalOpT(Opcode Op, uint64_t A64, uint64_t B64, uint64_t Imm) {
   using SWord = typename WordTraits<UWord>::SWord;
@@ -130,12 +126,6 @@ std::vector<uint64_t> evalPrefix(const Program &P,
   return Values;
 }
 
-/// Sign-extends the low \p WordBits bits of \p Value to int64_t.
-int64_t signExtend(uint64_t Value, int WordBits) {
-  const uint64_t SignBit = uint64_t{1} << (WordBits - 1);
-  return static_cast<int64_t>((Value ^ SignBit) - SignBit);
-}
-
 } // namespace
 
 uint64_t ir::evalOpGeneric(Opcode Op, int WordBits, uint64_t A, uint64_t B,
@@ -166,9 +156,9 @@ uint64_t ir::evalOpGeneric(Opcode Op, int WordBits, uint64_t A, uint64_t B,
     // §3 identity run in reverse: MULSH = MULUH - (a<0 ? b : 0)
     //                                          - (b<0 ? a : 0)  (mod 2^N).
     uint64_t High = evalOpGeneric(Opcode::MulUH, WordBits, A, B, 0);
-    if (signExtend(A, WordBits) < 0)
+    if (signExtend64(A, WordBits) < 0)
       High -= B;
-    if (signExtend(B, WordBits) < 0)
+    if (signExtend64(B, WordBits) < 0)
       High -= A;
     return High & Mask;
   }
@@ -188,16 +178,16 @@ uint64_t ir::evalOpGeneric(Opcode Op, int WordBits, uint64_t A, uint64_t B,
     return A >> Amount;
   case Opcode::Sra:
     assert(Amount >= 0 && Amount < WordBits && "shift amount out of range");
-    return static_cast<uint64_t>(signExtend(A, WordBits) >> Amount) & Mask;
+    return static_cast<uint64_t>(signExtend64(A, WordBits) >> Amount) & Mask;
   case Opcode::Ror:
     assert(Amount >= 0 && Amount < WordBits && "rotate amount out of range");
     if (Amount == 0)
       return A;
     return ((A >> Amount) | (A << (WordBits - Amount))) & Mask;
   case Opcode::Xsign:
-    return signExtend(A, WordBits) < 0 ? Mask : 0;
+    return signExtend64(A, WordBits) < 0 ? Mask : 0;
   case Opcode::SltS:
-    return signExtend(A, WordBits) < signExtend(B, WordBits) ? 1 : 0;
+    return signExtend64(A, WordBits) < signExtend64(B, WordBits) ? 1 : 0;
   case Opcode::SltU:
     return A < B ? 1 : 0;
   case Opcode::DivU:
@@ -210,7 +200,8 @@ uint64_t ir::evalOpGeneric(Opcode Op, int WordBits, uint64_t A, uint64_t B,
     assert(B != 0 && "division by zero");
     if (B == 0)
       return 0;
-    const int64_t SA = signExtend(A, WordBits), SB = signExtend(B, WordBits);
+    const int64_t SA = signExtend64(A, WordBits);
+    const int64_t SB = signExtend64(B, WordBits);
     // Hardware-style wrap, as in the word-typed evaluator: magnitudes
     // are computed mod 2^N, so INT_MIN / -1 wraps back to INT_MIN.
     const uint64_t MA = SA < 0 ? (0 - A) & Mask : A;
@@ -222,7 +213,8 @@ uint64_t ir::evalOpGeneric(Opcode Op, int WordBits, uint64_t A, uint64_t B,
     assert(B != 0 && "division by zero");
     if (B == 0)
       return A;
-    const int64_t SA = signExtend(A, WordBits), SB = signExtend(B, WordBits);
+    const int64_t SA = signExtend64(A, WordBits);
+    const int64_t SB = signExtend64(B, WordBits);
     const uint64_t MA = SA < 0 ? (0 - A) & Mask : A;
     const uint64_t MB = SB < 0 ? (0 - B) & Mask : B;
     const uint64_t MR = MA % MB;

@@ -7,6 +7,7 @@
 
 #include "jit/JitCache.h"
 
+#include "ops/Bits.h"
 #include "trace/Trace.h"
 
 #include <chrono>
@@ -54,24 +55,14 @@ std::string gmdiv::jit::describeCacheKey(const CacheKey &Key) {
   if (Key.Form == cache::KernelForm::Vector)
     Out += "vec-";
   Out += seqKindName(Key.Kind);
-  const bool Signed = Key.Kind == SeqKind::SDiv || Key.Kind == SeqKind::SRem ||
-                      Key.Kind == SeqKind::SDivRem ||
-                      Key.Kind == SeqKind::FloorDiv ||
-                      Key.Kind == SeqKind::FloorMod ||
-                      Key.Kind == SeqKind::FloorDivMod;
+  const bool Signed = isSignedKind(Key.Kind);
   Out += Signed ? "/i" : "/u";
   Out += std::to_string(static_cast<unsigned>(Key.WordBits));
   Out += '/';
-  if (Signed) {
-    // Divisor is the zero-extended WordBits-wide pattern; sign-extend
-    // so i32/-3 prints as -3, not 4294967293.
-    uint64_t V = Key.Divisor;
-    if (Key.WordBits < 64 && (V >> (Key.WordBits - 1)) & 1)
-      V |= ~((uint64_t{1} << Key.WordBits) - 1);
-    Out += std::to_string(static_cast<int64_t>(V));
-  } else {
-    Out += std::to_string(Key.Divisor);
-  }
+  // Divisor is the zero-extended WordBits-wide pattern; sign-extend so
+  // i32/-3 prints as -3, not 4294967293.
+  Out += Signed ? std::to_string(signExtend64(Key.Divisor, Key.WordBits))
+                : std::to_string(Key.Divisor);
   return Out;
 }
 

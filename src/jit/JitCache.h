@@ -66,6 +66,13 @@ enum class SeqKind : uint8_t {
 
 const char *seqKindName(SeqKind Kind);
 
+/// True for the kinds whose operands are signed (trunc and floor).
+constexpr bool isSignedKind(SeqKind Kind) {
+  return Kind == SeqKind::SDiv || Kind == SeqKind::SRem ||
+         Kind == SeqKind::SDivRem || Kind == SeqKind::FloorDiv ||
+         Kind == SeqKind::FloorMod || Kind == SeqKind::FloorDivMod;
+}
+
 /// "udiv/u32/7": the human form used by the top-K exposition and
 /// `gmdiv_tool top`.
 std::string describeCacheKey(const struct CacheKey &Key);

@@ -36,6 +36,7 @@
 #include "ir/Scheduler.h"
 #include "jit/Jit.h"
 #include "jit/JitCache.h"
+#include "ops/Bits.h"
 
 #include <cstdint>
 #include <sstream>
@@ -84,12 +85,9 @@ inline ir::Program prepareForJit(const ir::Program &P) {
 /// the divisor's two's-complement bit pattern at \p WordBits.
 inline ir::Program genSequence(SeqKind Kind, int WordBits,
                                uint64_t DivisorBits) {
-  const uint64_t Mask =
-      WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
-  const uint64_t U = DivisorBits & Mask;
+  const uint64_t U = DivisorBits & maskFor(WordBits);
   // Sign-extend the pattern for the signed generators.
-  const uint64_t SignBit = uint64_t{1} << (WordBits - 1);
-  const int64_t S = static_cast<int64_t>((U ^ SignBit) - SignBit);
+  const int64_t S = signExtend64(DivisorBits, WordBits);
   switch (Kind) {
   case SeqKind::UDiv:
     return codegen::genUnsignedDiv(WordBits, U);
@@ -128,12 +126,7 @@ compileCached(CodeCache &Cache, const CacheKey &Key,
         CompileInfo Info;
         Info.CaseName = seqKindName(Key.Kind);
         Info.DivisorBits = Key.Divisor;
-        Info.IsSigned = Key.Kind == SeqKind::SDiv ||
-                        Key.Kind == SeqKind::SRem ||
-                        Key.Kind == SeqKind::SDivRem ||
-                        Key.Kind == SeqKind::FloorDiv ||
-                        Key.Kind == SeqKind::FloorMod ||
-                        Key.Kind == SeqKind::FloorDivMod;
+        Info.IsSigned = isSignedKind(Key.Kind);
         Info.HasDivisor = true;
         return compile(Prepared, Info);
       });
@@ -154,11 +147,7 @@ compileVectorCached(CodeCache &Cache, const CacheKey &Key,
     CompileInfo Info;
     Info.CaseName = std::string("vec-") + seqKindName(Key.Kind);
     Info.DivisorBits = Key.Divisor;
-    Info.IsSigned = Key.Kind == SeqKind::SDiv || Key.Kind == SeqKind::SRem ||
-                    Key.Kind == SeqKind::SDivRem ||
-                    Key.Kind == SeqKind::FloorDiv ||
-                    Key.Kind == SeqKind::FloorMod ||
-                    Key.Kind == SeqKind::FloorDivMod;
+    Info.IsSigned = isSignedKind(Key.Kind);
     Info.HasDivisor = true;
     return compileVectorLoop(
         prepareForJit(genSequence(Key.Kind, Key.WordBits, Key.Divisor)),

@@ -19,6 +19,8 @@
 
 #include "jit/X86Emitter.h"
 
+#include "ops/Bits.h"
+
 #include <cinttypes>
 #include <climits>
 #include <cstdio>
@@ -62,10 +64,6 @@ std::string hexImm(uint64_t Value) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "0x%" PRIx64, Value);
   return Buf;
-}
-
-uint64_t maskFor(int WordBits) {
-  return WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
 }
 
 bool isCalleeSaved(int R) {

@@ -26,6 +26,8 @@
 
 #include "jit/X86VectorEmitter.h"
 
+#include "ops/Bits.h"
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -54,10 +56,6 @@ std::string hexImm(uint64_t Value) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "0x%" PRIx64, Value);
   return Buf;
-}
-
-uint64_t maskFor(int WordBits) {
-  return WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
 }
 
 uint8_t modrm(int Mod, int RegField, int Rm) {

@@ -95,6 +95,20 @@ constexpr int popCount64(uint64_t Value) {
   return static_cast<int>((Value * 0x0101010101010101ull) >> 56);
 }
 
+/// The low \p WordBits bits set (1 <= WordBits <= 64): the bit pattern
+/// mask of an N-bit word held in a uint64_t.
+constexpr uint64_t maskFor(int WordBits) {
+  return WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
+}
+
+/// The N-bit two's-complement value of bit pattern \p Value (bits above
+/// \p WordBits are ignored), sign-extended to 64 bits.
+constexpr int64_t signExtend64(uint64_t Value, int WordBits) {
+  const uint64_t SignBit = uint64_t{1} << (WordBits - 1);
+  return static_cast<int64_t>(((Value & maskFor(WordBits)) ^ SignBit) -
+                              SignBit);
+}
+
 /// Leading-zero count within a word of \p Bits bits (the paper's LDZ).
 template <typename UWord>
 constexpr int countLeadingZeros(UWord Value) {

@@ -8,6 +8,7 @@
 #include "verify/Fuzzer.h"
 
 #include "metrics/Metrics.h"
+#include "ops/Bits.h"
 #include "telemetry/Json.h"
 #include "trace/Trace.h"
 
@@ -21,10 +22,6 @@ using namespace gmdiv::verify;
 namespace json = gmdiv::telemetry::json;
 
 namespace {
-
-uint64_t maskFor(int WordBits) {
-  return WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
-}
 
 /// SplitMix64: tiny, deterministic, full-period — the campaign replays
 /// exactly from (Seed, Widths).

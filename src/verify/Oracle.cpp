@@ -17,15 +17,6 @@ using namespace gmdiv::verify;
 
 namespace {
 
-uint64_t maskFor(int WordBits) {
-  return WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
-}
-
-int64_t signExtend(uint64_t Value, int WordBits) {
-  const uint64_t SignBit = uint64_t{1} << (WordBits - 1);
-  return static_cast<int64_t>((Value ^ SignBit) - SignBit);
-}
-
 /// |v| of a sign-extended value, computed mod 2^64 so INT64_MIN is safe.
 uint64_t magnitude(int64_t Value) {
   return Value < 0 ? 0 - static_cast<uint64_t>(Value)
@@ -83,7 +74,7 @@ int compareHalves(uint64_t ALow, uint64_t AHigh, uint64_t BLow,
 Oracle::Oracle(int WordBits, uint64_t DBits, bool IsSigned)
     : W(WordBits), Signed(IsSigned), DBits(DBits & maskFor(WordBits)),
       Mask(maskFor(WordBits)),
-      AbsD(IsSigned ? magnitude(signExtend(DBits & maskFor(WordBits),
+      AbsD(IsSigned ? magnitude(signExtend64(DBits & maskFor(WordBits),
                                            WordBits))
                     : DBits & maskFor(WordBits)),
       MagnitudeDivider(AbsD), Limbs(1, 0) {
@@ -112,8 +103,8 @@ DivRef Oracle::ref(uint64_t NBits) const {
     return Result;
   }
 
-  const int64_t N = signExtend(NBits, W);
-  const int64_t D = signExtend(DBits, W);
+  const int64_t N = signExtend64(NBits, W);
+  const int64_t D = signExtend64(DBits, W);
   Limbs[0] = magnitude(N);
   const uint64_t MagR = multiprecision::divModInPlace(Limbs, MagnitudeDivider);
   const uint64_t MagQ = Limbs[0];

@@ -5,13 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Layout: a fixed table of named properties, a Reporter that tallies
-// comparisons (and turns mismatches into repro strings, statistics and
-// telemetry remarks), and one DivisorChecker<UWord> template that owns
-// every divider and generated program for a single (width, d) and runs
-// all per-dividend comparisons. verifyWidth / checkOne / the fuzzer all
-// drive the same checker, so an exhaustive pass, a fuzz round and a
-// repro replay cannot drift apart.
+// Layout: one table of named properties, each row naming the checker
+// pass that runs it; a Reporter that tallies comparisons (and turns
+// mismatches into repro strings, statistics and telemetry remarks); and
+// one DivisorChecker<UWord> template that owns every divider and
+// generated program for a single (width, d) and checks them in three
+// generic shapes: scalar dividers, generated programs (with their JIT
+// twins) and array kernels. verifyWidth, the fuzzer and checkOne all
+// run the checker's passes, so they cannot drift apart.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +35,7 @@
 #include "jit/JitBatchDivider.h"
 #include "jit/JitDivider.h"
 #include "metrics/Metrics.h"
+#include "ops/Bits.h"
 #include "ops/SmallWord.h"
 #include "telemetry/Json.h"
 #include "telemetry/Remarks.h"
@@ -45,7 +47,11 @@
 #include <cassert>
 #include <cerrno>
 #include <cstdlib>
+#include <iterator>
+#include <numeric>
 #include <optional>
+#include <set>
+#include <string_view>
 #include <type_traits>
 
 using namespace gmdiv;
@@ -59,137 +65,124 @@ namespace json = gmdiv::telemetry::json;
 
 namespace {
 
-struct PropertyInfo {
+/// The DivisorChecker pass that runs a property — and so the pass a
+/// replay of one of its repros re-runs.
+enum class Pass : uint8_t {
+  Divisor,  ///< Once per divisor (multiplier certificates).
+  Dividend, ///< Once per dividend n.
+  Dword,    ///< Once per doubleword dividend n2:n, n2 < d (§8).
+  Array,    ///< Once per array of dividends (batch and vector kernels).
+};
+
+struct PropertyRow {
   const char *Name;
-  bool IsSigned; ///< Repro strings print signed decimals.
-  bool HasN2;    ///< Uses the n2 operand (doubleword high part).
+  bool IsSigned; ///< Signed Oracle; repro strings print signed decimals.
+  Pass Runs;
   /// Divider family the property exercises. "gm" (the paper's own
   /// algorithms) is the default and is omitted from repro strings; the
   /// successor families tag their repros with ":f=<family>" so a replay
   /// targets the exact implementation that produced the mismatch.
   const char *Family = "gm";
+
+  /// Uses the n2 operand (doubleword high part).
+  constexpr bool hasN2() const { return Runs == Pass::Dword; }
 };
 
-enum Property : int {
-  PChooseU,
-  POracleU,
-  PUDiv,
-  PAlverson,
-  PExactU,
-  PFloatU,
-  PDWord,
-  PCodegenU,
-  PCodegenAlverson,
-  PCodegenExactU,
-  PCodegenDivisU,
-  PCodegenRemTestU,
-  PCodegenDWord,
-  PCodegenWideU,
-  PBatchU,
-  PJitU,
-  PFastModU,
-  PFastModDivis,
-  PRoundUpU,
-  PRoundUpBounds,
-  PNarrowU,
-  PChooseS,
-  POracleS,
-  PSDiv,
-  PFloorDiv,
-  PGeneralFloor,
-  PCeilDiv,
-  PConvention,
-  PExactS,
-  PFloatS,
-  PCodegenS,
-  PCodegenFloor,
-  PCodegenExactS,
-  PCodegenDivisS,
-  PCodegenRemTestS,
-  PCodegenFloorRt,
-  PCodegenWideS,
-  PBatchS,
-  PJitS,
-  PJitFloor,
-  PFastModS,
-  PNarrowS,
-  PJitBatchU,
-  PJitBatchS,
-  PJitBatchDivis,
-  PropertyEnd,
+/// Row order is report order and is append-only.
+constexpr PropertyRow Table[] = {
+    {"choose-multiplier-unsigned", false, Pass::Divisor},
+    {"oracle-unsigned", false, Pass::Dividend},
+    {"unsigned-divider", false, Pass::Dividend},
+    {"alverson-divider", false, Pass::Dividend},
+    {"exact-unsigned", false, Pass::Dividend},
+    {"float-unsigned", false, Pass::Dividend},
+    {"dword-divider", false, Pass::Dword},
+    {"codegen-unsigned", false, Pass::Dividend},
+    {"codegen-alverson", false, Pass::Dividend},
+    {"codegen-exact-unsigned", false, Pass::Dividend},
+    {"codegen-divisibility-unsigned", false, Pass::Dividend},
+    {"codegen-remtest-unsigned", false, Pass::Dividend},
+    {"codegen-dword", false, Pass::Dword},
+    {"codegen-wide-unsigned", false, Pass::Dividend},
+    {"batch-unsigned", false, Pass::Array},
+    {"jit-unsigned", false, Pass::Dividend},
+    {"fastmod-unsigned", false, Pass::Dividend, "fastmod"},
+    {"fastmod-divisible", false, Pass::Dividend, "fastmod"},
+    {"roundup-unsigned", false, Pass::Dividend, "roundup"},
+    {"roundup-bounds", false, Pass::Divisor, "roundup"},
+    {"narrow32-unsigned", false, Pass::Dividend, "narrow32"},
+    {"choose-multiplier-signed", true, Pass::Divisor},
+    {"oracle-signed", true, Pass::Dividend},
+    {"signed-divider", true, Pass::Dividend},
+    {"floor-divider", true, Pass::Dividend},
+    {"general-floor-divider", true, Pass::Dividend},
+    {"ceil-divider", true, Pass::Dividend},
+    {"convention-divider", true, Pass::Dividend},
+    {"exact-signed", true, Pass::Dividend},
+    {"float-signed", true, Pass::Dividend},
+    {"codegen-signed", true, Pass::Dividend},
+    {"codegen-floor", true, Pass::Dividend},
+    {"codegen-exact-signed", true, Pass::Dividend},
+    {"codegen-divisibility-signed", true, Pass::Dividend},
+    {"codegen-remtest-signed", true, Pass::Dividend},
+    {"codegen-floor-runtime", true, Pass::Dividend},
+    {"codegen-wide-signed", true, Pass::Dividend},
+    {"batch-signed", true, Pass::Array},
+    {"jit-signed", true, Pass::Dividend},
+    {"jit-floor", true, Pass::Dividend},
+    {"fastmod-signed", true, Pass::Dividend, "fastmod"},
+    {"narrow32-signed", true, Pass::Dividend, "narrow32"},
+    {"jit-batch-unsigned", false, Pass::Array},
+    {"jit-batch-signed", true, Pass::Array},
+    {"jit-batch-divisible", false, Pass::Array},
+    {"roundup-signed", true, Pass::Dividend, "roundup"},
 };
 
-constexpr PropertyInfo PropertyTable[PropertyEnd] = {
-    {"choose-multiplier-unsigned", false, false},
-    {"oracle-unsigned", false, false},
-    {"unsigned-divider", false, false},
-    {"alverson-divider", false, false},
-    {"exact-unsigned", false, false},
-    {"float-unsigned", false, false},
-    {"dword-divider", false, true},
-    {"codegen-unsigned", false, false},
-    {"codegen-alverson", false, false},
-    {"codegen-exact-unsigned", false, false},
-    {"codegen-divisibility-unsigned", false, false},
-    {"codegen-remtest-unsigned", false, false},
-    {"codegen-dword", false, true},
-    {"codegen-wide-unsigned", false, false},
-    {"batch-unsigned", false, false},
-    {"jit-unsigned", false, false},
-    {"fastmod-unsigned", false, false, "fastmod"},
-    {"fastmod-divisible", false, false, "fastmod"},
-    {"roundup-unsigned", false, false, "roundup"},
-    {"roundup-bounds", false, false, "roundup"},
-    {"narrow32-unsigned", false, false, "narrow32"},
-    {"choose-multiplier-signed", true, false},
-    {"oracle-signed", true, false},
-    {"signed-divider", true, false},
-    {"floor-divider", true, false},
-    {"general-floor-divider", true, false},
-    {"ceil-divider", true, false},
-    {"convention-divider", true, false},
-    {"exact-signed", true, false},
-    {"float-signed", true, false},
-    {"codegen-signed", true, false},
-    {"codegen-floor", true, false},
-    {"codegen-exact-signed", true, false},
-    {"codegen-divisibility-signed", true, false},
-    {"codegen-remtest-signed", true, false},
-    {"codegen-floor-runtime", true, false},
-    {"codegen-wide-signed", true, false},
-    {"batch-signed", true, false},
-    {"jit-signed", true, false},
-    {"jit-floor", true, false},
-    {"fastmod-signed", true, false, "fastmod"},
-    {"narrow32-signed", true, false, "narrow32"},
-    // Runtime-emitted vector batch loops (jit::JitBatchDivider's
-    // kernels), appended so existing repro strings keep their indices.
-    {"jit-batch-unsigned", false, false},
-    {"jit-batch-signed", true, false},
-    {"jit-batch-divisible", false, false},
-};
+constexpr int NumProperties = static_cast<int>(std::size(Table));
 
-int propertyIndex(const std::string &Name) {
-  for (int I = 0; I < PropertyEnd; ++I)
-    if (Name == PropertyTable[I].Name)
+constexpr Pass AllPasses[] = {Pass::Divisor, Pass::Dividend, Pass::Dword,
+                              Pass::Array};
+
+constexpr int propertyIndex(std::string_view Name) {
+  for (int I = 0; I < NumProperties; ++I)
+    if (Name == Table[I].Name)
       return I;
   return -1;
 }
 
-uint64_t maskFor(int WordBits) {
-  return WordBits == 64 ? ~uint64_t{0} : (uint64_t{1} << WordBits) - 1;
-}
-
-int64_t signExtend64(uint64_t Value, int WordBits) {
-  const uint64_t SignBit = uint64_t{1} << (WordBits - 1);
-  return static_cast<int64_t>(((Value & maskFor(WordBits)) ^ SignBit) -
-                              SignBit);
+/// A row by name, resolved at compile time: a checker binding that
+/// names no row fails to build instead of tallying nowhere.
+consteval int row(std::string_view Name) {
+  const int Index = propertyIndex(Name);
+  if (Index < 0)
+    throw "unknown verify property";
+  return Index;
 }
 
 std::string decString(uint64_t Bits, int WordBits, bool IsSigned) {
   if (IsSigned)
     return std::to_string(signExtend64(Bits, WordBits));
   return std::to_string(Bits & maskFor(WordBits));
+}
+
+/// The Oracle result a computed value is compared with.
+enum class Field : uint8_t {
+  None,
+  TruncQ,
+  TruncR,
+  FloorQ,
+  FloorR,
+  CeilQ,
+  Divisible,
+  TruncRIs, ///< 1 iff the truncated remainder is a given r.
+};
+
+uint64_t expected(Field F, const DivRef &Ref, uint64_t RemIs = 0) {
+  const uint64_t ByField[] = {0,          Ref.TruncQ, Ref.TruncR,
+                              Ref.FloorQ, Ref.FloorR, Ref.CeilQ,
+                              Ref.Divisible, Ref.TruncR == RemIs};
+  assert(F != Field::None && "no Oracle field to compare with");
+  return ByField[static_cast<int>(F)];
 }
 
 //===----------------------------------------------------------------------===//
@@ -217,20 +210,31 @@ struct ScopedRemarkSuppression {
 // Reporter
 //===----------------------------------------------------------------------===//
 
-/// Tallies comparisons per property; a mismatch becomes (at most once per
-/// distinct input tuple) a repro string, a verify.mismatch remark and a
-/// statistics bump.
+/// Tallies comparisons per property row; a mismatch becomes (at most
+/// once per distinct input tuple) a repro string, a verify.mismatch
+/// remark and a statistics bump.
 class Reporter {
 public:
   explicit Reporter(int WordBits) : W(WordBits) {}
 
-  bool check(Property P, uint64_t Expected, uint64_t Actual, uint64_t DBits,
-             uint64_t NBits) {
-    return checkImpl(P, Expected, Actual, DBits, NBits, 0, false);
-  }
-  bool check2(Property P, uint64_t Expected, uint64_t Actual, uint64_t DBits,
-              uint64_t NBits, uint64_t N2Bits) {
-    return checkImpl(P, Expected, Actual, DBits, NBits, N2Bits, true);
+  /// \p N2Bits is only reported for rows that use n2.
+  bool check(int Row, uint64_t Expected, uint64_t Actual, uint64_t DBits,
+             uint64_t NBits, uint64_t N2Bits = 0) {
+    ++Counts[Row].Checks;
+    const uint64_t Period = InjectedPeriod.load(std::memory_order_relaxed);
+    if (Period != 0 &&
+        InjectionCounter.fetch_add(1, std::memory_order_relaxed) % Period ==
+            Period - 1)
+      Actual ^= 1;
+    if (Expected == Actual)
+      return true;
+    ++Counts[Row].Mismatches;
+    static metrics::Counter &MismatchMetric =
+        metrics::Registry::global().counter("gmdiv_verify_mismatches_total",
+                                            "Differential mismatches found");
+    MismatchMetric.inc();
+    recordFailure(Row, Expected, Actual, DBits, NBits, N2Bits);
+    return false;
   }
 
   /// Builds the report and flushes the bulk checks counter into the
@@ -238,13 +242,10 @@ public:
   VerifyReport take() {
     VerifyReport Report;
     Report.WordBits = W;
-    Report.Properties.reserve(PropertyEnd);
-    uint64_t Total = 0;
-    for (int I = 0; I < PropertyEnd; ++I) {
-      Report.Properties.push_back(Counts[I]);
-      Report.Properties.back().Name = PropertyTable[I].Name;
-      Total += Counts[I].Checks;
-    }
+    Report.Properties.assign(std::begin(Counts), std::end(Counts));
+    for (int I = 0; I < NumProperties; ++I)
+      Report.Properties[I].Name = Table[I].Name;
+    const uint64_t Total = Report.checks();
     Report.Failures = std::move(Failures);
     Failures.clear();
     // Registered directly rather than via GMDIV_STAT so the exposition
@@ -257,37 +258,17 @@ public:
   }
 
 private:
-  bool checkImpl(Property P, uint64_t Expected, uint64_t Actual,
-                 uint64_t DBits, uint64_t NBits, uint64_t N2Bits,
-                 bool HasN2) {
-    ++Counts[P].Checks;
-    const uint64_t Period = InjectedPeriod.load(std::memory_order_relaxed);
-    if (Period != 0 &&
-        InjectionCounter.fetch_add(1, std::memory_order_relaxed) % Period ==
-            Period - 1)
-      Actual ^= 1;
-    if (Expected == Actual)
-      return true;
-    ++Counts[P].Mismatches;
-    static metrics::Counter &MismatchMetric =
-        metrics::Registry::global().counter("gmdiv_verify_mismatches_total",
-                                            "Differential mismatches found");
-    MismatchMetric.inc();
-    recordFailure(P, Expected, Actual, DBits, NBits, N2Bits, HasN2);
-    return false;
-  }
-
-  void recordFailure(Property P, uint64_t Expected, uint64_t Actual,
-                     uint64_t DBits, uint64_t NBits, uint64_t N2Bits,
-                     bool HasN2) {
+  void recordFailure(int Row, uint64_t Expected, uint64_t Actual,
+                     uint64_t DBits, uint64_t NBits, uint64_t N2Bits) {
+    const PropertyRow &P = Table[Row];
     Repro Rep;
-    Rep.Property = PropertyTable[P].Name;
+    Rep.Property = P.Name;
     Rep.WordBits = W;
     Rep.DBits = DBits;
     Rep.NBits = NBits;
-    Rep.N2Bits = N2Bits;
-    Rep.HasN2 = HasN2;
-    Rep.Family = PropertyTable[P].Family;
+    Rep.HasN2 = P.hasN2();
+    Rep.N2Bits = Rep.HasN2 ? N2Bits : 0;
+    Rep.Family = P.Family;
     const std::string Text = reproString(Rep);
     if (std::find(Failures.begin(), Failures.end(), Text) != Failures.end())
       return; // Same input already recorded (a sibling comparison).
@@ -299,13 +280,12 @@ private:
       telemetry::Remark R;
       R.Pass = "verify";
       R.Kind = "verify.mismatch";
-      R.CaseName = PropertyTable[P].Name;
+      R.CaseName = P.Name;
       R.WordBits = W;
       R.DivisorBits = DBits;
-      R.IsSigned = PropertyTable[P].IsSigned;
-      R.Details.emplace_back(
-          "n", decString(NBits, W, PropertyTable[P].IsSigned));
-      if (HasN2)
+      R.IsSigned = P.IsSigned;
+      R.Details.emplace_back("n", decString(NBits, W, P.IsSigned));
+      if (Rep.HasN2)
         R.Details.emplace_back("n2", decString(N2Bits, W, false));
       R.Details.emplace_back("expected", std::to_string(Expected));
       R.Details.emplace_back("actual", std::to_string(Actual));
@@ -315,7 +295,7 @@ private:
   }
 
   int W;
-  PropertyCount Counts[PropertyEnd];
+  PropertyCount Counts[NumProperties];
   std::vector<std::string> Failures;
   uint64_t Flushed = 0;
 };
@@ -324,51 +304,37 @@ private:
 // Width dispatch
 //===----------------------------------------------------------------------===//
 
-/// Runs \p Fn with the word type for \p WordBits: the native types at
-/// 8/16/32/64, SmallUWord elsewhere in [4, 12].
-template <typename F> void withUWord(int WordBits, F &&Fn) {
-  switch (WordBits) {
-  case 4:
-    return Fn.template operator()<SmallUWord<4>>();
-  case 5:
-    return Fn.template operator()<SmallUWord<5>>();
-  case 6:
-    return Fn.template operator()<SmallUWord<6>>();
-  case 7:
-    return Fn.template operator()<SmallUWord<7>>();
-  case 8:
-    return Fn.template operator()<uint8_t>();
-  case 9:
-    return Fn.template operator()<SmallUWord<9>>();
-  case 10:
-    return Fn.template operator()<SmallUWord<10>>();
-  case 11:
-    return Fn.template operator()<SmallUWord<11>>();
-  case 12:
-    return Fn.template operator()<SmallUWord<12>>();
-  case 16:
-    return Fn.template operator()<uint16_t>();
-  case 32:
-    return Fn.template operator()<uint32_t>();
-  case 64:
-    return Fn.template operator()<uint64_t>();
-  default:
-    assert(false && "no word family for this verification width");
+template <typename... Words> struct WordList {
+  /// Runs \p Fn with the word type of \p WordBits; false (and no call)
+  /// when none of \p Words has that width.
+  template <typename F> static bool withUWord(int WordBits, F &&Fn) {
+    return ((WordTraits<Words>::Bits == WordBits &&
+             (Fn.template operator()<Words>(), true)) ||
+            ...);
   }
-}
+};
+
+/// The word type of every verification width: the native types at
+/// 8/16/32/64, SmallUWord elsewhere in [4, 12].
+using VerifyWords =
+    WordList<SmallUWord<4>, SmallUWord<5>, SmallUWord<6>, SmallUWord<7>,
+             uint8_t, SmallUWord<9>, SmallUWord<10>, SmallUWord<11>,
+             SmallUWord<12>, uint16_t, uint32_t, uint64_t>;
 
 bool widthSupported(int WordBits) {
-  return (WordBits >= 4 && WordBits <= 12) || WordBits == 16 ||
-         WordBits == 32 || WordBits == 64;
+  return VerifyWords::withUWord(WordBits, []<typename>() {});
 }
 
 //===----------------------------------------------------------------------===//
 // DivisorChecker
 //===----------------------------------------------------------------------===//
 
+/// When a generated program's results are defined.
+enum class Guard : uint8_t { Always, Divisible, NoOverflow };
+
 /// Everything the harness knows how to check for one (width, divisor):
-/// scalar dividers, generated sequences through the IR interpreter, and
-/// (native widths) the batch backends — all against the Oracle.
+/// scalar dividers, generated sequences through the IR interpreter (and
+/// JIT-compiled), and the array kernels — all against the Oracle.
 template <typename UWordT> class DivisorChecker {
 public:
   using UWord = UWordT;
@@ -389,90 +355,69 @@ public:
         GFloor(DS), Ceil(DS), ConvTrunc(DS, RemainderConvention::Truncated),
         ConvFloor(DS, RemainderConvention::Floored),
         ConvEuclid(DS, RemainderConvention::Euclidean), ExactS(DS),
-        FMU(DU), FMS(DS), RUp(DU), Nar(DU), NarS(DS),
-        PUDivRem(codegen::genUnsignedDivRem(W, DBits)),
-        PAlv(codegen::genUnsignedDivAlverson(W, DBits)),
-        ProgExactU(codegen::genExactUnsignedDiv(W, DBits)),
-        PDivisU(codegen::genDivisibilityTestUnsigned(W, DBits)),
-        PDword(codegen::genDWordDivRem(W, DBits)),
-        PSDivRem(codegen::genSignedDivRem(W, DSigned)),
-        ProgExactS(codegen::genExactSignedDiv(W, DSigned)),
-        PDivisS(codegen::genDivisibilityTestSigned(W, DSigned)),
-        PFloorRt(codegen::genFloorDivModRuntime(W)), Args1(1), Args2(2) {
+        FMU(DU), FMS(DS), RUp(DU), RUpS(DS), Nar(DU), NarS(DS),
+        PDword(codegen::genDWordDivRem(W, DBits)) {
     assert(DBits != 0 && "divisor must be nonzero");
-    RemR0 = DBits >= 2 ? DBits / 2 : 0;
-    PRemTest0.emplace(codegen::genRemainderTestUnsigned(W, DBits, RemR0));
-    if (DBits >= 2) {
-      RemR1 = DBits - 1;
-      PRemTest1.emplace(codegen::genRemainderTestUnsigned(W, DBits, RemR1));
-    }
-    if (DSigned > 0)
-      PFloorMod.emplace(codegen::genFloorDivMod(W, DSigned));
-    if (DSigned >= 2 && (AbsD & (AbsD - 1)) != 0) {
-      RemS1 = 1;
-      RemS2 = DSigned - 1;
-      PRemTestS1.emplace(codegen::genRemainderTestSigned(W, DSigned, RemS1));
-      PRemTestS2.emplace(codegen::genRemainderTestSigned(W, DSigned, RemS2));
-    }
-    if constexpr (Native && W < 64) {
-      PWideU.emplace(codegen::genUnsignedDivWide(W, 64, DBits));
-      PWideS.emplace(codegen::genSignedDivWide(W, 64, DSigned));
-    }
     if constexpr (Native && sizeof(UWord) <= 4) {
       FloatU.emplace(DU);
       FloatS.emplace(DS);
     }
-    // JIT-executed sequences: the same generated programs, compiled to
-    // native code through the full Peephole + Scheduler + emitter
-    // pipeline. On hosts without the backend (or GMDIV_NO_JIT=1) the
-    // handles stay null and the jit-* properties record zero checks —
-    // the interpreter comparisons above still cover the sequences.
-    if (jit::enabled()) {
-      jit::CompileInfo Info;
-      Info.DivisorBits = DBits;
-      Info.HasDivisor = true;
-      Info.CaseName = "verify-unsigned";
-      JitU = jit::compile(jit::prepareForJit(PUDivRem), Info);
-      Info.CaseName = "verify-signed";
-      Info.IsSigned = true;
-      JitS = jit::compile(jit::prepareForJit(PSDivRem), Info);
-      if (PFloorMod) {
-        Info.CaseName = "verify-floor";
-        JitFloor = jit::compile(jit::prepareForJit(*PFloorMod), Info);
-      }
+    addPrograms();
+  }
+
+  /// Runs pass \p P: the per-divisor checks, each dividend in \p Ns, each
+  /// (high, low) doubleword dividend with high < d, or the array kernels.
+  void run(Pass P, const std::vector<uint64_t> &Ns,
+           const std::vector<std::pair<uint64_t, uint64_t>> &DwordPairs) {
+    switch (P) {
+    case Pass::Divisor:
+      return checkDivisorOnce();
+    case Pass::Dividend:
+      for (const uint64_t N : Ns)
+        checkN(N);
+      return;
+    case Pass::Dword:
+      for (const auto &[High, Low] : DwordPairs)
+        if ((High & Mask) < DBits)
+          checkDwordPair(High, Low);
+      return;
+    case Pass::Array:
+      return checkArrays(Ns);
     }
   }
 
+private:
   /// Per-divisor checks: CHOOSE_MULTIPLIER against Theorem 4.2 / §5, plus
   /// sampled doubleword divisions.
   void checkDivisorOnce() {
+    constexpr int ChooseU = row("choose-multiplier-unsigned");
+    constexpr int ChooseS = row("choose-multiplier-signed");
+    constexpr int Bounds = row("roundup-bounds");
+    const auto Certify = [&](uint64_t D, int Prec) {
+      const MultiplierInfo<UWord> Info =
+          chooseMultiplier<UWord>(static_cast<UWord>(D), Prec);
+      if constexpr (W == 64)
+        return checkMultiplier(W, Prec, D, Info.Multiplier.low64(),
+                               Info.Multiplier.high64(), Info.ShiftPost,
+                               Info.Log2Ceil);
+      else
+        return checkMultiplier(W, Prec, D,
+                               static_cast<uint64_t>(Info.Multiplier), 0,
+                               Info.ShiftPost, Info.Log2Ceil);
+    };
     // Unsigned: prec = N (Figure 4.2's call).
-    const MultiplierInfo<UWord> InfoN = chooseMultiplier<UWord>(DU, W);
-    uint64_t Lo = 0, Hi = 0;
-    udHalves(InfoN.Multiplier, Lo, Hi);
-    const MultiplierCheck CkN =
-        checkMultiplier(W, W, DBits, Lo, Hi, InfoN.ShiftPost, InfoN.Log2Ceil);
-    R.check(PChooseU, 1, CkN.ok() ? 1 : 0, DBits, 0);
+    R.check(ChooseU, 1, Certify(DBits, W).ok() ? 1 : 0, DBits, 0);
 
     // prec = N-1: §5 guarantees m < 2^N for every d >= 2 (d = 1 yields
     // m = 2^N + 2, which the figure's callers never request).
-    const MultiplierInfo<UWord> Info1 = chooseMultiplier<UWord>(DU, W - 1);
-    udHalves(Info1.Multiplier, Lo, Hi);
-    const MultiplierCheck Ck1 = checkMultiplier(W, W - 1, DBits, Lo, Hi,
-                                                Info1.ShiftPost,
-                                                Info1.Log2Ceil);
-    R.check(PChooseU, 1, Ck1.ok() ? 1 : 0, DBits, 1);
-    R.check(PChooseU, 1, (DBits == 1 || Ck1.FitsWord) ? 1 : 0, DBits, 2);
+    const MultiplierCheck Ck1 = Certify(DBits, W - 1);
+    R.check(ChooseU, 1, Ck1.ok() ? 1 : 0, DBits, 1);
+    R.check(ChooseU, 1, (DBits == 1 || Ck1.FitsWord) ? 1 : 0, DBits, 2);
 
     // Signed: prec = N-1 over |d| (Figure 5.2's call).
-    const MultiplierInfo<UWord> InfoS =
-        chooseMultiplier<UWord>(static_cast<UWord>(AbsD), W - 1);
-    udHalves(InfoS.Multiplier, Lo, Hi);
-    const MultiplierCheck CkS = checkMultiplier(W, W - 1, AbsD, Lo, Hi,
-                                                InfoS.ShiftPost,
-                                                InfoS.Log2Ceil);
-    R.check(PChooseS, 1, CkS.ok() ? 1 : 0, DBits, 0);
-    R.check(PChooseS, 1, (AbsD == 1 || CkS.FitsWord) ? 1 : 0, DBits, 1);
+    const MultiplierCheck CkS = Certify(AbsD, W - 1);
+    R.check(ChooseS, 1, CkS.ok() ? 1 : 0, DBits, 0);
+    R.check(ChooseS, 1, (AbsD == 1 || CkS.FitsWord) ? 1 : 0, DBits, 1);
 
     // Optimal Bounds certificate for the round-up family: the chosen
     // (mode, m, k) must satisfy the exact arXiv:2412.03680 predicate,
@@ -490,24 +435,22 @@ public:
       };
       switch (C.Mode) {
       case Choice::Kind::Shift:
-        R.check(PRoundUpBounds, 1, isPowerOf2(DU) ? 1 : 0, DBits, 0);
+        R.check(Bounds, 1, isPowerOf2(DU) ? 1 : 0, DBits, 0);
         break;
       case Choice::Kind::RoundUp:
       case Choice::Kind::Increment: {
         const bool Inc = C.Mode == Choice::Kind::Increment;
-        R.check(PRoundUpBounds, 1,
-                checkRoundUpMultiplier(DU, C.Multiplier, C.TotalShift, Inc)
-                    ? 1
-                    : 0,
+        R.check(Bounds, 1,
+                checkRoundUpMultiplier(DU, C.Multiplier, C.TotalShift, Inc),
                 DBits, 0);
-        R.check(PRoundUpBounds, 1, C.MultiplierBits <= W ? 1 : 0, DBits, 1);
+        R.check(Bounds, 1, C.MultiplierBits <= W ? 1 : 0, DBits, 1);
         bool SmallerWorks = false;
         for (int K = W; K < C.TotalShift && !SmallerWorks; ++K)
           SmallerWorks = AdmissibleAt(K, false) || AdmissibleAt(K, true);
-        R.check(PRoundUpBounds, 0, SmallerWorks ? 1 : 0, DBits, 2);
+        R.check(Bounds, 0, SmallerWorks ? 1 : 0, DBits, 2);
         if (Inc) // round-up is preferred at equal k, so it must not fit
-          R.check(PRoundUpBounds, 0,
-                  AdmissibleAt(C.TotalShift, false) ? 1 : 0, DBits, 3);
+          R.check(Bounds, 0, AdmissibleAt(C.TotalShift, false) ? 1 : 0,
+                  DBits, 3);
         break;
       }
       case Choice::Kind::Fixup: {
@@ -516,14 +459,13 @@ public:
         bool AnyWorks = false;
         for (int K = W; K <= 2 * W - 1 && !AnyWorks; ++K)
           AnyWorks = AdmissibleAt(K, false) || AdmissibleAt(K, true);
-        R.check(PRoundUpBounds, 0, AnyWorks ? 1 : 0, DBits, 0);
+        R.check(Bounds, 0, AnyWorks ? 1 : 0, DBits, 0);
         break;
       }
       }
     }
 
     // §8 doubleword division, sampled over boundary high/low halves.
-    const uint64_t HighProbe[] = {0, 1, DBits / 2, DBits - 1};
     const uint64_t LowProbe[] = {0,
                                  1,
                                  2,
@@ -532,20 +474,10 @@ public:
                                  (Mask >> 1) + 1,
                                  0x5555555555555555ull & Mask,
                                  (DBits - 1) & Mask};
-    uint64_t Done[4];
-    int DoneCount = 0;
-    for (uint64_t High : HighProbe) {
-      if (High >= DBits)
-        continue;
-      bool Seen = false;
-      for (int I = 0; I < DoneCount; ++I)
-        Seen |= Done[I] == High;
-      if (Seen)
-        continue;
-      Done[DoneCount++] = High;
-      for (uint64_t Low : LowProbe)
-        checkDwordPair(High, Low);
-    }
+    for (const uint64_t High : std::set<uint64_t>{0, 1, DBits / 2, DBits - 1})
+      if (High < DBits)
+        for (const uint64_t Low : LowProbe)
+          checkDwordPair(High, Low);
   }
 
   /// Doubleword (High:Low) / d against 128-bit-exact reference values.
@@ -569,419 +501,364 @@ public:
       RefQ = Limbs[0];
     }
 
-    const UDWord N0 = makeUDWord(HighBits, LowBits);
-    const auto [Q, Rm] = DWord.divRem(N0);
-    R.check2(PDWord, RefQ, ubits(Q), DBits, LowBits, HighBits);
-    R.check2(PDWord, RefR, ubits(Rm), DBits, LowBits, HighBits);
+    const auto [Q, Rm] = DWord.divRem(makeUDWord(HighBits, LowBits));
+    R.check(row("dword-divider"), RefQ, bits(Q), DBits, LowBits, HighBits);
+    R.check(row("dword-divider"), RefR, bits(Rm), DBits, LowBits, HighBits);
 
-    Args2[0] = HighBits;
-    Args2[1] = LowBits;
-    ir::runScratch(PDword, Args2, Scratch, Results);
-    R.check2(PCodegenDWord, RefQ, Results[0], DBits, LowBits, HighBits);
-    R.check2(PCodegenDWord, RefR, Results[1], DBits, LowBits, HighBits);
+    Args.assign({HighBits, LowBits});
+    ir::runScratch(PDword, Args, Scratch, Results);
+    R.check(row("codegen-dword"), RefQ, Results[0], DBits, LowBits, HighBits);
+    R.check(row("codegen-dword"), RefR, Results[1], DBits, LowBits, HighBits);
   }
 
-  /// Every per-dividend property for dividend bit pattern \p NBits.
-  void checkN(uint64_t NBits) {
-    NBits &= Mask;
-    const DivRef RU = OU.ref(NBits);
-    const DivRef RS = OS.ref(NBits);
-    const UWord NU = static_cast<UWord>(NBits);
+  /// Every per-dividend property for dividend bit pattern \p Bits.
+  void checkN(uint64_t Bits) {
+    NBits = Bits & Mask;
+    Refs[0] = OU.ref(NBits);
+    Refs[1] = OS.ref(NBits);
+    const DivRef &RU = Refs[0], &RS = Refs[1];
+    NU = static_cast<UWord>(NBits);
     const int64_t NSigned = signExtend64(NBits, W);
-    const SWord NS = static_cast<SWord>(NSigned);
+    NS = static_cast<SWord>(NSigned);
 
     // Oracle vs. hardware: the oracle's derived quotients must agree
     // with plain 64-bit machine division (the third independent path).
-    R.check(POracleU, (NBits / DBits) & Mask, RU.TruncQ, DBits, NBits);
-    R.check(POracleU, (NBits % DBits) & Mask, RU.TruncR, DBits, NBits);
+    constexpr int OracleU = row("oracle-unsigned");
+    constexpr int OracleS = row("oracle-signed");
+    check(OracleU, (NBits / DBits) & Mask, RU.TruncQ);
+    check(OracleU, (NBits % DBits) & Mask, RU.TruncR);
     if (!RS.Overflow) {
-      R.check(POracleS, static_cast<uint64_t>(NSigned / DSigned) & Mask,
-              RS.TruncQ, DBits, NBits);
-      R.check(POracleS, static_cast<uint64_t>(NSigned % DSigned) & Mask,
-              RS.TruncR, DBits, NBits);
+      check(OracleS, static_cast<uint64_t>(NSigned / DSigned) & Mask,
+            RS.TruncQ);
+      check(OracleS, static_cast<uint64_t>(NSigned % DSigned) & Mask,
+            RS.TruncR);
     } else {
       // INT_MIN / -1: the documented policy is wrap-to-INT_MIN, r = 0.
-      R.check(POracleS, (uint64_t{1} << (W - 1)) & Mask, RS.TruncQ, DBits,
-              NBits);
-      R.check(POracleS, 0, RS.TruncR, DBits, NBits);
+      check(OracleS, (uint64_t{1} << (W - 1)) & Mask, RS.TruncQ);
+      check(OracleS, 0, RS.TruncR);
     }
 
-    // Figure 4.1/4.2 scalar divider.
-    R.check(PUDiv, RU.TruncQ, ubits(UDiv.divide(NU)), DBits, NBits);
-    R.check(PUDiv, RU.TruncR, ubits(UDiv.remainder(NU)), DBits, NBits);
-    {
-      const auto [Q, Rm] = UDiv.divRem(NU);
-      R.check(PUDiv, RU.TruncQ, ubits(Q), DBits, NBits);
-      R.check(PUDiv, RU.TruncR, ubits(Rm), DBits, NBits);
-    }
-    R.check(PUDiv, RU.CeilQ, ubits(UDiv.divideCeil(NU)), DBits, NBits);
+    // Scalar dividers: Figures 4.1 and 5.1, Alverson, §6 floor/ceil, §9
+    // exact division and the successor families (docs/FAMILIES.md; the
+    // signed ones divide |n|, |d| and patch signs with EOR/subtract, so
+    // the INT_MIN / -1 wrap is covered by the Oracle's matching policy).
+    using F = Field;
+    checkDivider(row("unsigned-divider"), UDiv);
+    checkDivider(row("alverson-divider"), Alv);
+    checkDivider(row("exact-unsigned"), ExactU);
+    checkDivider(row("fastmod-unsigned"), FMU, F::TruncQ, F::TruncR, F::None);
+    checkDivider(row("fastmod-divisible"), FMU, F::None, F::None);
+    checkDivider(row("roundup-unsigned"), RUp);
+    checkDivider(row("narrow32-unsigned"), Nar);
+    checkDivider(row("signed-divider"), SDiv);
+    checkDivider(row("floor-divider"), Floor, F::FloorQ, F::FloorR);
+    checkDivider(row("general-floor-divider"), GFloor, F::FloorQ, F::FloorR);
+    checkDivider(row("ceil-divider"), Ceil, F::CeilQ, F::None);
+    checkDivider(row("exact-signed"), ExactS);
+    checkDivider(row("fastmod-signed"), FMS);
+    checkDivider(row("narrow32-signed"), NarS);
+    checkDivider(row("roundup-signed"), RUpS);
 
-    // Alverson baseline.
-    R.check(PAlverson, RU.TruncQ, ubits(Alv.divide(NU)), DBits, NBits);
-    R.check(PAlverson, RU.TruncR, ubits(Alv.remainder(NU)), DBits, NBits);
+    // Figure 5.1 with the overflow check.
+    bool Overflow = false;
+    const SWord CheckedQ = SDiv.divideChecked(NS, Overflow);
+    check(row("signed-divider"), RS.Overflow, Overflow);
+    check(row("signed-divider"), RS.TruncQ, bits(CheckedQ));
 
-    // Successor families (docs/FAMILIES.md). LKK fastmod: quotient,
-    // direct remainder, and the one-multiply divisibility test.
-    R.check(PFastModU, RU.TruncQ, ubits(FMU.divide(NU)), DBits, NBits);
-    R.check(PFastModU, RU.TruncR, ubits(FMU.remainder(NU)), DBits, NBits);
-    {
-      const auto [Q, Rm] = FMU.divRem(NU);
-      R.check(PFastModU, RU.TruncQ, ubits(Q), DBits, NBits);
-      R.check(PFastModU, RU.TruncR, ubits(Rm), DBits, NBits);
-    }
-    R.check(PFastModDivis, RU.Divisible ? 1 : 0, FMU.isDivisible(NU) ? 1 : 0,
-            DBits, NBits);
-
-    // Round-up / optimal-bounds variant (fixup-free where a word-sized
-    // multiplier exists; GM fallback otherwise — both paths must agree).
-    R.check(PRoundUpU, RU.TruncQ, ubits(RUp.divide(NU)), DBits, NBits);
-    R.check(PRoundUpU, RU.TruncR, ubits(RUp.remainder(NU)), DBits, NBits);
-
-    // Narrow (Mitsunari–Hoshino 32-on-64 style) form: one doubleword
-    // multiply, no shift, no fixup.
-    R.check(PNarrowU, RU.TruncQ, ubits(Nar.divide(NU)), DBits, NBits);
-    R.check(PNarrowU, RU.TruncR, ubits(Nar.remainder(NU)), DBits, NBits);
-
-    // §9 exact division and remainder filters.
-    R.check(PExactU, RU.Divisible ? 1 : 0, ExactU.isDivisible(NU) ? 1 : 0,
-            DBits, NBits);
-    if (RU.Divisible)
-      R.check(PExactU, RU.TruncQ, ubits(ExactU.divideExact(NU)), DBits,
-              NBits);
+    // §9 remainder filters: the true remainder passes, a wrong one not.
     if (DBits >= 2) {
-      R.check(PExactU, 1,
-              ExactU.remainderIs(NU, static_cast<UWord>(RU.TruncR)) ? 1 : 0,
-              DBits, NBits);
       const uint64_t Wrong = (RU.TruncR + 1) % DBits;
-      R.check(PExactU, 0,
-              ExactU.remainderIs(NU, static_cast<UWord>(Wrong)) ? 1 : 0,
-              DBits, NBits);
+      check(row("exact-unsigned"), 1,
+            ExactU.remainderIs(NU, static_cast<UWord>(RU.TruncR)));
+      check(row("exact-unsigned"), 0,
+            ExactU.remainderIs(NU, static_cast<UWord>(Wrong)));
     }
+    if (AbsD >= 3 && (AbsD & (AbsD - 1)) != 0) {
+      const int64_t TruncR = signExtend64(RS.TruncR, W);
+      for (const int64_t Probe : {int64_t{1}, static_cast<int64_t>(AbsD) - 1})
+        check(row("exact-signed"), TruncR == Probe,
+              ExactS.remainderIs(NS, static_cast<SWord>(Probe)));
+    }
+
+    // §2 convention matrix. Euclidean: r in [0, |d|), i.e. floor for
+    // d > 0, ceil for d < 0.
+    const auto CheckConvention = [&](const ConventionDivider<SWord> &Conv,
+                                     uint64_t Q, uint64_t Rm) {
+      const auto [CQ, CR] = Conv.quotRem(NS);
+      check(row("convention-divider"), Q, bits(CQ));
+      check(row("convention-divider"), Rm, bits(CR));
+    };
+    CheckConvention(ConvTrunc, RS.TruncQ, RS.TruncR);
+    CheckConvention(ConvFloor, RS.FloorQ, RS.FloorR);
+    CheckConvention(ConvEuclid, DSigned > 0 ? RS.FloorQ : RS.CeilQ,
+                    DSigned > 0 ? RS.FloorR : RS.CeilR);
 
     // §7 float division (double mantissa covers N <= 32 only).
     if constexpr (Native && sizeof(UWord) <= 4) {
-      R.check(PFloatU, RU.TruncQ, ubits(FloatU->divide(NU)), DBits, NBits);
-      R.check(PFloatU, RU.TruncQ, ubits(FloatU->divideViaReciprocal(NU)),
-              DBits, NBits);
+      constexpr int FloatURow = row("float-unsigned");
+      constexpr int FloatSRow = row("float-signed");
+      check(FloatURow, RU.TruncQ, bits(FloatU->divide(NU)));
+      check(FloatURow, RU.TruncQ, bits(FloatU->divideViaReciprocal(NU)));
       if (!RS.Overflow) {
-        R.check(PFloatS, RS.TruncQ, sbits(FloatS->divide(NS)), DBits, NBits);
-        R.check(PFloatS, RS.TruncQ, sbits(FloatS->divideViaReciprocal(NS)),
-                DBits, NBits);
+        check(FloatSRow, RS.TruncQ, bits(FloatS->divide(NS)));
+        check(FloatSRow, RS.TruncQ, bits(FloatS->divideViaReciprocal(NS)));
       }
     }
 
-    // Generated unsigned sequences, through the IR interpreter.
-    Args1[0] = NBits;
-    ir::runScratch(PUDivRem, Args1, Scratch, Results);
-    R.check(PCodegenU, RU.TruncQ, Results[0], DBits, NBits);
-    R.check(PCodegenU, RU.TruncR, Results[1], DBits, NBits);
-    ir::runScratch(PAlv, Args1, Scratch, Results);
-    R.check(PCodegenAlverson, RU.TruncQ, Results[0], DBits, NBits);
-    if (RU.Divisible) {
-      ir::runScratch(ProgExactU, Args1, Scratch, Results);
-      R.check(PCodegenExactU, RU.TruncQ, Results[0], DBits, NBits);
-    }
-    ir::runScratch(PDivisU, Args1, Scratch, Results);
-    R.check(PCodegenDivisU, RU.Divisible ? 1 : 0, Results[0], DBits, NBits);
-    if (PRemTest0) {
-      ir::runScratch(*PRemTest0, Args1, Scratch, Results);
-      R.check(PCodegenRemTestU, NBits % DBits == RemR0 ? 1 : 0, Results[0],
-              DBits, NBits);
-    }
-    if (PRemTest1) {
-      ir::runScratch(*PRemTest1, Args1, Scratch, Results);
-      R.check(PCodegenRemTestU, NBits % DBits == RemR1 ? 1 : 0, Results[0],
-              DBits, NBits);
-    }
-    if (PWideU) {
-      ir::runScratch(*PWideU, Args1, Scratch, Results);
-      R.check(PCodegenWideU, NBits / DBits, Results[0], DBits, NBits);
-    }
-
-    // The same unsigned divRem sequence, JIT-executed: native code must
-    // agree with the Oracle (and hence with the interpreter runs above).
-    if (JitU) {
-      JitU->callAll(NBits, 0, Results);
-      R.check(PJitU, RU.TruncQ, Results[0], DBits, NBits);
-      R.check(PJitU, RU.TruncR, Results[1], DBits, NBits);
-    }
-
-    // Figure 5.1/5.2 scalar divider (trunc), with the overflow check.
-    R.check(PSDiv, RS.TruncQ, sbits(SDiv.divide(NS)), DBits, NBits);
-    {
-      bool Overflow = false;
-      const SWord Q = SDiv.divideChecked(NS, Overflow);
-      R.check(PSDiv, RS.Overflow ? 1 : 0, Overflow ? 1 : 0, DBits, NBits);
-      R.check(PSDiv, RS.TruncQ, sbits(Q), DBits, NBits);
-    }
-    R.check(PSDiv, RS.TruncR, sbits(SDiv.remainder(NS)), DBits, NBits);
-    {
-      const auto [Q, Rm] = SDiv.divRem(NS);
-      R.check(PSDiv, RS.TruncQ, sbits(Q), DBits, NBits);
-      R.check(PSDiv, RS.TruncR, sbits(Rm), DBits, NBits);
-    }
-
-    // Signed successor families: |n|,|d| through the unsigned cores with
-    // the EOR/subtract sign patch-up; the INT_MIN / -1 wrap is covered
-    // because the Oracle's overflow policy matches.
-    R.check(PFastModS, RS.TruncQ, sbits(FMS.divide(NS)), DBits, NBits);
-    R.check(PFastModS, RS.TruncR, sbits(FMS.remainder(NS)), DBits, NBits);
-    R.check(PFastModS, RS.Divisible ? 1 : 0, FMS.isDivisible(NS) ? 1 : 0,
-            DBits, NBits);
-    R.check(PNarrowS, RS.TruncQ, sbits(NarS.divide(NS)), DBits, NBits);
-    R.check(PNarrowS, RS.TruncR, sbits(NarS.remainder(NS)), DBits, NBits);
-
-    // §6 floor/ceil dividers and the §2 convention matrix.
-    R.check(PFloorDiv, RS.FloorQ, sbits(Floor.divide(NS)), DBits, NBits);
-    R.check(PFloorDiv, RS.FloorR, sbits(Floor.modulo(NS)), DBits, NBits);
-    R.check(PGeneralFloor, RS.FloorQ, sbits(GFloor.divide(NS)), DBits,
-            NBits);
-    R.check(PGeneralFloor, RS.FloorR, sbits(GFloor.modulo(NS)), DBits,
-            NBits);
-    R.check(PCeilDiv, RS.CeilQ, sbits(Ceil.divide(NS)), DBits, NBits);
-    {
-      const auto [Q, Rm] = ConvTrunc.quotRem(NS);
-      R.check(PConvention, RS.TruncQ, sbits(Q), DBits, NBits);
-      R.check(PConvention, RS.TruncR, sbits(Rm), DBits, NBits);
-    }
-    {
-      const auto [Q, Rm] = ConvFloor.quotRem(NS);
-      R.check(PConvention, RS.FloorQ, sbits(Q), DBits, NBits);
-      R.check(PConvention, RS.FloorR, sbits(Rm), DBits, NBits);
-    }
-    {
-      // Euclidean: r in [0, |d|), i.e. floor for d > 0, ceil for d < 0.
-      const auto [Q, Rm] = ConvEuclid.quotRem(NS);
-      R.check(PConvention, DSigned > 0 ? RS.FloorQ : RS.CeilQ, sbits(Q),
-              DBits, NBits);
-      R.check(PConvention, DSigned > 0 ? RS.FloorR : RS.CeilR, sbits(Rm),
-              DBits, NBits);
-    }
-
-    // §9 signed exact division.
-    R.check(PExactS, RS.Divisible ? 1 : 0, ExactS.isDivisible(NS) ? 1 : 0,
-            DBits, NBits);
-    if (RS.Divisible)
-      R.check(PExactS, RS.TruncQ, sbits(ExactS.divideExact(NS)), DBits,
-              NBits);
-    if (AbsD >= 3 && (AbsD & (AbsD - 1)) != 0) {
-      const int64_t TruncR = signExtend64(RS.TruncR, W);
-      for (const int64_t Probe : {int64_t{1}, static_cast<int64_t>(AbsD) - 1}) {
-        R.check(PExactS, TruncR == Probe ? 1 : 0,
-                ExactS.remainderIs(NS, static_cast<SWord>(Probe)) ? 1 : 0,
-                DBits, NBits);
-      }
-    }
-
-    // Generated signed sequences.
-    ir::runScratch(PSDivRem, Args1, Scratch, Results);
-    R.check(PCodegenS, RS.TruncQ, Results[0], DBits, NBits);
-    R.check(PCodegenS, RS.TruncR, Results[1], DBits, NBits);
-    if (PFloorMod) {
-      ir::runScratch(*PFloorMod, Args1, Scratch, Results);
-      R.check(PCodegenFloor, RS.FloorQ, Results[0], DBits, NBits);
-      R.check(PCodegenFloor, RS.FloorR, Results[1], DBits, NBits);
-    }
-    if (RS.Divisible) {
-      ir::runScratch(ProgExactS, Args1, Scratch, Results);
-      R.check(PCodegenExactS, RS.TruncQ, Results[0], DBits, NBits);
-    }
-    ir::runScratch(PDivisS, Args1, Scratch, Results);
-    R.check(PCodegenDivisS, RS.Divisible ? 1 : 0, Results[0], DBits, NBits);
-    if (PRemTestS1) {
-      const int64_t TruncR = signExtend64(RS.TruncR, W);
-      ir::runScratch(*PRemTestS1, Args1, Scratch, Results);
-      R.check(PCodegenRemTestS, TruncR == RemS1 ? 1 : 0, Results[0], DBits,
-              NBits);
-      ir::runScratch(*PRemTestS2, Args1, Scratch, Results);
-      R.check(PCodegenRemTestS, TruncR == RemS2 ? 1 : 0, Results[0], DBits,
-              NBits);
-    }
-    if (!RS.Overflow) {
-      // Identity (6.1) with both operands at run time (the sequence
-      // carries a real DivS, which would trap on the overflow pair).
-      Args2[0] = NBits;
-      Args2[1] = DBits;
-      ir::runScratch(PFloorRt, Args2, Scratch, Results);
-      R.check(PCodegenFloorRt, RS.FloorQ, Results[0], DBits, NBits);
-      R.check(PCodegenFloorRt, RS.FloorR, Results[1], DBits, NBits);
-    }
-    if (PWideS && !RS.Overflow) {
-      Args1[0] = static_cast<uint64_t>(NSigned);
-      ir::runScratch(*PWideS, Args1, Scratch, Results);
-      R.check(PCodegenWideS, static_cast<uint64_t>(NSigned / DSigned),
-              Results[0], DBits, NBits);
-      Args1[0] = NBits;
-    }
-
-    // JIT-executed signed and floor sequences.
-    if (JitS) {
-      JitS->callAll(NBits, 0, Results);
-      R.check(PJitS, RS.TruncQ, Results[0], DBits, NBits);
-      R.check(PJitS, RS.TruncR, Results[1], DBits, NBits);
-    }
-    if (JitFloor) {
-      JitFloor->callAll(NBits, 0, Results);
-      R.check(PJitFloor, RS.FloorQ, Results[0], DBits, NBits);
-      R.check(PJitFloor, RS.FloorR, Results[1], DBits, NBits);
-    }
+    checkPrograms();
   }
 
-  /// Batch backends over \p Ns (bit patterns), native widths only; every
-  /// compiled-in backend is swept so the scalar fallback and any SIMD
-  /// paths are compared against the same oracle.
-  void checkBatch(const std::vector<uint64_t> &Ns) {
+  /// The array kernels over \p Ns: every compiled-in batch backend at
+  /// native widths (scalar fallback and SIMD paths meet the same oracle)
+  /// and the runtime-emitted vector loops behind jit::JitBatchDivider.
+  void checkArrays(const std::vector<uint64_t> &Ns) {
+    using F = Field;
     if constexpr (Native) {
       using SInt = std::make_signed_t<UWord>;
-      const size_t Count = Ns.size();
-      std::vector<UWord> In(Count);
-      std::vector<SInt> SIn(Count);
-      for (size_t I = 0; I < Count; ++I) {
-        In[I] = static_cast<UWord>(Ns[I] & Mask);
-        SIn[I] = static_cast<SInt>(In[I]);
-      }
-      std::vector<UWord> Q(Count), Rm(Count);
-      std::vector<SInt> SQ(Count), SR(Count);
-      std::vector<uint8_t> Flags(Count);
+      constexpr int BatchU = row("batch-unsigned");
+      constexpr int BatchS = row("batch-signed");
       for (const batch::Backend B : batch::compiledBackends()) {
         if (!batch::backendAvailable(B))
           continue;
-        const batch::BatchDivider<UWord> BU(static_cast<UWord>(DBits), B);
-        BU.divRem(In.data(), Q.data(), Rm.data(), Count);
-        BU.divisible(In.data(), Flags.data(), Count);
-        for (size_t I = 0; I < Count; ++I) {
-          const DivRef Ref = OU.ref(Ns[I] & Mask);
-          R.check(PBatchU, Ref.TruncQ, ubits(Q[I]), DBits, Ns[I] & Mask);
-          R.check(PBatchU, Ref.TruncR, ubits(Rm[I]), DBits, Ns[I] & Mask);
-          R.check(PBatchU, Ref.Divisible ? 1 : 0, Flags[I] ? 1 : 0, DBits,
-                  Ns[I] & Mask);
-        }
+        const batch::BatchDivider<UWord> BU(DU, B);
         const batch::BatchDivider<SInt> BS(static_cast<SInt>(DSigned), B);
-        BS.divRem(SIn.data(), SQ.data(), SR.data(), Count);
-        for (size_t I = 0; I < Count; ++I) {
-          const DivRef Ref = OS.ref(Ns[I] & Mask);
-          R.check(PBatchS, Ref.TruncQ, sbits(static_cast<SWord>(SQ[I])),
-                  DBits, Ns[I] & Mask);
-          R.check(PBatchS, Ref.TruncR, sbits(static_cast<SWord>(SR[I])),
-                  DBits, Ns[I] & Mask);
-        }
-        BS.floorDivide(SIn.data(), SQ.data(), Count);
-        BS.ceilDivide(SIn.data(), SR.data(), Count);
-        for (size_t I = 0; I < Count; ++I) {
-          const DivRef Ref = OS.ref(Ns[I] & Mask);
-          R.check(PBatchS, Ref.FloorQ, sbits(static_cast<SWord>(SQ[I])),
-                  DBits, Ns[I] & Mask);
-          R.check(PBatchS, Ref.CeilQ, sbits(static_cast<SWord>(SR[I])),
-                  DBits, Ns[I] & Mask);
-        }
+        checkLanes<UWord, UWord>(BatchU, Ns, 1, F::TruncQ, F::TruncR,
+                                 [&](auto... A) { BU.divRem(A...); });
+        checkLanes<UWord, uint8_t>(
+            BatchU, Ns, 1, F::Divisible, F::None,
+            [&](auto *In, auto *Out, auto *, size_t C) {
+              BU.divisible(In, Out, C);
+            });
+        checkLanes<SInt, SInt>(BatchS, Ns, 1, F::TruncQ, F::TruncR,
+                               [&](auto... A) { BS.divRem(A...); });
+        checkLanes<SInt, SInt>(BatchS, Ns, 1, F::FloorQ, F::CeilQ,
+                               [&](auto *In, auto *Fl, auto *Ce, size_t C) {
+                                 BS.floorDivide(In, Fl, C);
+                                 BS.ceilDivide(In, Ce, C);
+                               });
       }
-    } else {
-      (void)Ns;
     }
-  }
 
-  /// The runtime-emitted vector loops (the kernels behind
-  /// jit::JitBatchDivider) against the Oracle. Unlike checkBatch this
-  /// runs at *every* emittable width, not just native ones: any N in
-  /// [2, 32] maps onto 32-bit memory lanes, N = 64 onto 64-bit lanes —
-  /// so the exhaustive N = 4..12 sweeps drive the real AVX2/AVX-512
-  /// recipes over every (n, d) pair, and the fuzzer reuses the same
-  /// path at 16/32/64. Inputs are padded to a whole number of vectors
-  /// so the loop (not the fallback tail) covers every real element;
-  /// outputs are pre-poisoned so a short-running loop shows up as a
-  /// mismatch rather than silence. Zero checks when the host lacks the
-  /// ISA or GMDIV_JIT_VECTOR=0 — the same policy the divider obeys.
-  void checkJitBatch(const std::vector<uint64_t> &Ns) {
+    // The vector loops run at *every* emittable width (N <= 32 on 32-bit
+    // lanes, N = 64 on 64-bit lanes), so the exhaustive N = 4..12 sweeps
+    // drive the real AVX2/AVX-512 recipes over every (n, d) pair. Zero
+    // checks when the host lacks the ISA or GMDIV_JIT_VECTOR=0.
     jit::VectorIsa Isa;
     if (Ns.empty() || !jit::vectorJitIsa(Isa))
       return;
-    if constexpr (W > 32 && W != 64)
-      return;
     using Elem = std::conditional_t<W == 64, uint64_t, uint32_t>;
+    checkVectorLoop<Elem, Elem>(Isa, row("jit-batch-unsigned"),
+                                jit::SeqKind::UDivRem, Ns, F::TruncQ,
+                                F::TruncR);
+    checkVectorLoop<Elem, Elem>(Isa, row("jit-batch-signed"),
+                                jit::SeqKind::SDivRem, Ns, F::TruncQ,
+                                F::TruncR);
+    checkVectorLoop<Elem, uint8_t>(Isa, row("jit-batch-divisible"),
+                                   jit::SeqKind::UDivisible, Ns,
+                                   F::Divisible, F::None);
+  }
 
-    const auto CompileLoop = [&](jit::SeqKind Kind, bool ByteResult) {
-      jit::VectorEmitOptions Opts;
-      Opts.Isa = Isa;
-      Opts.ByteResult0 = ByteResult;
-      jit::CompileInfo Info;
-      Info.CaseName = std::string("verify-vec-") + jit::seqKindName(Kind);
-      Info.DivisorBits = DBits;
-      Info.HasDivisor = true;
-      Info.IsSigned = Kind == jit::SeqKind::SDivRem;
-      return jit::compileVectorLoop(
-          jit::prepareForJit(jit::genSequence(Kind, W, DBits)), Opts, Info);
+  /// A generated program, judged by Oracle fields of its row's signedness
+  /// when \p When holds (operands and results extended to a wider program
+  /// word); with a JitRow it also runs JIT-compiled, tallied there.
+  struct ProgramRow {
+    int Row;
+    ir::Program Prog;
+    Field Results[2];
+    Guard When = Guard::Always;
+    uint64_t RemIs = 0; ///< The r of Field::TruncRIs.
+    int JitRow = -1;
+    std::shared_ptr<const jit::CompiledSequence> Jit = nullptr;
+  };
+
+  ProgramRow &addProgram(int Row, ir::Program Prog, Field R0,
+                         Field R1 = Field::None) {
+    return Programs.emplace_back(ProgramRow{Row, std::move(Prog), {R0, R1}});
+  }
+
+  void addPrograms() {
+    using F = Field;
+    addProgram(row("codegen-unsigned"), codegen::genUnsignedDivRem(W, DBits),
+               F::TruncQ, F::TruncR)
+        .JitRow = row("jit-unsigned");
+    addProgram(row("codegen-alverson"),
+               codegen::genUnsignedDivAlverson(W, DBits), F::TruncQ);
+    addProgram(row("codegen-exact-unsigned"),
+               codegen::genExactUnsignedDiv(W, DBits), F::TruncQ)
+        .When = Guard::Divisible;
+    addProgram(row("codegen-divisibility-unsigned"),
+               codegen::genDivisibilityTestUnsigned(W, DBits), F::Divisible);
+    const auto AddRemTest = [&](uint64_t Rem) {
+      addProgram(row("codegen-remtest-unsigned"),
+                 codegen::genRemainderTestUnsigned(W, DBits, Rem), F::TruncRIs)
+          .RemIs = Rem;
     };
-    const auto UBoth = CompileLoop(jit::SeqKind::UDivRem, false);
-    const auto SBoth = CompileLoop(jit::SeqKind::SDivRem, false);
-    const auto UDivis = CompileLoop(jit::SeqKind::UDivisible, true);
-    if (!UBoth && !SBoth && !UDivis)
-      return;
+    AddRemTest(DBits / 2);
+    if (DBits >= 2)
+      AddRemTest(DBits - 1);
+    addProgram(row("codegen-signed"), codegen::genSignedDivRem(W, DSigned),
+               F::TruncQ, F::TruncR)
+        .JitRow = row("jit-signed");
+    if (DSigned > 0)
+      addProgram(row("codegen-floor"), codegen::genFloorDivMod(W, DSigned),
+                 F::FloorQ, F::FloorR)
+          .JitRow = row("jit-floor");
+    addProgram(row("codegen-exact-signed"),
+               codegen::genExactSignedDiv(W, DSigned), F::TruncQ)
+        .When = Guard::Divisible;
+    addProgram(row("codegen-divisibility-signed"),
+               codegen::genDivisibilityTestSigned(W, DSigned), F::Divisible);
+    if (DSigned >= 2 && (AbsD & (AbsD - 1)) != 0)
+      for (const int64_t Rem : {int64_t{1}, DSigned - 1})
+        addProgram(row("codegen-remtest-signed"),
+                   codegen::genRemainderTestSigned(W, DSigned, Rem),
+                   F::TruncRIs)
+            .RemIs = static_cast<uint64_t>(Rem);
+    // Identity (6.1) with both operands at run time (the sequence
+    // carries a real DivS, which would trap on the overflow pair).
+    addProgram(row("codegen-floor-runtime"), codegen::genFloorDivModRuntime(W),
+               F::FloorQ, F::FloorR)
+        .When = Guard::NoOverflow;
+    if constexpr (Native && W < 64) {
+      addProgram(row("codegen-wide-unsigned"),
+                 codegen::genUnsignedDivWide(W, 64, DBits), F::TruncQ);
+      addProgram(row("codegen-wide-signed"),
+                 codegen::genSignedDivWide(W, 64, DSigned), F::TruncQ)
+          .When = Guard::NoOverflow;
+    }
 
+    // JIT twins (full Peephole + Scheduler + emitter pipeline). Without
+    // the backend (or under GMDIV_NO_JIT=1) the jit-* rows record zero
+    // checks; the interpreter runs still cover the sequences.
+    if (jit::enabled())
+      for (ProgramRow &P : Programs)
+        if (P.JitRow >= 0)
+          P.Jit = jit::compile(jit::prepareForJit(P.Prog),
+                               jitInfo(Table[P.JitRow].Name, P.Row));
+  }
+
+  /// Remark context for JIT-compiling one of this divisor's sequences.
+  jit::CompileInfo jitInfo(std::string_view Name, int Row) const {
+    return {"verify-" + std::string(Name), DBits, Table[Row].IsSigned,
+            /*HasDivisor=*/true};
+  }
+
+  /// Every generated program (and JIT twin) on the current dividend.
+  void checkPrograms() {
+    for (const ProgramRow &P : Programs) {
+      const bool Signed = Table[P.Row].IsSigned;
+      const DivRef &Ref = Refs[Signed];
+      if ((P.When == Guard::Divisible && !Ref.Divisible) ||
+          (P.When == Guard::NoOverflow && Ref.Overflow))
+        continue;
+      const bool Extend = Signed && P.Prog.wordBits() > W;
+      const auto Extended = [&](uint64_t V) {
+        return Extend ? static_cast<uint64_t>(signExtend64(V, W)) : V;
+      };
+      Args.assign({Extended(NBits), Extended(DBits)});
+      Args.resize(static_cast<size_t>(P.Prog.numArgs()));
+      const auto Compare = [&](int Row) {
+        for (int I = 0; I < 2; ++I)
+          if (P.Results[I] != Field::None)
+            check(Row, Extended(expected(P.Results[I], Ref, P.RemIs)),
+                  Results[I]);
+      };
+      ir::runScratch(P.Prog, Args, Scratch, Results);
+      Compare(P.Row);
+      if (P.Jit) {
+        P.Jit->callAll(Args[0], 0, Results);
+        Compare(P.JitRow);
+      }
+    }
+  }
+
+  /// Compares every operation \p Div exposes with the Oracle of \p Row's
+  /// signedness: divide, divRem and (on divisible dividends) divideExact
+  /// with \p Q; remainder (modulo on the floor dividers) and divRem with
+  /// \p Rm; divideCeil with CeilQ; isDivisible with \p Divis. A None
+  /// field leaves its operations out.
+  template <typename Div>
+  void checkDivider(int Row, const Div &D, Field Q = Field::TruncQ,
+                    Field Rm = Field::TruncR,
+                    Field Divis = Field::Divisible) {
+    using Word = std::remove_cvref_t<decltype(D.divisor())>;
+    constexpr bool Signed = std::is_same_v<Word, SWord>;
+    const Word N = std::get<Signed>(std::tie(NU, NS));
+    const DivRef &Ref = Refs[Signed];
+    const auto Check = [&](Field Want, auto Actual) {
+      if (Want != Field::None)
+        check(Row, expected(Want, Ref), bits(Actual));
+    };
+    if constexpr (requires { D.divide(N); })
+      Check(Q, D.divide(N));
+    if constexpr (requires { D.remainder(N); })
+      Check(Rm, D.remainder(N));
+    if constexpr (requires { D.modulo(N); })
+      Check(Rm, D.modulo(N));
+    if constexpr (requires { D.divRem(N); }) {
+      const auto [DQ, DR] = D.divRem(N);
+      Check(Q, DQ);
+      Check(Rm, DR);
+    }
+    if constexpr (requires { D.divideCeil(N); })
+      Check(Q == Field::None ? Q : Field::CeilQ, D.divideCeil(N));
+    if constexpr (requires { D.isDivisible(N); })
+      Check(Divis, D.isDivisible(N));
+    if constexpr (requires { D.divideExact(N); })
+      if (Ref.Divisible)
+        Check(Q, D.divideExact(N));
+  }
+
+  /// Runs one array kernel over \p Ns and compares every lane's outputs
+  /// with Oracle fields \p F0 and \p F1 (None skips the second). Inputs
+  /// are padded to a whole number of \p Lanes so a vector loop, not its
+  /// fallback tail, covers every real element; outputs are pre-poisoned
+  /// so a lane the kernel never writes shows up as a mismatch.
+  template <typename InT, typename OutT, typename Kernel>
+  void checkLanes(int Row, const std::vector<uint64_t> &Ns, size_t Lanes,
+                  Field F0, Field F1, Kernel &&Run) {
     const size_t Count = Ns.size();
-    std::vector<Elem> In(Count);
+    std::vector<InT> In((Count + Lanes - 1) / Lanes * Lanes);
     for (size_t I = 0; I < Count; ++I)
-      In[I] = static_cast<Elem>(Ns[I] & Mask);
-    const auto PadTo = [&](size_t Lanes) {
-      std::vector<Elem> Out = In;
-      while (Out.size() % Lanes)
-        Out.push_back(0);
-      return Out;
-    };
-    constexpr Elem Poison = static_cast<Elem>(~Elem{0});
-
-    if (UBoth) {
-      std::vector<Elem> PIn = PadTo(UBoth->vectorShape().Lanes);
-      std::vector<Elem> Q(PIn.size(), Poison), Rm(PIn.size(), Poison);
-      UBoth->batchFn()(PIn.data(), Q.data(), Rm.data(), PIn.size());
-      for (size_t I = 0; I < Count; ++I) {
-        const DivRef Ref = OU.ref(Ns[I] & Mask);
-        R.check(PJitBatchU, Ref.TruncQ, static_cast<uint64_t>(Q[I]) & Mask,
-                DBits, Ns[I] & Mask);
-        R.check(PJitBatchU, Ref.TruncR, static_cast<uint64_t>(Rm[I]) & Mask,
-                DBits, Ns[I] & Mask);
-      }
-    }
-    if (SBoth) {
-      std::vector<Elem> PIn = PadTo(SBoth->vectorShape().Lanes);
-      std::vector<Elem> Q(PIn.size(), Poison), Rm(PIn.size(), Poison);
-      SBoth->batchFn()(PIn.data(), Q.data(), Rm.data(), PIn.size());
-      for (size_t I = 0; I < Count; ++I) {
-        const DivRef Ref = OS.ref(Ns[I] & Mask);
-        R.check(PJitBatchS, Ref.TruncQ, static_cast<uint64_t>(Q[I]) & Mask,
-                DBits, Ns[I] & Mask);
-        R.check(PJitBatchS, Ref.TruncR, static_cast<uint64_t>(Rm[I]) & Mask,
-                DBits, Ns[I] & Mask);
-      }
-    }
-    if (UDivis) {
-      std::vector<Elem> PIn = PadTo(UDivis->vectorShape().Lanes);
-      std::vector<uint8_t> Flags(PIn.size(), 0xAA);
-      UDivis->batchFn()(PIn.data(), Flags.data(), nullptr, PIn.size());
-      for (size_t I = 0; I < Count; ++I) {
-        const DivRef Ref = OU.ref(Ns[I] & Mask);
-        R.check(PJitBatchDivis, Ref.Divisible ? 1 : 0, Flags[I], DBits,
-                Ns[I] & Mask);
-      }
+      In[I] = static_cast<InT>(Ns[I] & Mask);
+    std::vector<OutT> Out0(In.size(), static_cast<OutT>(~OutT{0}));
+    std::vector<OutT> Out1 = Out0;
+    Run(In.data(), Out0.data(), Out1.data(), In.size());
+    for (size_t I = 0; I < Count; ++I) {
+      const uint64_t N = Ns[I] & Mask;
+      const DivRef Ref = Table[Row].IsSigned ? OS.ref(N) : OU.ref(N);
+      R.check(Row, expected(F0, Ref), bits(Out0[I]), DBits, N);
+      if (F1 != Field::None)
+        R.check(Row, expected(F1, Ref), bits(Out1[I]), DBits, N);
     }
   }
 
-  uint64_t divisorBits() const { return DBits; }
+  /// The runtime-emitted vector loop of \p Kind (byte output when
+  /// \p Out0T is uint8_t) over \p Ns; nothing when the emitter bails.
+  template <typename Elem, typename Out0T>
+  void checkVectorLoop(jit::VectorIsa Isa, int Row, jit::SeqKind Kind,
+                       const std::vector<uint64_t> &Ns, Field F0, Field F1) {
+    jit::VectorEmitOptions Opts;
+    Opts.Isa = Isa;
+    Opts.ByteResult0 = std::is_same_v<Out0T, uint8_t>;
+    const auto Loop = jit::compileVectorLoop(
+        jit::prepareForJit(jit::genSequence(Kind, W, DBits)), Opts,
+        jitInfo(std::string("vec-") + jit::seqKindName(Kind), Row));
+    if (Loop)
+      checkLanes<Elem, Out0T>(
+          Row, Ns, Loop->vectorShape().Lanes, F0, F1,
+          [&](const Elem *In, Out0T *Out0, Out0T *Out1, size_t Count) {
+            Loop->batchFn()(In, Out0, F1 == Field::None ? nullptr : Out1,
+                            Count);
+          });
+  }
 
-private:
-  uint64_t ubits(UWord Value) const {
+  template <typename T> uint64_t bits(T Value) const {
     return static_cast<uint64_t>(Value) & Mask;
   }
-  uint64_t sbits(SWord Value) const {
-    return static_cast<uint64_t>(Value) & Mask;
-  }
-  static void udHalves(UDWord Value, uint64_t &Lo, uint64_t &Hi) {
-    if constexpr (W == 64) {
-      Lo = Value.low64();
-      Hi = Value.high64();
-    } else {
-      Lo = static_cast<uint64_t>(Value);
-      Hi = 0;
-    }
+  /// One comparison on the dividend checkN is on.
+  void check(int Row, uint64_t Expected, uint64_t Actual) {
+    R.check(Row, Expected, Actual, DBits, NBits);
   }
   static UDWord makeUDWord(uint64_t HighBits, uint64_t LowBits) {
     if constexpr (W == 64)
@@ -1011,18 +888,21 @@ private:
   FastModDivider<UWord> FMU;
   FastModSignedDivider<SWord> FMS;
   RoundUpDivider<UWord> RUp;
+  RoundUpSignedDivider<SWord> RUpS;
   NarrowDivider<UWord> Nar;
   NarrowSignedDivider<SWord> NarS;
-  ir::Program PUDivRem, PAlv, ProgExactU, PDivisU, PDword, PSDivRem,
-      ProgExactS, PDivisS, PFloorRt;
-  std::optional<ir::Program> PRemTest0, PRemTest1, PFloorMod, PRemTestS1,
-      PRemTestS2, PWideU, PWideS;
   std::optional<FloatDivider<UWord>> FloatU;
   std::optional<FloatDivider<SWord>> FloatS;
-  std::shared_ptr<const jit::CompiledSequence> JitU, JitS, JitFloor;
-  uint64_t RemR0 = 0, RemR1 = 0;
-  int64_t RemS1 = 0, RemS2 = 0;
-  std::vector<uint64_t> Args1, Args2, Scratch, Results;
+  ir::Program PDword;
+  std::vector<ProgramRow> Programs;
+
+  // The dividend checkN is on: its bit pattern, both words, and the
+  // unsigned (index 0) and signed (index 1) Oracle results.
+  uint64_t NBits = 0;
+  UWord NU{};
+  SWord NS{};
+  DivRef Refs[2];
+  std::vector<uint64_t> Args, Scratch, Results;
 };
 
 } // namespace
@@ -1113,7 +993,7 @@ std::string verify::reportJson(const VerifyReport &Report) {
 
 std::string verify::reproString(const Repro &R) {
   const int Index = propertyIndex(R.Property);
-  const bool IsSigned = Index >= 0 && PropertyTable[Index].IsSigned;
+  const bool IsSigned = Index >= 0 && Table[Index].IsSigned;
   std::string Text = "gmdiv:v1:";
   Text += R.Property;
   Text += ":N=" + std::to_string(R.WordBits);
@@ -1126,7 +1006,7 @@ std::string verify::reproString(const Repro &R) {
   // strings remain byte-identical.
   std::string Family = R.Family;
   if (Family.empty() && Index >= 0)
-    Family = PropertyTable[Index].Family;
+    Family = Table[Index].Family;
   if (!Family.empty() && Family != "gm")
     Text += ":f=" + Family;
   return Text;
@@ -1160,17 +1040,13 @@ bool parseField(const std::string &Part, const char *Key, uint64_t &Out,
     return false;
   errno = 0;
   char *End = nullptr;
-  if (Value[0] == '-') {
-    const long long Parsed = std::strtoll(Value.c_str(), &End, 10);
-    if (errno != 0 || End == nullptr || *End != '\0')
-      return false;
-    Out = static_cast<uint64_t>(Parsed) & maskFor(WordBits);
-  } else {
-    const unsigned long long Parsed = std::strtoull(Value.c_str(), &End, 10);
-    if (errno != 0 || End == nullptr || *End != '\0')
-      return false;
-    Out = static_cast<uint64_t>(Parsed) & maskFor(WordBits);
-  }
+  const uint64_t Parsed =
+      Value[0] == '-'
+          ? static_cast<uint64_t>(std::strtoll(Value.c_str(), &End, 10))
+          : static_cast<uint64_t>(std::strtoull(Value.c_str(), &End, 10));
+  if (errno != 0 || End == nullptr || *End != '\0')
+    return false;
+  Out = Parsed & maskFor(WordBits);
   return true;
 }
 
@@ -1230,20 +1106,15 @@ VerifyReport verify::verifyWidth(int WordBits) {
          "exhaustive verification is sized for N in [4, 12]");
   GMDIV_TRACE_SPAN("verify", "verifyWidth",
                    static_cast<uint64_t>(WordBits));
+  const uint64_t Mask = maskFor(WordBits);
+  std::vector<uint64_t> AllN(static_cast<size_t>(Mask) + 1);
+  std::iota(AllN.begin(), AllN.end(), uint64_t{0});
   Reporter R(WordBits);
-  withUWord(WordBits, [&]<typename UWord>() {
-    const uint64_t Mask = maskFor(WordBits);
-    std::vector<uint64_t> AllN;
-    AllN.reserve(static_cast<size_t>(Mask) + 1);
-    for (uint64_t N = 0; N <= Mask; ++N)
-      AllN.push_back(N);
+  VerifyWords::withUWord(WordBits, [&]<typename UWord>() {
     for (uint64_t D = 1; D <= Mask; ++D) {
       DivisorChecker<UWord> Checker(R, D);
-      Checker.checkDivisorOnce();
-      for (uint64_t N = 0; N <= Mask; ++N)
-        Checker.checkN(N);
-      Checker.checkBatch(AllN);
-      Checker.checkJitBatch(AllN);
+      for (const Pass P : AllPasses)
+        Checker.run(P, AllN, {});
     }
   });
   return R.take();
@@ -1253,19 +1124,12 @@ VerifyReport verify::checkDivisor(
     int WordBits, uint64_t DBits, const std::vector<uint64_t> &Ns,
     const std::vector<std::pair<uint64_t, uint64_t>> &DwordPairs) {
   assert(widthSupported(WordBits) && "unsupported verification width");
-  const uint64_t Mask = maskFor(WordBits);
-  assert((DBits & Mask) != 0 && "divisor must be nonzero");
+  assert((DBits & maskFor(WordBits)) != 0 && "divisor must be nonzero");
   Reporter R(WordBits);
-  withUWord(WordBits, [&]<typename UWord>() {
-    DivisorChecker<UWord> Checker(R, DBits & Mask);
-    Checker.checkDivisorOnce();
-    for (const uint64_t N : Ns)
-      Checker.checkN(N);
-    for (const auto &[High, Low] : DwordPairs)
-      if ((High & Mask) < Checker.divisorBits())
-        Checker.checkDwordPair(High & Mask, Low & Mask);
-    Checker.checkBatch(Ns);
-    Checker.checkJitBatch(Ns);
+  VerifyWords::withUWord(WordBits, [&]<typename UWord>() {
+    DivisorChecker<UWord> Checker(R, DBits);
+    for (const Pass P : AllPasses)
+      Checker.run(P, Ns, DwordPairs);
   });
   return R.take();
 }
@@ -1275,50 +1139,36 @@ bool verify::checkOne(const Repro &R, std::string *DetailOut) {
   const int Index = propertyIndex(R.Property);
   const uint64_t Mask = maskFor(R.WordBits);
   const uint64_t DBits = R.DBits & Mask;
-  if (Index < 0 || !widthSupported(R.WordBits) || DBits == 0) {
+  const auto Invalid = [&](const std::string &Why) {
     if (DetailOut)
-      *DetailOut = "invalid repro: unknown property, width or zero divisor";
+      *DetailOut = "invalid repro: " + Why;
     return false;
-  }
-  if (PropertyTable[Index].HasN2 && (R.N2Bits & Mask) >= DBits) {
-    if (DetailOut)
-      *DetailOut = "invalid repro: dword high part must be below the divisor";
-    return false;
-  }
-  if (!R.Family.empty() && R.Family != PropertyTable[Index].Family) {
-    if (DetailOut)
-      *DetailOut = "invalid repro: family tag '" + R.Family +
-                   "' does not match property " + R.Property + " (family " +
-                   PropertyTable[Index].Family + ")";
-    return false;
-  }
+  };
+  if (Index < 0 || !widthSupported(R.WordBits) || DBits == 0)
+    return Invalid("unknown property, width or zero divisor");
+  const PropertyRow &Row = Table[Index];
+  if (Row.hasN2() && (R.N2Bits & Mask) >= DBits)
+    return Invalid("dword high part must be below the divisor");
+  if (!R.Family.empty() && R.Family != Row.Family)
+    return Invalid("family tag '" + R.Family + "' does not match property " +
+                   R.Property + " (family " + Row.Family + ")");
+  // Re-run the one pass the property's row names.
   Reporter Rep(R.WordBits);
-  withUWord(R.WordBits, [&]<typename UWord>() {
-    DivisorChecker<UWord> Checker(Rep, DBits);
-    if (PropertyTable[Index].HasN2) {
-      Checker.checkDwordPair(R.N2Bits & Mask, R.NBits & Mask);
-    } else {
-      Checker.checkDivisorOnce();
-      Checker.checkN(R.NBits & Mask);
-      if (R.Property == "batch-unsigned" || R.Property == "batch-signed")
-        Checker.checkBatch({R.NBits & Mask});
-      if (R.Property.compare(0, 10, "jit-batch-") == 0)
-        Checker.checkJitBatch({R.NBits & Mask});
-    }
+  VerifyWords::withUWord(R.WordBits, [&]<typename UWord>() {
+    DivisorChecker<UWord>(Rep, DBits).run(Row.Runs, {R.NBits},
+                                          {{R.N2Bits, R.NBits}});
   });
   const VerifyReport Report = Rep.take();
   const uint64_t Bad = Report.mismatches(R.Property);
-  const bool Pass = Bad == 0;
+  const bool Passed = Bad == 0;
   if (DetailOut) {
     *DetailOut = R.Property + " at N=" + std::to_string(R.WordBits) +
-                 " d=" + decString(DBits, R.WordBits,
-                                   PropertyTable[Index].IsSigned) +
-                 " n=" + decString(R.NBits, R.WordBits,
-                                   PropertyTable[Index].IsSigned) +
+                 " d=" + decString(DBits, R.WordBits, Row.IsSigned) +
+                 " n=" + decString(R.NBits, R.WordBits, Row.IsSigned) +
                  (R.HasN2 ? " n2=" + decString(R.N2Bits, R.WordBits, false)
                           : std::string()) +
-                 (Pass ? ": PASS" : ": FAIL (" + std::to_string(Bad) +
+                 (Passed ? ": PASS" : ": FAIL (" + std::to_string(Bad) +
                                         " mismatching comparisons)");
   }
-  return Pass;
+  return Passed;
 }

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace gmdiv;
 using namespace gmdiv::verify;
 
@@ -79,6 +81,78 @@ TEST(VerifyHarness, NonNativeWidthSkipsNativeOnlyProperties) {
   EXPECT_EQ(BatchChecks, 0u);
   EXPECT_EQ(FloatChecks, 0u);
   EXPECT_GT(ScalarChecks, 0u);
+}
+
+TEST(VerifyHarness, PropertyCheckCountsPinnedAtWidth6) {
+  // Every comparison the exhaustive N = 6 sweep makes, per property, so
+  // a table edit that drops or duplicates one shows up as a count
+  // change (EveryPropertyRunsAtNativeWidth only asks for more than
+  // zero). N = 6 runs on SmallUWord: the batch backends, the float
+  // dividers and the wide sequences (native widths only) stay at zero
+  // whatever the host compiles in. roundup-unsigned, narrow32-* and
+  // fastmod-signed compare divRem besides divide and remainder.
+  const std::map<std::string, uint64_t> Pinned = {
+      {"choose-multiplier-unsigned", 189},
+      {"oracle-unsigned", 8064},
+      {"unsigned-divider", 20160},
+      {"alverson-divider", 8064},
+      {"exact-unsigned", 12304},
+      {"float-unsigned", 0},
+      {"dword-divider", 3936},
+      {"codegen-unsigned", 8064},
+      {"codegen-alverson", 4032},
+      {"codegen-exact-unsigned", 336},
+      {"codegen-divisibility-unsigned", 4032},
+      {"codegen-remtest-unsigned", 8000},
+      {"codegen-dword", 3936},
+      {"codegen-wide-unsigned", 0},
+      {"batch-unsigned", 0},
+      {"jit-unsigned", 8064},
+      {"fastmod-unsigned", 16128},
+      {"fastmod-divisible", 4032},
+      {"roundup-unsigned", 16128},
+      {"roundup-bounds", 206},
+      {"narrow32-unsigned", 16128},
+      {"choose-multiplier-signed", 126},
+      {"oracle-signed", 8064},
+      {"signed-divider", 24192},
+      {"floor-divider", 8064},
+      {"general-floor-divider", 8064},
+      {"ceil-divider", 4032},
+      {"convention-divider", 24192},
+      {"exact-signed", 11214},
+      {"float-signed", 0},
+      {"codegen-signed", 8064},
+      {"codegen-floor", 3968},
+      {"codegen-exact-signed", 526},
+      {"codegen-divisibility-signed", 4032},
+      {"codegen-remtest-signed", 3328},
+      {"codegen-floor-runtime", 8062},
+      {"codegen-wide-signed", 0},
+      {"batch-signed", 0},
+      {"jit-signed", 8064},
+      {"jit-floor", 3968},
+      {"fastmod-signed", 20160},
+      {"narrow32-signed", 16128},
+      {"jit-batch-unsigned", 8064},
+      {"jit-batch-signed", 8064},
+      {"jit-batch-divisible", 4032},
+      {"roundup-signed", 16128},
+  };
+  // Compiled sequences run only where the JIT does; the vector loops
+  // only where an emittable vector ISA is enabled.
+  jit::VectorIsa Isa;
+  const bool VectorJit = jit::vectorJitIsa(Isa);
+  const VerifyReport Report = verifyWidth(6);
+  ASSERT_EQ(Report.Properties.size(), Pinned.size());
+  for (const PropertyCount &P : Report.Properties) {
+    const auto It = Pinned.find(P.Name);
+    ASSERT_NE(It, Pinned.end()) << "no pinned count for " << P.Name;
+    const bool Vector = P.Name.rfind("jit-batch-", 0) == 0;
+    const bool Runs = Vector ? VectorJit
+                             : P.Name.rfind("jit-", 0) != 0 || jit::enabled();
+    EXPECT_EQ(P.Checks, Runs ? It->second : 0u) << P.Name;
+  }
 }
 
 TEST(VerifyHarness, ReportJsonShape) {
@@ -172,6 +246,7 @@ TEST(VerifyRepro, CheckOnePassesOnSuccessorFamilies) {
            "gmdiv:v1:fastmod-signed:N=16:d=-7:n=-32768:f=fastmod",
            "gmdiv:v1:roundup-unsigned:N=16:d=641:n=65535:f=roundup",
            "gmdiv:v1:roundup-bounds:N=16:d=641:n=0:f=roundup",
+           "gmdiv:v1:roundup-signed:N=16:d=-641:n=-32768:f=roundup",
            "gmdiv:v1:narrow32-unsigned:N=16:d=10:n=65535:f=narrow32",
            "gmdiv:v1:narrow32-signed:N=16:d=-10:n=-32768:f=narrow32",
        }) {
@@ -331,8 +406,8 @@ TEST(VerifyInjection, SuccessorFamilyPropertiesOwnTheirMismatches) {
 
   for (const char *Property :
        {"fastmod-unsigned", "fastmod-divisible", "fastmod-signed",
-        "roundup-unsigned", "roundup-bounds", "narrow32-unsigned",
-        "narrow32-signed"}) {
+        "roundup-unsigned", "roundup-bounds", "roundup-signed",
+        "narrow32-unsigned", "narrow32-signed"}) {
     EXPECT_GT(Report.mismatches(Property), 0u) << Property;
   }
 
