@@ -17,10 +17,10 @@
 
 #include "arch/CostModel.h"
 #include "codegen/DivisionLowering.h"
+#include "core/Divider.h"
 #include "ir/AsmPrinter.h"
 #include "ir/Builder.h"
 #include "ir/Interp.h"
-#include "jit/JitDivider.h"
 
 #include <chrono>
 #include <cstdio>
@@ -78,19 +78,16 @@ int main() {
                 Before, After, Before / After);
   }
 
-  // The 2026 version of the same integration: route each constant-
-  // divisor site through a JitDivider, so the lowered sequences run as
-  // native code instead of a cost-model estimate. On hosts without the
-  // backend both sites transparently interpret — same results, no
-  // #ifdef here.
-  const jit::JitDivider<uint32_t> ByPrime(65521);
-  const jit::JitDivider<uint32_t> By256(256);
-  std::printf("\n=== the same sites through the JIT (%s backend) ===\n",
-              ByPrime.backend());
+  // The run-time version of the same integration: when the divisor is
+  // invariant but only known at run time, precompute the Figure 4.1
+  // state once per site and run the same multiply–shift natively.
+  const UnsignedDivider<uint32_t> ByPrime(65521);
+  const UnsignedDivider<uint32_t> By256(256);
+  std::printf("\n=== the same sites through the Figure 4.1 divider ===\n");
   std::printf("  %s\n  %s\n", ByPrime.describe().c_str(),
               By256.describe().c_str());
 
-  const auto StepJit = [&](uint32_t &A0, uint32_t &B0, uint32_t In) {
+  const auto StepCore = [&](uint32_t &A0, uint32_t &B0, uint32_t In) {
     const uint32_t Byte = By256.remainder(In);
     A0 = ByPrime.remainder(A0 + Byte);
     B0 = ByPrime.remainder(B0 + A0);
@@ -107,9 +104,9 @@ int main() {
       Args[1] = B0;
       Args[2] = In;
       ir::runScratch(Frontend, Args, Scratch, Results);
-      StepJit(A0, B0, In);
+      StepCore(A0, B0, In);
       if (Results[0] != A0 || Results[1] != B0) {
-        std::printf("JIT/IR MISMATCH!\n");
+        std::printf("DIVIDER/IR MISMATCH!\n");
         return 1;
       }
     }
@@ -158,7 +155,7 @@ int main() {
         A0 = (A0 + Byte) % RtPrime;
         B0 = (B0 + A0) % RtPrime;
       });
-  const double JitNs = TimeSteps(StepJit);
+  const double CoreNs = TimeSteps(StepCore);
 
   std::printf("per checksum step over %d dependent steps:\n", Steps);
   std::printf("  %-28s %8.1f ns/step\n", "frontend IR on ir::Interp",
@@ -167,8 +164,7 @@ int main() {
               HwNs);
   std::printf("  %-28s %8.1f ns/step  (%.1fx vs interpreter, %.2fx vs "
               "hardware)\n",
-              ByPrime.usesJit() ? "JitDivider (native code)"
-                                : "JitDivider (interp fallback)",
-              JitNs, InterpNs / JitNs, HwNs / JitNs);
+              "UnsignedDivider (Fig. 4.1)", CoreNs, InterpNs / CoreNs,
+              HwNs / CoreNs);
   return 0;
 }

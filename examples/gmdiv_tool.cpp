@@ -16,10 +16,10 @@
 //                                        target assembly.
 //   gmdiv_tool jit <d> [width] [u|s|floor]
 //                                        run the JIT pipeline: print the
-//                                        scheduled IR, then the emitted
-//                                        x86-64 bytes annotated per IR
-//                                        op, then execute a few sample
-//                                        inputs against the interpreter.
+//                                        scheduled IR, then the vector
+//                                        loop's x86-64 bytes annotated
+//                                        per IR op (where the vector
+//                                        emitter takes the program).
 //   gmdiv_tool lower                     read IR with divu/divs/remu/rems
 //                                        from stdin, run the §10 pass,
 //                                        print the result.
@@ -110,9 +110,9 @@
 #include "core/ChooseMultiplier.h"
 #include "numtheory/ModArith.h"
 #include "ir/AsmPrinter.h"
+#include "ir/Interp.h"
 #include "ir/Parser.h"
 #include "jit/JitBatchDivider.h"
-#include "jit/JitDivider.h"
 #include "metrics/Exporter.h"
 #include "metrics/Exposition.h"
 #include "metrics/FlightRecorder.h"
@@ -336,6 +336,35 @@ void printAsmListing(const ir::Program &P, const std::vector<uint8_t> &Code,
   }
 }
 
+/// Why vectorJitIsa() said no, for the `jit` listings.
+constexpr const char *VectorJitOff =
+    "GMDIV_JIT_VECTOR=0, or the host cannot run the vector loops";
+
+/// Emits \p Prepared as an \p Isa vector loop and prints its annotated
+/// listing, or the emitter's bail reason. Emission is portable, so this
+/// works on any host. Returns whether the emitter took the program.
+bool printVectorLoop(const ir::Program &Prepared, jit::SeqKind Seq,
+                     long long D, int Bits, jit::VectorIsa Isa) {
+  jit::VectorEmitOptions Opts;
+  Opts.Isa = Isa;
+  const jit::VectorEmitResult Emitted =
+      jit::emitX86VectorLoop(Prepared, Opts);
+  if (!Emitted.Ok) {
+    std::printf("; vector emitter bailed: %s — arrays run on the static "
+                "kernels\n",
+                Emitted.Error.c_str());
+    return false;
+  }
+  std::printf("; %s d=%lld N=%d — %s loop, %d x %d-bit lanes, "
+              "unroll %d (%zu bytes):\n",
+              jit::seqKindName(Seq), D, Bits,
+              jit::vectorIsaName(Emitted.Shape.Isa), Emitted.Shape.Lanes,
+              Emitted.Shape.ContainerBits, Emitted.Shape.Unroll,
+              Emitted.Code.size());
+  printAsmListing(Prepared, Emitted.Code, Emitted.Lines, "loop control");
+  return true;
+}
+
 /// The `jit --batch <n>` mode body for one lane type: emit the
 /// divisor's vector loop and print its annotated listing, then
 /// cross-check the live JitBatchDivider (jitted loop + static tail)
@@ -355,32 +384,12 @@ template <typename T> int runJitBatch(T D, size_t Count) {
       jit::prepareForJit(jit::genSequence(Seq, Bits, DBits));
 
   jit::VectorIsa Isa = jit::VectorIsa::Avx2;
-  if (!jit::vectorJitIsa(Isa)) {
+  if (!jit::vectorJitIsa(Isa))
     std::printf("; vector jit unavailable (%s) — batch runs on the "
                 "static %s kernels\n",
-                !jit::hostSupported() ? "host is not x86-64"
-                : !jit::enabled()     ? "GMDIV_NO_JIT=1"
-                                      : "GMDIV_JIT_VECTOR=0 or no AVX2",
-                batch::backendName(batch::activeBackend()));
-  } else {
-    jit::VectorEmitOptions Opts;
-    Opts.Isa = Isa;
-    const jit::VectorEmitResult Emitted =
-        jit::emitX86VectorLoop(Prepared, Opts);
-    if (!Emitted.Ok) {
-      std::printf("; vector emitter bailed: %s — batch runs on the "
-                  "static kernels\n",
-                  Emitted.Error.c_str());
-    } else {
-      std::printf("; %s d=%lld N=%d — %s loop, %d x %d-bit lanes, "
-                  "unroll %d (%zu bytes):\n",
-                  jit::seqKindName(Seq), static_cast<long long>(D), Bits,
-                  jit::vectorIsaName(Emitted.Shape.Isa), Emitted.Shape.Lanes,
-                  Emitted.Shape.ContainerBits, Emitted.Shape.Unroll,
-                  Emitted.Code.size());
-      printAsmListing(Prepared, Emitted.Code, Emitted.Lines, "loop control");
-    }
-  }
+                VectorJitOff, batch::backendName(batch::activeBackend()));
+  else
+    printVectorLoop(Prepared, Seq, static_cast<long long>(D), Bits, Isa);
 
   // Live cross-check through the real front door.
   const jit::JitBatchDivider<T> Jit(D);
@@ -455,8 +464,9 @@ template <typename T> int runJitBatch(T D, size_t Count) {
 }
 
 /// A tiny deterministic workload for `metrics --exercise`: a few batch
-/// kernel calls straddling the break-even hint plus repeated JIT cache
-/// lookups, so a fresh process produces a snapshot with live series.
+/// kernel calls straddling the break-even hint plus repeated jitted
+/// batch dividers (JIT cache misses, then hits), so a fresh process
+/// produces a snapshot with live series.
 void exerciseMetrics() {
   batch::BatchDivider<uint32_t> Div(7);
   std::vector<uint32_t> In(64), Out(64);
@@ -464,10 +474,9 @@ void exerciseMetrics() {
     In[I] = static_cast<uint32_t>(I * 2654435761u);
   Div.divide(In.data(), Out.data(), In.size());
   Div.remainder(In.data(), Out.data(), 4); // Below the break-even hint.
-  for (const uint64_t D : {uint64_t{3}, uint64_t{7}, uint64_t{10}})
+  for (const uint32_t D : {3u, 7u, 10u})
     for (int Round = 0; Round < 2; ++Round) // Miss, then hit.
-      jit::compileCached(jit::CodeCache::global(),
-                         {jit::SeqKind::UDivRem, 32, D});
+      jit::JitBatchDivider<uint32_t>{D};
 }
 
 /// Checks divide and remainder of a u32, u64 or i32 entry against
@@ -1094,47 +1103,13 @@ int runCommand(int Argc, char **Argv) {
                 jit::seqKindName(Seq), static_cast<long long>(D), Width);
     std::printf("%s\n", ir::formatProgram(Prepared).c_str());
 
-    const jit::EmitResult Emitted = jit::emitX86(Prepared);
-    if (!Emitted.Ok) {
-      std::printf("; x86-64 emitter bailed: %s — runs on ir::Interp\n",
-                  Emitted.Error.c_str());
-      return 0;
-    }
-    std::printf("; x86-64 (%zu bytes):\n", Emitted.Code.size());
-    printAsmListing(Prepared, Emitted.Code, Emitted.Lines, "epilogue");
-
-    if (!jit::enabled()) {
-      std::printf("; execution disabled (%s) — runs on ir::Interp\n",
-                  jit::hostSupported() ? "GMDIV_NO_JIT=1"
-                                       : "host is not x86-64");
-      return 0;
-    }
-    // Execute a few live samples against the interpreter so the listing
-    // above is demonstrably the code that runs.
-    const auto Compiled = jit::compileCached(
-        jit::CodeCache::global(),
-        {Seq, static_cast<uint8_t>(Width), DBits});
-    if (!Compiled) {
-      std::printf("; compile failed — runs on ir::Interp\n");
-      return 0;
-    }
-    std::vector<uint64_t> Args(1), Scratch, Want, Got;
-    bool AllMatch = true;
-    for (const uint64_t In :
-         {uint64_t{100} & Mask, Mask >> 1, (Mask >> 1) + 1, Mask}) {
-      Args[0] = In;
-      ir::runScratch(Prepared, Args, Scratch, Want);
-      Compiled->callAll(In, 0, Got);
-      const bool Match = Want == Got;
-      AllMatch = AllMatch && Match;
-      std::printf("; n=0x%llx: q=0x%llx r=0x%llx (%s)\n",
-                  static_cast<unsigned long long>(In),
-                  static_cast<unsigned long long>(Got[0]),
-                  static_cast<unsigned long long>(Got.size() > 1 ? Got[1]
-                                                                 : 0),
-                  Match ? "matches ir::Interp" : "MISMATCH");
-    }
-    return AllMatch ? 0 : 1;
+    jit::VectorIsa Isa = jit::VectorIsa::Avx2;
+    const bool Runs = jit::vectorJitIsa(Isa);
+    if (printVectorLoop(Prepared, Seq, D, Width, Isa) && !Runs)
+      std::printf("; listing only: the vector jit is off (%s), so arrays "
+                  "run on the static kernels\n",
+                  VectorJitOff);
+    return 0;
   }
 
   if (Command == "service") {
@@ -1230,8 +1205,7 @@ int runCommand(int Argc, char **Argv) {
       if (!Reg.withEntry(K, [](const service::DividerEntry &) {}))
         Reg.acquire(K);
       if (I % 16 == 0)
-        jit::compileCached(jit::CodeCache::global(),
-                           {jit::SeqKind::UDivRem, 32, D});
+        jit::JitBatchDivider<uint32_t>{static_cast<uint32_t>(D)};
     }
 
     const auto PrintSketch = [](const char *What, const auto &Sketch,

@@ -47,20 +47,6 @@ constexpr size_t ceilPow2(size_t X) {
   return P;
 }
 
-/// Shape of the machine code a cached entry holds: a Scalar call-per-
-/// element function (the classic JIT) or a Vector array loop (the
-/// AVX2/AVX-512 batch JIT). Part of the cache key — the same (kind,
-/// width, divisor) triple compiles to different code per form — and the
-/// label that splits the gmdiv_jit_cache_form_* metrics.
-enum class KernelForm : uint8_t {
-  Scalar,
-  Vector,
-};
-
-inline const char *kernelFormName(KernelForm Form) {
-  return Form == KernelForm::Vector ? "vector" : "scalar";
-}
-
 /// Point-in-time counter snapshot shared by every divider cache; each
 /// owner's metrics collector exports it. Hits counts every
 /// lookup that found an entry; NegativeHits is the subset that found a

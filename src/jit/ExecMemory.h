@@ -15,8 +15,8 @@
 /// policy and its limits).
 ///
 /// The layer is POSIX-only by construction; on hosts without mmap the
-/// allocation entry point reports failure and the JIT front-ends fall
-/// back to the IR interpreter.
+/// allocation entry point reports failure and JitBatchDivider falls
+/// back to the static batch kernels.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +63,7 @@ private:
 
 /// True when this build can map and run executable buffers (POSIX mmap
 /// present). Says nothing about the instruction set — see
-/// jit::hostSupported() for the full gate.
+/// jit::vectorHostSupported() for the full gate.
 bool execMemorySupported();
 
 } // namespace jit

@@ -19,14 +19,18 @@ using namespace gmdiv::jit;
 
 namespace {
 // Vector-compile outcome counters. Registered directly rather than via
-// GMDIV_STAT so they keep counting under GMDIV_NO_TELEMETRY, and named
-// apart from the scalar gmdiv_jit_compile* family.
+// GMDIV_STAT so they keep counting under GMDIV_NO_TELEMETRY.
 metrics::Counter &vectorCompilesCounter() {
   static metrics::Counter &C = metrics::Registry::global().counter(
       "gmdiv_jit_vector_compiles_total",
       "Vector (AVX2/AVX-512) division loops compiled");
   return C;
 }
+// Registered at load, so a program that never compiles still exports the
+// family at 0: the "admission compiles no code" checks read it, and an
+// absent family would let them pass vacuously.
+[[maybe_unused]] const metrics::Counter &CompilesRegisteredAtLoad =
+    vectorCompilesCounter();
 metrics::Counter &vectorBailsCounter() {
   static metrics::Counter &C = metrics::Registry::global().counter(
       "gmdiv_jit_vector_bails_total",
@@ -40,24 +44,6 @@ metrics::Counter &vectorBytesCounter() {
   return C;
 }
 } // namespace
-
-bool gmdiv::jit::hostSupported() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return execMemorySupported();
-#else
-  return false;
-#endif
-}
-
-bool gmdiv::jit::enabled() {
-  static const bool Enabled = [] {
-    if (!hostSupported())
-      return false;
-    const char *Off = std::getenv("GMDIV_NO_JIT");
-    return !(Off && Off[0] == '1');
-  }();
-  return Enabled;
-}
 
 bool gmdiv::jit::vectorHostSupported(VectorIsa Isa) {
 #if (defined(__x86_64__) || defined(_M_X64)) &&                              \
@@ -84,13 +70,10 @@ bool gmdiv::jit::vectorJitIsa(VectorIsa &IsaOut) {
     bool On;
     VectorIsa Isa;
   };
-  // Read once, like enabled(): the knob is a process-level policy, and
-  // per-call getenv would put a libc lock on the divider-construction
-  // path.
+  // Read once: the knob is a process-level policy, and per-call getenv
+  // would put a libc lock on the divider-construction path.
   static const Policy P = [] {
     Policy Out{false, VectorIsa::Avx2};
-    if (!enabled())
-      return Out;
     const char *Env = std::getenv("GMDIV_JIT_VECTOR");
     const std::string Val = Env ? Env : "";
     if (Val == "0" || Val == "off")
@@ -109,72 +92,15 @@ bool gmdiv::jit::vectorJitIsa(VectorIsa &IsaOut) {
 }
 
 std::shared_ptr<const CompiledSequence>
-gmdiv::jit::compile(const ir::Program &P, const CompileInfo &Info,
-                    std::string *Error) {
-  GMDIV_TRACE_SPAN("jit", "compile", static_cast<uint64_t>(P.wordBits()));
-  if (!enabled()) {
-    GMDIV_STAT(jit, fallback_interp);
-    if (Error)
-      *Error = hostSupported() ? "JIT disabled (GMDIV_NO_JIT=1)"
-                               : "host is not x86-64";
-    return nullptr;
-  }
-
-  EmitResult Emitted = emitX86(P);
-  if (!Emitted.Ok) {
-    GMDIV_STAT(jit, emit_bails);
-    GMDIV_STAT(jit, fallback_interp);
-    if (Error)
-      *Error = Emitted.Error;
-    return nullptr;
-  }
-
-  std::string AllocError;
-  ExecBuffer Buffer = ExecBuffer::allocateExec(
-      Emitted.Code.data(), Emitted.Code.size(), &AllocError);
-  if (!Buffer.valid()) {
-    GMDIV_STAT(jit, fallback_interp);
-    if (Error)
-      *Error = AllocError;
-    return nullptr;
-  }
-
-  GMDIV_STAT(jit, compiles);
-  GMDIV_STAT_ADD(jit, compile_bytes, Emitted.Code.size());
-
-  if (telemetry::remarksEnabled()) {
-    telemetry::Remark R;
-    R.Pass = "jit";
-    R.Kind = "jit.compile";
-    R.CaseName = Info.CaseName.empty() ? "sequence" : Info.CaseName;
-    R.WordBits = P.wordBits();
-    R.DivisorBits = Info.DivisorBits;
-    R.IsSigned = Info.IsSigned;
-    R.HasDivisor = Info.HasDivisor;
-    R.Details.emplace_back("bytes", std::to_string(Emitted.Code.size()));
-    R.Details.emplace_back("ir_ops", std::to_string(P.operationCount()));
-    R.Details.emplace_back("x86_instrs",
-                           std::to_string(Emitted.Lines.size()));
-    telemetry::emitRemark(R);
-  }
-
-  return std::make_shared<const CompiledSequence>(
-      std::move(Buffer), P.numArgs(),
-      static_cast<int>(P.results().size()), std::move(Emitted.Lines));
-}
-
-std::shared_ptr<const CompiledSequence>
 gmdiv::jit::compileVectorLoop(const ir::Program &P,
                               const VectorEmitOptions &Opts,
                               const CompileInfo &Info, std::string *Error) {
   GMDIV_TRACE_SPAN("jit", "compile-vector",
                    static_cast<uint64_t>(P.wordBits()));
-  if (!enabled() || !vectorHostSupported(Opts.Isa)) {
+  if (!vectorHostSupported(Opts.Isa)) {
     vectorBailsCounter().inc();
     if (Error)
-      *Error = !hostSupported() ? "host is not x86-64"
-               : !enabled()     ? "JIT disabled (GMDIV_NO_JIT=1)"
-                                : "host CPU lacks the requested vector ISA";
+      *Error = "host cannot run the requested vector ISA";
     return nullptr;
   }
 
@@ -218,8 +144,6 @@ gmdiv::jit::compileVectorLoop(const ir::Program &P,
     telemetry::emitRemark(R);
   }
 
-  return std::make_shared<const CompiledSequence>(
-      std::move(Buffer), P.numArgs(),
-      static_cast<int>(P.results().size()), std::move(Emitted.Lines),
-      Emitted.Shape);
+  return std::make_shared<const CompiledSequence>(std::move(Buffer),
+                                                  Emitted.Shape);
 }

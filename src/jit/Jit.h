@@ -6,23 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The executable end of the JIT backend: compile() runs the X86Emitter
-/// over a program, places the bytes in a W^X ExecBuffer, and wraps the
-/// entry point in a CompiledSequence callable with the fixed ABI
+/// The executable end of the JIT backend: compileVectorLoop() runs the
+/// X86VectorEmitter over a program, places the bytes in a W^X
+/// ExecBuffer, and wraps the entry point in a CompiledSequence callable
+/// with the batch ABI
 ///
-///   uint64_t fn(uint64_t A0, uint64_t A1, uint64_t *Extra);
+///   uint64_t fn(const void *In, void *Out0, void *Out1, uint64_t Count);
 ///
-/// Backend selection lives here and only here (the acceptance criterion
-/// that no target #ifdef leaks into other public headers):
+/// Backend selection lives here and only here (no target #ifdef leaks
+/// into other public headers):
 ///
-///   hostSupported()  — build targets x86-64 and executable memory works
-///   enabled()        — hostSupported() and GMDIV_NO_JIT is not set
+///   vectorHostSupported(Isa) — x86-64 build, executable memory, CPUID
+///   vectorJitIsa(Isa)        — the above under the GMDIV_JIT_VECTOR knob
 ///
-/// Every successful compilation emits one "jit.compile" telemetry
-/// remark (bytes emitted, instruction counts), bumps the jit.* stats
-/// counters, and is wrapped in a ("jit", "compile") trace span. Callers
-/// that want caching go through jit::CodeCache (JitCache.h) instead of
-/// calling compile() directly.
+/// Every successful compilation emits one "jit.compile-vector"
+/// telemetry remark (bytes emitted, lanes, instruction counts), bumps
+/// the gmdiv_jit_vector_* counters, and is wrapped in a ("jit",
+/// "compile-vector") trace span. Callers that want caching go through
+/// jit::CodeCache (JitCache.h) instead of compiling directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,25 +32,14 @@
 
 #include "ir/IR.h"
 #include "jit/ExecMemory.h"
-#include "jit/X86Emitter.h"
 #include "jit/X86VectorEmitter.h"
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace gmdiv {
 namespace jit {
-
-/// True when compiled sequences can run on this host: the build targets
-/// x86-64 and the platform provides W^X executable memory.
-bool hostSupported();
-
-/// hostSupported() minus the user veto: GMDIV_NO_JIT=1 in the
-/// environment forces every front-end onto the interpreter fallback.
-/// The environment is read once, on first call.
-bool enabled();
 
 /// True when vector loops emitted for \p Isa can run here: x86-64
 /// build, executable memory, and the CPUID feature bit (AVX2, or
@@ -58,78 +48,39 @@ bool vectorHostSupported(VectorIsa Isa);
 
 /// Resolves the GMDIV_JIT_VECTOR policy against the host, once.
 /// Returns true and sets \p IsaOut when vector compilation should be
-/// attempted; false when vetoed (GMDIV_JIT_VECTOR=0, GMDIV_NO_JIT=1)
-/// or the host cannot run the result. Knob values: "0"/"off" disable,
+/// attempted; false when vetoed (GMDIV_JIT_VECTOR=0) or the host
+/// cannot run the result. Knob values: "0"/"off" disable,
 /// "avx512" pins the 512-bit emitter, "avx2" pins 256-bit; unset (or
 /// anything else) auto-selects AVX2 — 512-bit stays opt-in so shared
 /// hosts do not pay license-based frequency throttling unasked.
 bool vectorJitIsa(VectorIsa &IsaOut);
 
-/// One compiled, executable sequence. Immutable after construction;
-/// safe to call concurrently from any number of threads (the code is
-/// read-only and the ABI is pure).
+/// One compiled vector loop. Immutable after construction; safe to
+/// call concurrently from any number of threads (the code is read-only
+/// and the ABI is pure).
 class CompiledSequence {
 public:
-  using Fn = uint64_t (*)(uint64_t, uint64_t, uint64_t *);
-  /// Vector-loop ABI: fn(In, Out0, Out1, Count) -> elements processed
-  /// (a multiple of the lane count; the caller handles the tail).
+  /// fn(In, Out0, Out1, Count) -> elements processed (a multiple of the
+  /// lane count; the caller handles the tail).
   using BatchFn = uint64_t (*)(const void *, void *, void *, uint64_t);
 
-  CompiledSequence(ExecBuffer Buffer, int NumArgs, int NumResults,
-                   std::vector<AsmLine> Lines)
-      : Buffer(std::move(Buffer)), NumArgs(NumArgs), NumResults(NumResults),
-        Lines(std::move(Lines)) {}
+  CompiledSequence(ExecBuffer Buffer, VectorLoopShape Shape)
+      : Buffer(std::move(Buffer)), Shape(Shape) {}
 
-  /// Vector-loop form (compileVectorLoop): same W^X buffer discipline,
-  /// different entry ABI. fn()/call() are invalid on these; use
-  /// batchFn().
-  CompiledSequence(ExecBuffer Buffer, int NumArgs, int NumResults,
-                   std::vector<AsmLine> Lines, VectorLoopShape Shape)
-      : Buffer(std::move(Buffer)), NumArgs(NumArgs), NumResults(NumResults),
-        Lines(std::move(Lines)), IsVector(true), Shape(Shape) {}
-
-  Fn fn() const {
-    return reinterpret_cast<Fn>(const_cast<void *>(Buffer.entry()));
-  }
-  int numArgs() const { return NumArgs; }
-  int numResults() const { return NumResults; }
   size_t codeSize() const { return Buffer.codeSize(); }
-  const std::vector<AsmLine> &lines() const { return Lines; }
 
-  /// True for sequences built by compileVectorLoop; their entry point
-  /// is batchFn(), not fn().
-  bool isVectorLoop() const { return IsVector; }
   BatchFn batchFn() const {
     return reinterpret_cast<BatchFn>(const_cast<void *>(Buffer.entry()));
   }
-  /// Lane geometry of a vector loop (isa, container bits, lanes,
-  /// unroll). Meaningful only when isVectorLoop().
+  /// Lane geometry of the loop (isa, container bits, lanes, unroll).
   const VectorLoopShape &vectorShape() const { return Shape; }
-
-  /// Single-result conveniences.
-  uint64_t call(uint64_t A0) const { return fn()(A0, 0, nullptr); }
-  uint64_t call(uint64_t A0, uint64_t A1) const { return fn()(A0, A1, nullptr); }
-
-  /// General form: Results resized to numResults().
-  void callAll(uint64_t A0, uint64_t A1,
-               std::vector<uint64_t> &Results) const {
-    Results.resize(static_cast<size_t>(NumResults));
-    uint64_t Extra[8] = {};
-    Results[0] = fn()(A0, A1, Extra);
-    for (int I = 1; I < NumResults; ++I)
-      Results[static_cast<size_t>(I)] = Extra[I - 1];
-  }
 
 private:
   ExecBuffer Buffer;
-  int NumArgs;
-  int NumResults;
-  std::vector<AsmLine> Lines;
-  bool IsVector = false;
-  VectorLoopShape Shape{};
+  VectorLoopShape Shape;
 };
 
-/// Optional context for the "jit.compile" remark; all fields may be
+/// Optional context for the "jit.compile-vector" remark; all fields may be
 /// left defaulted when the caller has no divisor in hand.
 struct CompileInfo {
   std::string CaseName;      ///< e.g. "unsigned-div", "floor-mod".
@@ -138,21 +89,13 @@ struct CompileInfo {
   bool HasDivisor = false;
 };
 
-/// Compiles \p P to executable code. Returns null when the emitter
-/// bails (unsupported opcode, register pressure) or the host cannot run
-/// the result; *Error explains why. Null results are a normal outcome —
-/// callers fall back to ir::Interp.
-std::shared_ptr<const CompiledSequence>
-compile(const ir::Program &P, const CompileInfo &Info = CompileInfo(),
-        std::string *Error = nullptr);
-
 /// Compiles \p P into a full array-division loop (X86VectorEmitter):
 /// divisor constants folded into the instruction stream, unrolled main
 /// loop, batchFn() entry. Null on bail — the emitter rejects the
-/// program shape, the host lacks the ISA, or the JIT is vetoed; callers
-/// fall back to the static src/batch kernels, never the interpreter
-/// (those kernels are the same speed class). Bails/compiles/bytes are
-/// exported as gmdiv_jit_vector_*_total.
+/// program shape, the host lacks the ISA, or executable memory is
+/// refused; callers fall back to the static src/batch kernels (the same
+/// speed class). Bails/compiles/bytes are exported as
+/// gmdiv_jit_vector_*_total.
 std::shared_ptr<const CompiledSequence>
 compileVectorLoop(const ir::Program &P, const VectorEmitOptions &Opts,
                   const CompileInfo &Info = CompileInfo(),

@@ -6,20 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch counterpart of JitDivider: where batch::BatchDivider runs
-/// *static* SIMD kernels that receive the precomputed (m, sh) state as
-/// function arguments, JitBatchDivider compiles a fresh AVX2/AVX-512
-/// loop per (kind, width, divisor) triple with every constant folded
-/// into the instruction stream — no state loads, no post-shift
-/// dispatch, the Figure 4.2/5.2 special cases (power of two, pre-shift,
-/// sh1/sh2) resolved at emission time instead of per element.
+/// Array division through the compiler's pipeline run at run time:
+/// the Figure 4.2/5.2 generators (DivCodeGen), Peephole cleanup and
+/// latency-aware scheduling, then the X86VectorEmitter. Where
+/// batch::BatchDivider runs *static* SIMD kernels that receive the
+/// precomputed (m, sh) state as function arguments, JitBatchDivider
+/// compiles a fresh AVX2/AVX-512 loop per (kind, width, divisor) triple
+/// with every constant folded into the instruction stream — no state
+/// loads, no post-shift dispatch, the Figure 4.2/5.2 special cases
+/// (power of two, pre-shift, sh1/sh2) resolved at emission time instead
+/// of per element.
 ///
 ///   JitBatchDivider<uint32_t> Div(7);
 ///   Div.divide(In, Out, Count);        // jitted loop + static tail
 ///   Div.backend();                     // "jit-avx2" | static name
 ///
 /// Fallback is total and bit-for-bit: non-x86-64 hosts, CPUs without
-/// AVX2, GMDIV_NO_JIT=1, GMDIV_JIT_VECTOR=0, 8/16-bit lane types, and
+/// AVX2, GMDIV_JIT_VECTOR=0, 8/16-bit lane types, and
 /// emitter bails (e.g. a sequence that runs out of registers) all route
 /// every element through the owned batch::BatchDivider — the same
 /// kernels, the same dispatch, the same answers, proven by the
@@ -27,9 +30,9 @@
 /// multiple of the lane count and returns how many elements it handled;
 /// the remainder tail always runs through the static kernels.
 ///
-/// Compiled loops live in the same process-wide jit::CodeCache as the
-/// scalar kernels, keyed with KernelForm::Vector, so constructing many
-/// batch dividers for one divisor maps executable memory exactly once.
+/// Compiled loops live in the process-wide sharded jit::CodeCache, so
+/// constructing many batch dividers for one divisor maps executable
+/// memory exactly once, across threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,16 +40,101 @@
 #define GMDIV_JIT_JITBATCHDIVIDER_H
 
 #include "batch/BatchDivider.h"
-#include "jit/JitDivider.h"
+#include "codegen/DivCodeGen.h"
+#include "ir/Peephole.h"
+#include "ir/Scheduler.h"
+#include "jit/Jit.h"
+#include "jit/JitCache.h"
+#include "ops/Bits.h"
 
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <type_traits>
 #include <utility>
 
 namespace gmdiv {
 namespace jit {
+
+/// Latency model for scheduling JIT-bound sequences: multiplies are the
+/// long pole (3 cycles on most Table 1.1 pipelined machines), leaves
+/// are free.
+inline double jitScheduleLatency(const ir::Instr &I) {
+  switch (I.Op) {
+  case ir::Opcode::MulL:
+  case ir::Opcode::MulUH:
+  case ir::Opcode::MulSH:
+    return 3.0;
+  case ir::Opcode::Arg:
+  case ir::Opcode::Const:
+    return 0.0;
+  default:
+    return 1.0;
+  }
+}
+
+/// Copy of \p P keeping only result \p Which (Peephole then drops the
+/// now-dead instructions). Used to carve a remainder-only program out
+/// of a divRem generator.
+inline ir::Program selectResult(const ir::Program &P, size_t Which) {
+  ir::Program Out(P.wordBits(), P.numArgs());
+  for (const ir::Instr &I : P.instrs())
+    Out.append(I);
+  Out.markResult(P.results()[Which], P.resultNames()[Which]);
+  return Out;
+}
+
+/// The full pre-JIT pipeline: peephole cleanup, then critical-path
+/// scheduling. Both preserve results exactly.
+inline ir::Program prepareForJit(const ir::Program &P) {
+  return ir::scheduleProgram(ir::optimize(P), jitScheduleLatency);
+}
+
+/// Generates the (unprepared) program for one cache key. DivisorBits is
+/// the divisor's two's-complement bit pattern at \p WordBits.
+inline ir::Program genSequence(SeqKind Kind, int WordBits,
+                               uint64_t DivisorBits) {
+  const uint64_t U = DivisorBits & maskFor(WordBits);
+  // Sign-extend the pattern for the signed generators.
+  const int64_t S = signExtend64(DivisorBits, WordBits);
+  switch (Kind) {
+  case SeqKind::UDiv:
+    return codegen::genUnsignedDiv(WordBits, U);
+  case SeqKind::URem:
+    return selectResult(codegen::genUnsignedDivRem(WordBits, U), 1);
+  case SeqKind::UDivRem:
+    return codegen::genUnsignedDivRem(WordBits, U);
+  case SeqKind::SDiv:
+    return codegen::genSignedDiv(WordBits, S);
+  case SeqKind::SRem:
+    return selectResult(codegen::genSignedDivRem(WordBits, S), 1);
+  case SeqKind::SDivRem:
+    return codegen::genSignedDivRem(WordBits, S);
+  case SeqKind::FloorDivMod:
+    return codegen::genFloorDivMod(WordBits, S);
+  case SeqKind::UDivisible:
+    return codegen::genDivisibilityTestUnsigned(WordBits, U);
+  }
+  return ir::Program(WordBits, 1);
+}
+
+/// Prepares the sequence for \p Key and compiles it into a vector loop
+/// through \p Cache (compile-once per key; a bail is cached as null).
+inline std::shared_ptr<const CompiledSequence>
+compileVectorCached(CodeCache &Cache, const CacheKey &Key,
+                    const VectorEmitOptions &Opts) {
+  return Cache.getOrCompile(Key, [&] {
+    CompileInfo Info;
+    Info.CaseName = std::string("vec-") + seqKindName(Key.Kind);
+    Info.DivisorBits = Key.Divisor;
+    Info.IsSigned = isSignedKind(Key.Kind);
+    Info.HasDivisor = true;
+    return compileVectorLoop(
+        prepareForJit(genSequence(Key.Kind, Key.WordBits, Key.Divisor)),
+        Opts, Info);
+  });
+}
 
 /// Array division by a run-time invariant divisor through
 /// runtime-emitted vector loops. T is one of {u,i}{8,16,32,64}; only
@@ -80,16 +168,16 @@ public:
     const SeqKind RemKind = IsSigned ? SeqKind::SRem : SeqKind::URem;
     const SeqKind BothKind = IsSigned ? SeqKind::SDivRem : SeqKind::UDivRem;
     DivSeq = compileVectorCached(
-        Cache, {DivKind, W, Bits, cache::KernelForm::Vector}, Opts);
+        Cache, {DivKind, W, Bits}, Opts);
     RemSeq = compileVectorCached(
-        Cache, {RemKind, W, Bits, cache::KernelForm::Vector}, Opts);
+        Cache, {RemKind, W, Bits}, Opts);
     BothSeq = compileVectorCached(
-        Cache, {BothKind, W, Bits, cache::KernelForm::Vector}, Opts);
+        Cache, {BothKind, W, Bits}, Opts);
     if (!IsSigned) {
       VectorEmitOptions ByteOpts = Opts;
       ByteOpts.ByteResult0 = true; // Out0 is a uint8_t 0/1 stream.
       DivisibleSeq = compileVectorCached(
-          Cache, {SeqKind::UDivisible, W, Bits, cache::KernelForm::Vector},
+          Cache, {SeqKind::UDivisible, W, Bits},
           ByteOpts);
     }
   }

@@ -38,10 +38,6 @@ const char *gmdiv::jit::seqKindName(SeqKind Kind) {
     return "srem";
   case SeqKind::SDivRem:
     return "sdivrem";
-  case SeqKind::FloorDiv:
-    return "floordiv";
-  case SeqKind::FloorMod:
-    return "floormod";
   case SeqKind::FloorDivMod:
     return "floordivmod";
   case SeqKind::UDivisible:
@@ -51,10 +47,7 @@ const char *gmdiv::jit::seqKindName(SeqKind Kind) {
 }
 
 std::string gmdiv::jit::describeCacheKey(const CacheKey &Key) {
-  std::string Out;
-  if (Key.Form == cache::KernelForm::Vector)
-    Out += "vec-";
-  Out += seqKindName(Key.Kind);
+  std::string Out = seqKindName(Key.Kind);
   const bool Signed = isSignedKind(Key.Kind);
   Out += Signed ? "/i" : "/u";
   Out += std::to_string(static_cast<unsigned>(Key.WordBits));
@@ -84,16 +77,14 @@ CodeCache::getOrCompile(const CacheKey &Key, const Compiler &Compile) {
   const size_t ShardIndex = shardIndexFor(Key);
   Shard &S = Shards[ShardIndex];
   // Every requested key feeds the heavy-hitter sketch (hits included):
-  // this path runs per JitDivider construction, not per divide.
+  // this path runs per divider construction, not per divide.
   HotKeys.offer(Key);
   std::lock_guard<std::mutex> Lock(S.Mutex);
 
-  const size_t Form = static_cast<size_t>(Key.Form);
   auto Found = S.Map.find(Key);
   if (Found != S.Map.end()) {
     S.Lru.splice(S.Lru.begin(), S.Lru, Found->second);
     ++S.Hits;
-    ++S.FormHits[Form];
     if (!Found->second->Seq)
       ++S.NegativeHits;
     return Found->second->Seq;
@@ -103,7 +94,6 @@ CodeCache::getOrCompile(const CacheKey &Key, const Compiler &Compile) {
   // exactly once even when several threads race to it. Contending keys
   // on *other* shards proceed unblocked.
   ++S.Misses;
-  ++S.FormMisses[Form];
   std::shared_ptr<const CompiledSequence> Seq;
   {
     GMDIV_TRACE_SPAN("jit", "cache-miss", Key.Divisor);
@@ -116,7 +106,6 @@ CodeCache::getOrCompile(const CacheKey &Key, const Compiler &Compile) {
   S.Lru.push_front(Entry{Key, Seq});
   S.Map[Key] = S.Lru.begin();
   ++S.Inserts;
-  ++S.FormInserts[Form];
   if (S.Lru.size() > ShardCapacity) {
     const Entry &Oldest = S.Lru.back();
     S.Map.erase(Oldest.Key);
@@ -140,18 +129,6 @@ std::vector<cache::CacheStats> CodeCache::shardStats() const {
     Row.Entries = S.Lru.size();
     Row.Capacity = ShardCapacity;
     Out.push_back(Row);
-  }
-  return Out;
-}
-
-cache::CacheStats CodeCache::formStats(cache::KernelForm Form) const {
-  const size_t F = static_cast<size_t>(Form);
-  cache::CacheStats Out;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(const_cast<std::mutex &>(S.Mutex));
-    Out.Hits += S.FormHits[F];
-    Out.Misses += S.FormMisses[F];
-    Out.Inserts += S.FormInserts[F];
   }
   return Out;
 }
@@ -207,22 +184,6 @@ void CodeCache::collect(metrics::SnapshotBuilder &B) const {
     Total.Misses += Row.Misses;
     Total.Entries += Row.Entries;
     Total.Capacity += Row.Capacity;
-  }
-  // Scalar call-per-element kernels vs vector array loops, separable in
-  // Prometheus by the form label.
-  for (cache::KernelForm F :
-       {cache::KernelForm::Scalar, cache::KernelForm::Vector}) {
-    const cache::CacheStats FS = formStats(F);
-    const metrics::LabelSet L = {{"form", cache::kernelFormName(F)}};
-    B.counter(P + "_form_hits_total",
-              "Cache hits split by kernel form (scalar vs vector)", L,
-              static_cast<double>(FS.Hits));
-    B.counter(P + "_form_misses_total",
-              "Cache misses split by kernel form (scalar vs vector)", L,
-              static_cast<double>(FS.Misses));
-    B.counter(P + "_form_inserts_total",
-              "Cache inserts split by kernel form (scalar vs vector)", L,
-              static_cast<double>(FS.Inserts));
   }
   B.gauge(P + "_entries", "Entries resident across all shards", {},
           static_cast<double>(Total.Entries));

@@ -16,13 +16,13 @@
 /// lock; latecomers block briefly and then share the entry).
 ///
 /// Entries are shared_ptr handles: eviction drops the cache's
-/// reference, never the code — a JitDivider holding an evicted sequence
-/// keeps calling it safely, and the pages unmap when the last holder
-/// goes away.
+/// reference, never the code — a JitBatchDivider holding an evicted
+/// loop keeps calling it safely, and the pages unmap when the last
+/// holder goes away.
 ///
 /// Compilation *failures* are cached too (as null entries), so a
-/// sequence the emitter bails on — e.g. the runtime-divisor DivS
-/// program — is attempted once, not per call.
+/// program the vector emitter bails on is attempted once, not per
+/// divider construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +47,8 @@ namespace gmdiv {
 namespace jit {
 
 /// Which lowering a cached sequence implements. Part of the cache key:
-/// the same divisor yields different programs for divide vs divRem vs
-/// floor-mod.
+/// the same divisor yields different programs for divide vs remainder
+/// vs divRem.
 enum class SeqKind : uint8_t {
   UDiv,
   URem,
@@ -56,12 +56,8 @@ enum class SeqKind : uint8_t {
   SDiv,
   SRem,
   SDivRem,
-  FloorDiv,
-  FloorMod,
-  FloorDivMod,
-  /// §9 branch-free "d divides n" filter (unsigned); appended after the
-  /// original kinds so persisted describeCacheKey output stays stable.
-  UDivisible,
+  FloorDivMod, ///< Figure 6.1 (listed by `gmdiv_tool jit <d> <w> floor`).
+  UDivisible,  ///< §9 branch-free "d divides n" filter (unsigned).
 };
 
 const char *seqKindName(SeqKind Kind);
@@ -69,25 +65,22 @@ const char *seqKindName(SeqKind Kind);
 /// True for the kinds whose operands are signed (trunc and floor).
 constexpr bool isSignedKind(SeqKind Kind) {
   return Kind == SeqKind::SDiv || Kind == SeqKind::SRem ||
-         Kind == SeqKind::SDivRem || Kind == SeqKind::FloorDiv ||
-         Kind == SeqKind::FloorMod || Kind == SeqKind::FloorDivMod;
+         Kind == SeqKind::SDivRem || Kind == SeqKind::FloorDivMod;
 }
 
 /// "udiv/u32/7": the human form used by the top-K exposition and
 /// `gmdiv_tool top`.
 std::string describeCacheKey(const struct CacheKey &Key);
 
-/// (op-kind, width, divisor bit pattern, kernel form). Form defaults to
-/// Scalar so pre-vector call sites keep their aggregate-initializers.
+/// (op-kind, width, divisor bit pattern).
 struct CacheKey {
   SeqKind Kind;
   uint8_t WordBits;
   uint64_t Divisor;
-  cache::KernelForm Form = cache::KernelForm::Scalar;
 
   bool operator==(const CacheKey &Other) const {
     return Kind == Other.Kind && WordBits == Other.WordBits &&
-           Divisor == Other.Divisor && Form == Other.Form;
+           Divisor == Other.Divisor;
   }
 };
 
@@ -96,7 +89,6 @@ struct CacheKeyHash {
     // splitmix64-style mix over the packed key (cache::mixBits).
     return static_cast<size_t>(cache::mixBits(
         Key.Divisor ^ (static_cast<uint64_t>(Key.WordBits) << 8) ^
-        (static_cast<uint64_t>(Key.Form) << 16) ^
         static_cast<uint64_t>(Key.Kind)));
   }
 };
@@ -113,17 +105,12 @@ public:
   /// Returns the cached sequence for \p Key, compiling it with
   /// \p Compile on first request. The returned handle may be null when
   /// compilation failed (cached negative result) — callers fall back to
-  /// the interpreter.
+  /// the static batch kernels.
   std::shared_ptr<const CompiledSequence> getOrCompile(const CacheKey &Key,
                                                        const Compiler &Compile);
 
   /// Aggregate over every shard.
   cache::CacheStats stats() const;
-  /// Hit/miss totals for one kernel form only (scalar vs vector keys),
-  /// summed over shards; the other CacheStats fields stay zero. This is
-  /// what lets tests assert "second vector construction = pure hits, no
-  /// new inserts".
-  cache::CacheStats formStats(cache::KernelForm Form) const;
   /// Per-shard counters, index = shard number. The hit-rate telemetry
   /// the metrics plane exposes per shard comes from here.
   std::vector<cache::CacheStats> shardStats() const;
@@ -151,8 +138,8 @@ public:
   /// safe to export under their own prefix.
   void exportMetrics(const std::string &Prefix);
 
-  /// The process-wide cache all JitDivider instances share; exported
-  /// to the metrics registry as gmdiv_jit_cache_*.
+  /// The process-wide cache all JitBatchDivider instances share;
+  /// exported to the metrics registry as gmdiv_jit_cache_*.
   static CodeCache &global();
 
 private:
@@ -172,11 +159,6 @@ private:
     uint64_t NegativeHits = 0;
     uint64_t Evictions = 0;
     uint64_t Inserts = 0;
-    // Per-kernel-form splits of Hits/Misses/Inserts, indexed by
-    // cache::KernelForm. Scalar + Vector == the totals above.
-    uint64_t FormHits[2] = {};
-    uint64_t FormMisses[2] = {};
-    uint64_t FormInserts[2] = {};
   };
 
   Shard &shardFor(const CacheKey &Key) {
@@ -191,8 +173,8 @@ private:
   std::vector<Shard> Shards;
   size_t ShardCapacity;
   /// Hottest sequence keys; capacity from GMDIV_TOPK (default 32).
-  /// getOrCompile is a per-JitDivider-construction path, not
-  /// per-divide, so the sketch mutex is uncontended in practice.
+  /// getOrCompile is a per-divider-construction path, not per-divide,
+  /// so the sketch mutex is uncontended in practice.
   prof::TopK<CacheKey, CacheKeyHash> HotKeys{prof::topKCapacityFromEnv(32)};
   /// Compile latency in ns: one histogram per shard plus the aggregate
   /// (each compile records into both; compiles are rare).

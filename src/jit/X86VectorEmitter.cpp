@@ -102,7 +102,7 @@ const VOp VPACKUSWB{"vpackuswb", 1, 1, 0x67, 0};
 const VOp VPACKUSDW{"vpackusdw", 2, 1, 0x2B, 0};
 const VOp VPERMD{"vpermd", 2, 1, 0x36, 0}; // vvvv = index, rm = source.
 
-/// Byte buffer plus annotated listing, mirroring the scalar emitter's Asm.
+/// Byte buffer plus annotated listing (one AsmLine per instruction).
 /// Evex switches every width-following emitter between VEX.256/ymm and
 /// EVEX.512/zmm; the VEX.128 helpers (constant materialization, pack
 /// stores) stay VEX — 128-bit VEX ops zero bits 128..MAXVL, so mixing

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Translates a straight-line ir::Program into a full x86-64 SIMD *loop*
-/// over contiguous arrays — the fusion of the scalar JIT (src/jit) with
-/// the static batch kernels (src/batch). Where X86Emitter compiles one
-/// call per dividend, this emitter compiles
+/// over contiguous arrays: the Figure 4.2/5.2 compile-time sequences
+/// fused with the static batch kernels (src/batch). This emitter
+/// compiles
 ///
 ///   uint64_t fn(const void *In  /*rdi*/, void *Out0 /*rsi*/,
 ///               void *Out1 /*rdx*/, uint64_t Count /*rcx*/);
@@ -35,9 +35,10 @@
 /// N = 4..12 sweeps exercise this emitter's real code paths, not a
 /// stand-in.
 ///
-/// Like X86Emitter, emission is portable C++ and never throws; it bails
-/// (Ok == false, no partial code) on programs it does not handle, and
-/// callers treat a bail as "use the static kernels".
+/// Emission is portable C++ (bytes into a vector, runnable on any build
+/// host) and never throws; it bails (Ok == false, no partial code) on
+/// programs it does not handle, and callers treat a bail as "use the
+/// static kernels".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +46,6 @@
 #define GMDIV_JIT_X86VECTOREMITTER_H
 
 #include "ir/IR.h"
-#include "jit/X86Emitter.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -54,6 +54,16 @@
 
 namespace gmdiv {
 namespace jit {
+
+/// One emitted x86 instruction, for listings: byte range inside the
+/// code buffer, owning IR value index (-1 for prologue and loop
+/// control), and an Intel-syntax rendering.
+struct AsmLine {
+  int IrIndex = -1;
+  size_t Offset = 0;
+  size_t NumBytes = 0;
+  std::string Text;
+};
 
 /// Vector instruction set the loop targets. Avx512 uses 512-bit zmm
 /// registers with EVEX encoding (registers 0-15, no masking). Its

@@ -10,8 +10,8 @@
 // mismatches into repro strings, statistics and telemetry remarks); and
 // one DivisorChecker<UWord> template that owns every divider and
 // generated program for a single (width, d) and checks them in three
-// generic shapes: scalar dividers, generated programs (with their JIT
-// twins) and array kernels. verifyWidth, the fuzzer and checkOne all
+// generic shapes: scalar dividers, generated programs and array kernels
+// (static and JIT-compiled). verifyWidth, the fuzzer and checkOne all
 // run the checker's passes, so they cannot drift apart.
 //
 //===----------------------------------------------------------------------===//
@@ -33,7 +33,6 @@
 #include "core/RemModSemantics.h"
 #include "ir/Interp.h"
 #include "jit/JitBatchDivider.h"
-#include "jit/JitDivider.h"
 #include "metrics/Metrics.h"
 #include "ops/Bits.h"
 #include "ops/SmallWord.h"
@@ -88,7 +87,8 @@ struct PropertyRow {
   constexpr bool hasN2() const { return Runs == Pass::Dword; }
 };
 
-/// Row order is report order and is append-only.
+/// Row order is report order: rows are appended (or deleted with the
+/// code they check), never reordered.
 constexpr PropertyRow Table[] = {
     {"choose-multiplier-unsigned", false, Pass::Divisor},
     {"oracle-unsigned", false, Pass::Dividend},
@@ -105,7 +105,6 @@ constexpr PropertyRow Table[] = {
     {"codegen-dword", false, Pass::Dword},
     {"codegen-wide-unsigned", false, Pass::Dividend},
     {"batch-unsigned", false, Pass::Array},
-    {"jit-unsigned", false, Pass::Dividend},
     {"fastmod-unsigned", false, Pass::Dividend, "fastmod"},
     {"fastmod-divisible", false, Pass::Dividend, "fastmod"},
     {"roundup-unsigned", false, Pass::Dividend, "roundup"},
@@ -128,8 +127,6 @@ constexpr PropertyRow Table[] = {
     {"codegen-floor-runtime", true, Pass::Dividend},
     {"codegen-wide-signed", true, Pass::Dividend},
     {"batch-signed", true, Pass::Array},
-    {"jit-signed", true, Pass::Dividend},
-    {"jit-floor", true, Pass::Dividend},
     {"fastmod-signed", true, Pass::Dividend, "fastmod"},
     {"narrow32-signed", true, Pass::Dividend, "narrow32"},
     {"jit-batch-unsigned", false, Pass::Array},
@@ -333,8 +330,8 @@ bool widthSupported(int WordBits) {
 enum class Guard : uint8_t { Always, Divisible, NoOverflow };
 
 /// Everything the harness knows how to check for one (width, divisor):
-/// scalar dividers, generated sequences through the IR interpreter (and
-/// JIT-compiled), and the array kernels — all against the Oracle.
+/// scalar dividers, generated sequences through the IR interpreter, and
+/// the array kernels (static and jitted) — all against the Oracle.
 template <typename UWordT> class DivisorChecker {
 public:
   using UWord = UWordT;
@@ -660,15 +657,13 @@ private:
 
   /// A generated program, judged by Oracle fields of its row's signedness
   /// when \p When holds (operands and results extended to a wider program
-  /// word); with a JitRow it also runs JIT-compiled, tallied there.
+  /// word).
   struct ProgramRow {
     int Row;
     ir::Program Prog;
     Field Results[2];
     Guard When = Guard::Always;
     uint64_t RemIs = 0; ///< The r of Field::TruncRIs.
-    int JitRow = -1;
-    std::shared_ptr<const jit::CompiledSequence> Jit = nullptr;
   };
 
   ProgramRow &addProgram(int Row, ir::Program Prog, Field R0,
@@ -679,8 +674,7 @@ private:
   void addPrograms() {
     using F = Field;
     addProgram(row("codegen-unsigned"), codegen::genUnsignedDivRem(W, DBits),
-               F::TruncQ, F::TruncR)
-        .JitRow = row("jit-unsigned");
+               F::TruncQ, F::TruncR);
     addProgram(row("codegen-alverson"),
                codegen::genUnsignedDivAlverson(W, DBits), F::TruncQ);
     addProgram(row("codegen-exact-unsigned"),
@@ -697,12 +691,10 @@ private:
     if (DBits >= 2)
       AddRemTest(DBits - 1);
     addProgram(row("codegen-signed"), codegen::genSignedDivRem(W, DSigned),
-               F::TruncQ, F::TruncR)
-        .JitRow = row("jit-signed");
+               F::TruncQ, F::TruncR);
     if (DSigned > 0)
       addProgram(row("codegen-floor"), codegen::genFloorDivMod(W, DSigned),
-                 F::FloorQ, F::FloorR)
-          .JitRow = row("jit-floor");
+                 F::FloorQ, F::FloorR);
     addProgram(row("codegen-exact-signed"),
                codegen::genExactSignedDiv(W, DSigned), F::TruncQ)
         .When = Guard::Divisible;
@@ -726,24 +718,9 @@ private:
                  codegen::genSignedDivWide(W, 64, DSigned), F::TruncQ)
           .When = Guard::NoOverflow;
     }
-
-    // JIT twins (full Peephole + Scheduler + emitter pipeline). Without
-    // the backend (or under GMDIV_NO_JIT=1) the jit-* rows record zero
-    // checks; the interpreter runs still cover the sequences.
-    if (jit::enabled())
-      for (ProgramRow &P : Programs)
-        if (P.JitRow >= 0)
-          P.Jit = jit::compile(jit::prepareForJit(P.Prog),
-                               jitInfo(Table[P.JitRow].Name, P.Row));
   }
 
-  /// Remark context for JIT-compiling one of this divisor's sequences.
-  jit::CompileInfo jitInfo(std::string_view Name, int Row) const {
-    return {"verify-" + std::string(Name), DBits, Table[Row].IsSigned,
-            /*HasDivisor=*/true};
-  }
-
-  /// Every generated program (and JIT twin) on the current dividend.
+  /// Every generated program on the current dividend.
   void checkPrograms() {
     for (const ProgramRow &P : Programs) {
       const bool Signed = Table[P.Row].IsSigned;
@@ -757,18 +734,11 @@ private:
       };
       Args.assign({Extended(NBits), Extended(DBits)});
       Args.resize(static_cast<size_t>(P.Prog.numArgs()));
-      const auto Compare = [&](int Row) {
-        for (int I = 0; I < 2; ++I)
-          if (P.Results[I] != Field::None)
-            check(Row, Extended(expected(P.Results[I], Ref, P.RemIs)),
-                  Results[I]);
-      };
       ir::runScratch(P.Prog, Args, Scratch, Results);
-      Compare(P.Row);
-      if (P.Jit) {
-        P.Jit->callAll(Args[0], 0, Results);
-        Compare(P.JitRow);
-      }
+      for (int I = 0; I < 2; ++I)
+        if (P.Results[I] != Field::None)
+          check(P.Row, Extended(expected(P.Results[I], Ref, P.RemIs)),
+                Results[I]);
     }
   }
 
@@ -843,7 +813,8 @@ private:
     Opts.ByteResult0 = std::is_same_v<Out0T, uint8_t>;
     const auto Loop = jit::compileVectorLoop(
         jit::prepareForJit(jit::genSequence(Kind, W, DBits)), Opts,
-        jitInfo(std::string("vec-") + jit::seqKindName(Kind), Row));
+        {"verify-vec-" + std::string(jit::seqKindName(Kind)), DBits,
+         Table[Row].IsSigned, /*HasDivisor=*/true});
     if (Loop)
       checkLanes<Elem, Out0T>(
           Row, Ns, Loop->vectorShape().Lanes, F0, F1,

@@ -153,6 +153,29 @@ INSTANTIATE_TEST_SUITE_P(RandomDivisors, UnsignedDivisorMatrix,
 
 class SignedDivisorMatrix : public ::testing::TestWithParam<int32_t> {};
 
+/// K * D with two's-complement wrap, computed in uint32_t: 2 * D, -2 * D
+/// and -D overflow int32_t for |D| >= 2^30 (and -D for INT_MIN).
+int32_t wrapScale(int32_t K, int32_t D) {
+  return static_cast<int32_t>(static_cast<uint32_t>(K) *
+                              static_cast<uint32_t>(D));
+}
+
+std::vector<int32_t> signedDividends(int32_t D) {
+  std::vector<int32_t> Values = {0,
+                                 1,
+                                 -1,
+                                 D,
+                                 wrapScale(-1, D),
+                                 wrapScale(2, D),
+                                 wrapScale(-2, D),
+                                 0x7fffffff,
+                                 static_cast<int32_t>(0x80000001),
+                                 std::numeric_limits<int32_t>::min()};
+  for (int I = 0; I < 200; ++I)
+    Values.push_back(static_cast<int32_t>(rng()()));
+  return Values;
+}
+
 TEST_P(SignedDivisorMatrix, AllImplementationsAgree32) {
   const int32_t D = GetParam();
   const SignedDivider<int32_t> Divider(D);
@@ -162,12 +185,7 @@ TEST_P(SignedDivisorMatrix, AllImplementationsAgree32) {
   UOnly.MulHigh = codegen::MulHighCapability::UnsignedOnly;
   const ir::Program UnsignedOnly = codegen::genSignedDiv(32, D, UOnly);
 
-  std::vector<int32_t> Dividends = {0,     1,      -1,    D,     -D,
-                                    2 * D, -2 * D, 0x7fffffff,
-                                    static_cast<int32_t>(0x80000001),
-                                    std::numeric_limits<int32_t>::min()};
-  for (int I = 0; I < 200; ++I)
-    Dividends.push_back(static_cast<int32_t>(rng()()));
+  const std::vector<int32_t> Dividends = signedDividends(D);
 
   for (int32_t N : Dividends) {
     if (N == std::numeric_limits<int32_t>::min() && D == -1)
@@ -191,7 +209,7 @@ TEST_P(SignedDivisorMatrix, FloorFamilyConsistent32) {
   const FloorDivider<int32_t> Floor(D);
   const GeneralFloorDivider<int32_t> General(D);
   const CeilDivider<int32_t> Ceil(D);
-  std::vector<int32_t> Dividends = {0, 1, -1, D, -D,
+  std::vector<int32_t> Dividends = {0, 1, -1, D, wrapScale(-1, D),
                                     std::numeric_limits<int32_t>::min(),
                                     std::numeric_limits<int32_t>::max()};
   for (int I = 0; I < 200; ++I)
@@ -228,12 +246,7 @@ TEST_P(SignedDivisorMatrix, SuccessorFamiliesAgree32) {
   const FastModSignedDivider<int32_t> FM(D);
   const NarrowSignedDivider<int32_t> Nar(D);
 
-  std::vector<int32_t> Dividends = {0,     1,      -1,    D,     -D,
-                                    2 * D, -2 * D, 0x7fffffff,
-                                    static_cast<int32_t>(0x80000001),
-                                    std::numeric_limits<int32_t>::min()};
-  for (int I = 0; I < 200; ++I)
-    Dividends.push_back(static_cast<int32_t>(rng()()));
+  const std::vector<int32_t> Dividends = signedDividends(D);
 
   for (int32_t N : Dividends) {
     const verify::DivRef R = Ref.ref(static_cast<uint32_t>(N));
@@ -242,8 +255,9 @@ TEST_P(SignedDivisorMatrix, SuccessorFamiliesAgree32) {
     // Figure 5.1 leaves INT_MIN / -1 unspecified; the successor
     // wrappers commit to the Oracle's wrap policy, so only the GM
     // comparison skips the overflow row.
-    if (!R.Overflow)
+    if (!R.Overflow) {
       ASSERT_EQ(GM.divide(N), WantQ) << "gm, n=" << N;
+    }
     ASSERT_EQ(FM.divide(N), WantQ) << "fastmod-signed, n=" << N;
     ASSERT_EQ(FM.remainder(N), WantR) << "fastmod-signed rem, n=" << N;
     ASSERT_EQ(FM.isDivisible(N), R.Divisible)

@@ -210,8 +210,12 @@ TEST(ExactSignedDivider, Random64) {
                                static_cast<int64_t>(AbsD == 0 ? 1 : AbsD));
       if (QMax == 0)
         continue;
-      const int64_t Q =
-          static_cast<int64_t>(rng()()) % (QMax + 1);
+      // For |d| = 1, QMax + 1 would overflow; the whole draw is then in
+      // range.
+      const int64_t Draw = static_cast<int64_t>(rng()());
+      const int64_t Q = QMax == std::numeric_limits<int64_t>::max()
+                            ? Draw
+                            : Draw % (QMax + 1);
       ASSERT_EQ(Divider.divideExact(Q * D), Q) << "q=" << Q << " d=" << D;
       const int64_t N = static_cast<int64_t>(rng()());
       ASSERT_EQ(Divider.isDivisible(N), N % D == 0)

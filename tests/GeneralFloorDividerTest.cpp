@@ -29,6 +29,15 @@ int64_t refFloorDiv(int64_t N, int64_t D) {
   return Quotient;
 }
 
+/// n - d*floor(n/d), the (6.2) modulo, computed in uint64_t: the
+/// product d*floor(n/d) can leave int64_t even though the difference
+/// cannot.
+int64_t refFloorMod(int64_t N, int64_t D) {
+  return static_cast<int64_t>(static_cast<uint64_t>(N) -
+                              static_cast<uint64_t>(D) *
+                                  static_cast<uint64_t>(refFloorDiv(N, D)));
+}
+
 TEST(GeneralFloorDivider, Exhaustive8) {
   for (int D = -128; D < 128; ++D) {
     if (D == 0)
@@ -77,7 +86,7 @@ TEST(GeneralFloorDivider, Random32And64) {
         continue;
       ASSERT_EQ(Divider.divide(N), refFloorDiv(N, D))
           << "n=" << N << " d=" << D;
-      ASSERT_EQ(Divider.modulo(N), N - D * refFloorDiv(N, D))
+      ASSERT_EQ(Divider.modulo(N), refFloorMod(N, D))
           << "n=" << N << " d=" << D;
     }
   }

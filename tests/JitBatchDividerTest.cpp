@@ -13,8 +13,8 @@
 /// property the header promises — constructing a second divider for the
 /// same divisor maps no new executable memory.
 ///
-/// Every test also runs meaningfully with the jit off (GMDIV_NO_JIT=1
-/// or GMDIV_JIT_VECTOR=0 CI legs): the differential checks then prove
+/// Every test also runs meaningfully with the jit off (the
+/// GMDIV_JIT_VECTOR=0 CI leg): the differential checks then prove
 /// the fallback path is bit-for-bit the static kernels, and the
 /// jit-specific assertions gate on vectorJitIsa(). The oracle-backed
 /// sweeps (exhaustive N = 4..12, fuzzing at 16/32/64) run under
@@ -48,7 +48,7 @@ std::mt19937_64 &rng() {
 
 /// Whether this lane type should end up on the jitted path in this
 /// process (narrower lanes always fall back; wider ones follow the
-/// GMDIV_NO_JIT / GMDIV_JIT_VECTOR / CPUID gate).
+/// GMDIV_JIT_VECTOR / CPUID gate).
 template <typename T> bool expectJitted() {
   jit::VectorIsa Isa;
   return sizeof(T) >= 4 && jit::vectorJitIsa(Isa);
@@ -167,7 +167,7 @@ TEST(JitBatchDivider, DivisibleMatrix) {
 /// filter), so this is the one place SltS loops run.
 TEST(JitBatchDivider, CompareLoopsMatchInterpreterOnEveryIsa) {
   for (jit::VectorIsa Isa : {jit::VectorIsa::Avx2, jit::VectorIsa::Avx512}) {
-    if (!jit::enabled() || !jit::vectorHostSupported(Isa))
+    if (!jit::vectorHostSupported(Isa))
       continue;
     for (int W : {8, 13, 32, 64}) {
       const uint64_t Mask = W == 64 ? ~uint64_t{0} : (uint64_t{1} << W) - 1;
@@ -236,8 +236,9 @@ TEST(JitBatchDivider, BackendNameMatchesPath) {
     EXPECT_TRUE(std::string(Div.backend()).rfind("jit-", 0) == 0)
         << Div.backend();
     EXPECT_GT(Div.lanes(), 0u);
-    EXPECT_NE(Div.compiledDivide(), nullptr);
-    EXPECT_TRUE(Div.compiledDivide()->isVectorLoop());
+    ASSERT_NE(Div.compiledDivide(), nullptr);
+    EXPECT_EQ(static_cast<size_t>(Div.compiledDivide()->vectorShape().Lanes),
+              Div.lanes());
   } else {
     EXPECT_EQ(Div.lanes(), 0u);
     EXPECT_EQ(Div.compiledDivide(), nullptr);
@@ -270,7 +271,7 @@ TEST(JitBatchDivider, SecondConstructionIsAllCacheHits) {
   jit::CodeCache Cache(4, 64);
   const jit::JitBatchDivider<uint32_t> First(1234567, Cache);
   ASSERT_TRUE(First.usesJit());
-  const cache::CacheStats After1 = Cache.formStats(cache::KernelForm::Vector);
+  const cache::CacheStats After1 = Cache.stats();
   // div + rem + divRem + divisible, every one a fresh compile.
   EXPECT_EQ(After1.Misses, After1.Inserts);
   EXPECT_GE(After1.Inserts, 3u);
@@ -278,17 +279,13 @@ TEST(JitBatchDivider, SecondConstructionIsAllCacheHits) {
 
   const jit::JitBatchDivider<uint32_t> Second(1234567, Cache);
   EXPECT_TRUE(Second.usesJit());
-  const cache::CacheStats After2 = Cache.formStats(cache::KernelForm::Vector);
+  const cache::CacheStats After2 = Cache.stats();
   // The headline property: no new compiles, no new executable mappings.
   EXPECT_EQ(After2.Inserts, After1.Inserts);
   EXPECT_EQ(After2.Misses, After1.Misses);
   EXPECT_EQ(After2.Hits, After1.Misses);
   // Same code, not merely equivalent code.
   EXPECT_EQ(Second.compiledDivide(), First.compiledDivide());
-
-  // The scalar form's counters never moved: the two forms are split.
-  const cache::CacheStats Scalar = Cache.formStats(cache::KernelForm::Scalar);
-  EXPECT_EQ(Scalar.Hits + Scalar.Misses + Scalar.Inserts, 0u);
 }
 
 TEST(JitBatchDivider, SignedFloorCeilRouteToStaticKernels) {

@@ -11,13 +11,13 @@
 /// and eviction that drops the cache's reference without invalidating
 /// handles already held. The mechanics tests drive the cache with a
 /// counting stand-in compiler so they run identically on hosts without
-/// the x86-64 backend; the execution tests gate on jit::enabled().
+/// the x86-64 backend; the execution tests gate on jit::vectorJitIsa().
 ///
 //===----------------------------------------------------------------------===//
 
 #include "jit/JitCache.h"
 
-#include "jit/JitDivider.h"
+#include "jit/JitBatchDivider.h"
 #include "metrics/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -34,8 +34,8 @@ namespace {
 /// A distinct (never-executed) sequence object, so pointer identity
 /// distinguishes "shared" from "recompiled".
 std::shared_ptr<const CompiledSequence> makeDummy() {
-  return std::make_shared<const CompiledSequence>(ExecBuffer(), 1, 1,
-                                                  std::vector<AsmLine>());
+  return std::make_shared<const CompiledSequence>(ExecBuffer(),
+                                                  VectorLoopShape());
 }
 
 TEST(JitCache, CompileOncePerKey) {
@@ -58,42 +58,6 @@ TEST(JitCache, CompileOncePerKey) {
   EXPECT_EQ(Stats.Entries, 1u);
 }
 
-TEST(JitCache, ScalarAndVectorFormsAreDistinctKeys) {
-  // The vector JIT shares the cache with the scalar kernels; the Form
-  // field keeps a divisor's loop and its call-per-element sequence from
-  // shadowing each other.
-  CodeCache Cache(4, 8);
-  const CacheKey Scalar{SeqKind::UDivRem, 32, 7};
-  const CacheKey Vector{SeqKind::UDivRem, 32, 7, cache::KernelForm::Vector};
-  EXPECT_FALSE(Scalar == Vector);
-
-  std::atomic<int> Compiles{0};
-  const auto Compiler = [&] {
-    ++Compiles;
-    return makeDummy();
-  };
-  const auto A = Cache.getOrCompile(Scalar, Compiler);
-  const auto B = Cache.getOrCompile(Vector, Compiler);
-  EXPECT_EQ(Compiles.load(), 2);
-  EXPECT_NE(A.get(), B.get());
-
-  const cache::CacheStats ScalarForm = Cache.formStats(cache::KernelForm::Scalar);
-  const cache::CacheStats VectorForm = Cache.formStats(cache::KernelForm::Vector);
-  EXPECT_EQ(ScalarForm.Misses, 1u);
-  EXPECT_EQ(ScalarForm.Inserts, 1u);
-  EXPECT_EQ(VectorForm.Misses, 1u);
-  EXPECT_EQ(VectorForm.Inserts, 1u);
-
-  // Repeat lookups land on the right form's hit counter.
-  Cache.getOrCompile(Vector, Compiler);
-  EXPECT_EQ(Compiles.load(), 2);
-  EXPECT_EQ(Cache.formStats(cache::KernelForm::Vector).Hits, 1u);
-  EXPECT_EQ(Cache.formStats(cache::KernelForm::Scalar).Hits, 0u);
-
-  // Vector keys are marked in telemetry key descriptions.
-  EXPECT_EQ(describeCacheKey(Vector), "vec-" + describeCacheKey(Scalar));
-}
-
 TEST(JitCache, DistinctKeysCompileSeparately) {
   CodeCache Cache(4, 8);
   std::atomic<int> Compiles{0};
@@ -108,6 +72,10 @@ TEST(JitCache, DistinctKeysCompileSeparately) {
   Cache.getOrCompile({SeqKind::UDiv, 32, 9}, Compiler);
   EXPECT_EQ(Compiles.load(), 4);
   EXPECT_EQ(Cache.stats().Entries, 4u);
+  // The telemetry name of a key (top-K labels, `gmdiv_tool top`):
+  // signed kinds print the divisor sign-extended.
+  EXPECT_EQ(describeCacheKey({SeqKind::URem, 32, 7}), "urem/u32/7");
+  EXPECT_EQ(describeCacheKey({SeqKind::SDiv, 32, 0xfffffffd}), "sdiv/i32/-3");
 }
 
 TEST(JitCache, FailedCompileIsCachedNegative) {
@@ -198,18 +166,31 @@ TEST(JitCache, EvictionKeepsHeldHandlesAlive) {
 }
 
 TEST(JitCache, EvictedSequencesStillExecute) {
-  if (!enabled())
-    GTEST_SKIP() << "jit unavailable on this host";
-  // Real compiled code this time: hold the first sequence, force it
-  // out of a tiny cache, and call it after eviction.
+  VectorEmitOptions Opts;
+  if (!vectorJitIsa(Opts.Isa))
+    GTEST_SKIP() << "vector jit unavailable on this host/config";
+  // Real compiled loops this time: hold the first one, force it out of
+  // a tiny cache, and run it after eviction.
   CodeCache Cache(1, 1);
-  const auto First = compileCached(Cache, {SeqKind::UDiv, 32, 7});
+  const auto First = compileVectorCached(Cache, {SeqKind::UDiv, 32, 7}, Opts);
   ASSERT_NE(First, nullptr);
-  const auto Second = compileCached(Cache, {SeqKind::UDiv, 32, 11});
+  const auto Second =
+      compileVectorCached(Cache, {SeqKind::UDiv, 32, 11}, Opts);
   ASSERT_NE(Second, nullptr);
   EXPECT_GE(Cache.stats().Evictions, 1u);
-  EXPECT_EQ(First->call(1000), 1000u / 7u);
-  EXPECT_EQ(Second->call(1000), 1000u / 11u);
+
+  const size_t Lanes = static_cast<size_t>(First->vectorShape().Lanes);
+  std::vector<uint32_t> In(4 * Lanes), Out(In.size());
+  for (size_t I = 0; I < In.size(); ++I)
+    In[I] = static_cast<uint32_t>(1000 + 977 * I);
+  ASSERT_EQ(First->batchFn()(In.data(), Out.data(), nullptr, In.size()),
+            In.size());
+  for (size_t I = 0; I < In.size(); ++I)
+    ASSERT_EQ(Out[I], In[I] / 7u) << "n=" << In[I];
+  ASSERT_EQ(Second->batchFn()(In.data(), Out.data(), nullptr, In.size()),
+            In.size());
+  for (size_t I = 0; I < In.size(); ++I)
+    ASSERT_EQ(Out[I], In[I] / 11u) << "n=" << In[I];
 }
 
 TEST(JitCache, CountersExactUnderFourThreadContention) {
@@ -368,17 +349,25 @@ TEST(JitCache, DestructionUnregistersTheCollector) {
 
 TEST(JitCache, GlobalCacheSharesAcrossDividers) {
   const cache::CacheStats Before = CodeCache::global().stats();
-  const JitDivider<uint32_t> One(54323);
-  const JitDivider<uint32_t> Two(54323);
+  const JitBatchDivider<uint32_t> One(54323);
+  const JitBatchDivider<uint32_t> Two(54323);
   const cache::CacheStats After = CodeCache::global().stats();
-  // The second divider's three sequences were all cache hits.
-  EXPECT_GE(After.Hits - Before.Hits, 3u);
   if (One.usesJit()) {
-    EXPECT_EQ(One.compiledDiv(), Two.compiledDiv());
+    // The second divider's four loops (div, rem, divRem, divisible)
+    // were all cache hits, and it runs the very same code.
+    EXPECT_GE(After.Hits - Before.Hits, 4u);
+    EXPECT_EQ(One.compiledDivide(), Two.compiledDivide());
+  } else {
+    // With the vector jit off no divider touches the cache.
+    EXPECT_EQ(After.Hits + After.Misses, Before.Hits + Before.Misses);
   }
-  for (uint32_t N : {0u, 1u, 54322u, 54323u, 0xffffffffu}) {
-    EXPECT_EQ(One.divide(N), N / 54323u);
-    EXPECT_EQ(Two.remainder(N), N % 54323u);
+  const std::vector<uint32_t> In = {0u, 1u, 54322u, 54323u, 0xffffffffu};
+  std::vector<uint32_t> Q(In.size()), R(In.size());
+  One.divide(In.data(), Q.data(), In.size());
+  Two.remainder(In.data(), R.data(), In.size());
+  for (size_t I = 0; I < In.size(); ++I) {
+    EXPECT_EQ(Q[I], In[I] / 54323u);
+    EXPECT_EQ(R[I], In[I] % 54323u);
   }
 }
 

@@ -300,13 +300,18 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
       ir::parseProgram("t1 = const 10\nt2 = divu n0, t1\n=> q: t2", 32, 1);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
   codegen::lowerDivisions(*Parsed.Parsed);
-  // Scalar and vector JIT, static batch kernels.
+  // The scalar shim, the vector JIT and the static batch kernels.
   const jit::JitDivider<uint32_t> Scalar(7);
   EXPECT_EQ(Scalar.divide(700), 100u);
   std::vector<uint32_t> In(100, 700), Out(100);
   const jit::JitBatchDivider<uint32_t> Vector(7);
   Vector.divide(In.data(), Out.data(), In.size());
   EXPECT_EQ(Out[99], 100u);
+  // A global-cache lookup whatever GMDIV_JIT_VECTOR says (the divider
+  // above skips the cache when the vector jit is off).
+  jit::compileVectorCached(jit::CodeCache::global(),
+                           {jit::SeqKind::UDivRem, 32, 7},
+                           jit::VectorEmitOptions());
   // The verify harness, the registry and the batch front door.
   EXPECT_EQ(verify::verifyWidth(4).mismatches(), 0u);
   service::DividerRegistry &Reg = service::DividerRegistry::global();
@@ -396,17 +401,19 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
     EXPECT_EQ(Delta("gmdiv_batch_dividers_constructed_total",
                     [] { batch::BatchDivider<int16_t> B(-3); }),
               1.0);
-    // A direct compile either succeeds or falls back to the
-    // interpreter: exactly one of the two families moves.
-    const Snapshot Before = R.snapshot();
-    jit::compile(codegen::genUnsignedDiv(32, 1000003));
-    const Snapshot After = R.snapshot();
-    EXPECT_EQ(familyTotal(After, "gmdiv_jit_compiles_total") -
-                  familyTotal(Before, "gmdiv_jit_compiles_total") +
-                  familyTotal(After, "gmdiv_jit_fallback_interp_total") -
-                  familyTotal(Before, "gmdiv_jit_fallback_interp_total"),
-              1.0);
   }
+  // A direct vector compile either succeeds or bails to the static
+  // kernels: exactly one of the two families moves.
+  const Snapshot Before = R.snapshot();
+  jit::compileVectorLoop(
+      jit::prepareForJit(codegen::genUnsignedDiv(32, 1000003)),
+      jit::VectorEmitOptions());
+  const Snapshot After = R.snapshot();
+  EXPECT_EQ(familyTotal(After, "gmdiv_jit_vector_compiles_total") -
+                familyTotal(Before, "gmdiv_jit_vector_compiles_total") +
+                familyTotal(After, "gmdiv_jit_vector_bails_total") -
+                familyTotal(Before, "gmdiv_jit_vector_bails_total"),
+            1.0);
 }
 
 TEST(MetricsExporter, WriteSnapshotFileEmitsBothFormats) {

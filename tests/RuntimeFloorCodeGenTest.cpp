@@ -33,6 +33,15 @@ int64_t refFloorDiv(int64_t N, int64_t D) {
   return Quotient;
 }
 
+/// n - d*floor(n/d), the (6.2) modulo, computed in uint64_t: the
+/// product d*floor(n/d) can leave int64_t even though the difference
+/// cannot.
+int64_t refFloorMod(int64_t N, int64_t D) {
+  return static_cast<int64_t>(static_cast<uint64_t>(N) -
+                              static_cast<uint64_t>(D) *
+                                  static_cast<uint64_t>(refFloorDiv(N, D)));
+}
+
 int64_t signExtend(uint64_t Value, int Bits) {
   const uint64_t SignBit = uint64_t{1} << (Bits - 1);
   const uint64_t Mask =
@@ -77,7 +86,7 @@ TEST(RuntimeFloorCodeGen, Random32And64) {
                   static_cast<uint64_t>(D) & Mask});
       ASSERT_EQ(signExtend(QR[0], Bits), refFloorDiv(N, D))
           << "bits=" << Bits << " n=" << N << " d=" << D;
-      ASSERT_EQ(signExtend(QR[1], Bits), N - D * refFloorDiv(N, D))
+      ASSERT_EQ(signExtend(QR[1], Bits), refFloorMod(N, D))
           << "bits=" << Bits << " n=" << N << " d=" << D;
     }
   }

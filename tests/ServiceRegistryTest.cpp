@@ -21,6 +21,7 @@
 #include "service/Registry.h"
 
 #include "core/Divider.h"
+#include "jit/JitBatchDivider.h"
 #include "jit/JitCache.h"
 #include "metrics/Metrics.h"
 
@@ -297,9 +298,14 @@ TEST(ServiceRegistry, ArrayOpsMatchScalarLoops) {
 /// scalar and array, must never reach the JIT's code cache. Runs with
 /// default Options, so the ignored UseJit flag is on.
 TEST(ServiceRegistry, AdmissionCompilesNoCode) {
+  // The compile counter is registered at load, so it is present (at 0)
+  // before anything compiles; an absent family would make the check
+  // below pass vacuously.
   const auto CompilesTotal = [] {
-    return metrics::Registry::global().snapshot().valueOr(
-        "gmdiv_jit_compiles_total", {}, 0);
+    const metrics::Snapshot S = metrics::Registry::global().snapshot();
+    const metrics::Sample *C = S.find("gmdiv_jit_vector_compiles_total");
+    EXPECT_NE(C, nullptr) << "gmdiv_jit_vector_compiles_total not exported";
+    return C ? C->Value : -1.0;
   };
   const cache::CacheStats Before = jit::CodeCache::global().stats();
   const double CompilesBefore = CompilesTotal();
@@ -334,6 +340,13 @@ TEST(ServiceRegistry, AdmissionCompilesNoCode) {
   EXPECT_EQ(After.Inserts, Before.Inserts);
   EXPECT_EQ(After.Entries, Before.Entries);
   EXPECT_EQ(CompilesTotal(), CompilesBefore);
+
+  // Positive control: a jitted batch divider on a private cache does
+  // move the counter wherever the vector jit runs.
+  jit::CodeCache Private(1, 8);
+  if (jit::JitBatchDivider<uint32_t>(999983, Private).usesJit()) {
+    EXPECT_GT(CompilesTotal(), CompilesBefore);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -53,12 +53,14 @@ TEST(VerifyHarness, EveryPropertyRunsAtNativeWidth) {
   // N = 8 is a native width: the scalar dividers, the generated
   // sequences, the doubleword path AND the batch backends all run, so
   // every property family must report checks.
+  // The jit-batch-* properties record zero checks where the vector
+  // loops cannot run (no AVX2, GMDIV_JIT_VECTOR=0) instead of vacuously
+  // passing on the static kernels.
+  jit::VectorIsa Isa;
+  const bool VectorJit = jit::vectorJitIsa(Isa);
   const VerifyReport Report = verifyWidth(8);
   for (const PropertyCount &P : Report.Properties) {
-    // The jit-* properties record zero checks where compiled code
-    // cannot run (non-x86-64 hosts, GMDIV_NO_JIT=1) instead of
-    // vacuously passing on the interpreter.
-    if (!jit::enabled() && P.Name.rfind("jit-", 0) == 0)
+    if (!VectorJit && P.Name.rfind("jit-batch-", 0) == 0)
       continue;
     EXPECT_GT(P.Checks, 0u) << "property never exercised: " << P.Name;
   }
@@ -107,7 +109,6 @@ TEST(VerifyHarness, PropertyCheckCountsPinnedAtWidth6) {
       {"codegen-dword", 3936},
       {"codegen-wide-unsigned", 0},
       {"batch-unsigned", 0},
-      {"jit-unsigned", 8064},
       {"fastmod-unsigned", 16128},
       {"fastmod-divisible", 4032},
       {"roundup-unsigned", 16128},
@@ -130,8 +131,6 @@ TEST(VerifyHarness, PropertyCheckCountsPinnedAtWidth6) {
       {"codegen-floor-runtime", 8062},
       {"codegen-wide-signed", 0},
       {"batch-signed", 0},
-      {"jit-signed", 8064},
-      {"jit-floor", 3968},
       {"fastmod-signed", 20160},
       {"narrow32-signed", 16128},
       {"jit-batch-unsigned", 8064},
@@ -139,8 +138,7 @@ TEST(VerifyHarness, PropertyCheckCountsPinnedAtWidth6) {
       {"jit-batch-divisible", 4032},
       {"roundup-signed", 16128},
   };
-  // Compiled sequences run only where the JIT does; the vector loops
-  // only where an emittable vector ISA is enabled.
+  // The vector loops run only where an emittable vector ISA is enabled.
   jit::VectorIsa Isa;
   const bool VectorJit = jit::vectorJitIsa(Isa);
   const VerifyReport Report = verifyWidth(6);
@@ -148,9 +146,7 @@ TEST(VerifyHarness, PropertyCheckCountsPinnedAtWidth6) {
   for (const PropertyCount &P : Report.Properties) {
     const auto It = Pinned.find(P.Name);
     ASSERT_NE(It, Pinned.end()) << "no pinned count for " << P.Name;
-    const bool Vector = P.Name.rfind("jit-batch-", 0) == 0;
-    const bool Runs = Vector ? VectorJit
-                             : P.Name.rfind("jit-", 0) != 0 || jit::enabled();
+    const bool Runs = P.Name.rfind("jit-batch-", 0) != 0 || VectorJit;
     EXPECT_EQ(P.Checks, Runs ? It->second : 0u) << P.Name;
   }
 }

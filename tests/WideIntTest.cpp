@@ -137,12 +137,13 @@ TEST(Int128, ArithmeticMatchesCompilerInt128) {
     const Int128 B = Int128::fromBits(randomU128());
     const NativeS128 NA = static_cast<NativeS128>(toNative(A.bits()));
     const NativeS128 NB = static_cast<NativeS128>(toNative(B.bits()));
-    EXPECT_EQ(toNative((A + B).bits()),
-              static_cast<NativeU128>(NA + NB));
-    EXPECT_EQ(toNative((A - B).bits()),
-              static_cast<NativeU128>(NA - NB));
-    EXPECT_EQ(toNative((A * B).bits()),
-              static_cast<NativeU128>(NA * NB));
+    // Wrapping reference arithmetic in the unsigned type: the signed
+    // __int128 operations overflow on random operands.
+    const NativeU128 UA = static_cast<NativeU128>(NA);
+    const NativeU128 UB = static_cast<NativeU128>(NB);
+    EXPECT_EQ(toNative((A + B).bits()), UA + UB);
+    EXPECT_EQ(toNative((A - B).bits()), UA - UB);
+    EXPECT_EQ(toNative((A * B).bits()), UA * UB);
     EXPECT_EQ(A < B, NA < NB);
     if (!B.isZero() && !(A == Int128::min() && NB == -1)) {
       auto [Quotient, Remainder] = Int128::divMod(A, B);
