@@ -20,6 +20,10 @@
 //                                  eviction + epoch retirement.
 //   BatchSubmitPipeline            32 in-flight 4096-lane jobs through
 //                                  the async front door (2 workers).
+//   BatchSubmitShort               8 in-flight 1..64-lane u64
+//                                  remainder jobs (2 workers): hand-off
+//                                  bound, so short jobs run on the
+//                                  caller; inline_share reports how many.
 //
 // The headline claim — aggregate hit-path throughput scaling from 1 to
 // 16 threads — is only observable on a machine with >= 16 cores; the
@@ -39,10 +43,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -224,6 +231,53 @@ void BM_BatchSubmitPipeline(benchmark::State &State) {
                           static_cast<int64_t>(Jobs * Lanes));
 }
 BENCHMARK(BM_BatchSubmitPipeline)->UseRealTime();
+
+void BM_BatchSubmitShort(benchmark::State &State) {
+  constexpr size_t InFlight = 8;
+  constexpr size_t MaxLanes = 64;
+  service::DividerRegistry R(benchOptions());
+  service::BatchService::Options BOpts;
+  BOpts.Workers = 2;
+  service::BatchService Svc(R, BOpts);
+  Svc.exportMetrics("gmdiv_bench_batch_short");
+  // Start from a warmed-up service: every divisor admitted (admission
+  // is RegistryAdmitChurn's cost) and both workers parked. Cold runs in
+  // the first jobs, or a first hand-off sample taken while a worker is
+  // still starting (that notify wakes nobody and costs nothing), can
+  // settle the service in its all-queued state (see ROADMAP).
+  for (size_t D = 3; D < 3 + 61; ++D)
+    R.acquire(service::keyFor<uint64_t>(D));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+  std::vector<uint64_t> In(MaxLanes);
+  for (size_t I = 0; I < MaxLanes; ++I)
+    In[I] = cache::mixBits(I + 1);
+  std::vector<std::vector<uint64_t>> Outs(InFlight,
+                                          std::vector<uint64_t>(MaxLanes));
+  std::vector<std::future<service::BatchResult>> Futures(InFlight);
+  size_t J = 0;
+  for (auto _ : State) {
+    const size_t Slot = J % InFlight;
+    if (Futures[Slot].valid())
+      benchmark::DoNotOptimize(Futures[Slot].get());
+    const size_t Lanes = 1 + cache::mixBits(J) % MaxLanes;
+    Futures[Slot] = Svc.submitRemainder<uint64_t>(
+        3 + (J % 61), std::span<const uint64_t>(In.data(), Lanes),
+        std::span<uint64_t>(Outs[Slot].data(), Lanes));
+    ++J;
+    benchmark::ClobberMemory();
+  }
+  for (auto &F : Futures)
+    if (F.valid())
+      F.get();
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()));
+  const metrics::Snapshot Snap = metrics::Registry::global().snapshot();
+  State.counters["inline_share"] =
+      Snap.valueOr("gmdiv_bench_batch_short_inline_total", {}, 0) /
+      std::max(1.0, Snap.valueOr("gmdiv_bench_batch_short_submitted_total",
+                                 {}, 0));
+}
+BENCHMARK(BM_BatchSubmitShort)->UseRealTime();
 
 } // namespace
 

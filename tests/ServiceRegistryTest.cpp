@@ -8,9 +8,11 @@
 // Contracts of the service tier (src/service): key validation,
 // compile-once admission under contention, lock-free lookup counters,
 // LRU eviction liveness, bit-for-bit agreement with the core dividers,
-// the async batch front door's ordering and error paths, and the
-// metrics-plane export. The TSan CI leg runs this whole file; the
-// MixedContentionStress test at the bottom is the data-race hammer.
+// the async batch front door's ordering and error paths, its inline
+// guard and the paths it chooses between, and the metrics-plane export.
+// The TSan CI leg runs this whole file; MixedContentionStress and
+// ConcurrentSubmittersMixInlineAndQueued at the bottom are the
+// data-race hammers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +30,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -625,6 +629,316 @@ TEST(BatchService, ManyJobsAcrossWorkersAllResolve) {
 }
 
 //===----------------------------------------------------------------------===//
+// Inline policy: the guard and its two estimators
+//===----------------------------------------------------------------------===//
+
+TEST(BatchInlinePolicy, OnePreemptedHandoffMovesTheMedianBySixteenth) {
+  HandoffEstimate H;
+  EXPECT_EQ(H.ns(), 0u);
+  for (int I = 0; I < 32; ++I)
+    H.record(3000);
+  ASSERT_EQ(H.ns(), 3000u);
+  // A notify preempted for 338 us: a mean over those 33 samples would be
+  // 13 us, above a 16384-lane job's predicted run time.
+  H.record(338000);
+  EXPECT_LE(H.ns(), 3000u + 3000u / 16);
+  EXPECT_GT(H.ns(), 3000u);
+  // The next ordinary sample walks it back.
+  H.record(3000);
+  EXPECT_LT(H.ns(), 3000u);
+  EXPECT_GE(H.ns(), 3000u - 3000u / 16);
+  // One step is 1/16 of the estimate, however far off the sample is.
+  const uint64_t Est = H.ns();
+  H.record(0);
+  EXPECT_EQ(H.ns(), Est - Est / 16);
+}
+
+TEST(BatchInlinePolicy, ColdFirstRunDoesNotBlockALaterInlineRun) {
+  HandoffEstimate H;
+  H.record(3000);
+  RunCostEstimate C;
+  EXPECT_FALSE(C.ready());
+  C.record(64 * 1400, 64); // cold first run: 1.4 us per element
+  ASSERT_TRUE(C.ready());
+  EXPECT_DOUBLE_EQ(C.nsPerElem(), 1400.0);
+  EXPECT_FALSE(runsInline(0, 0, 2, 64, H, C));
+  C.record(16, 10); // 1.6 ns per element
+  EXPECT_DOUBLE_EQ(C.nsPerElem(), 1.6);
+  EXPECT_EQ(C.predictNs(64), 102u);
+  EXPECT_TRUE(runsInline(0, 0, 2, 64, H, C));
+  // A slower later run does not raise the estimate.
+  C.record(64 * 22, 64);
+  EXPECT_DOUBLE_EQ(C.nsPerElem(), 1.6);
+}
+
+TEST(BatchInlinePolicy, GuardTruthTable) {
+  HandoffEstimate H;
+  H.record(1000);
+  RunCostEstimate C;
+  C.record(2 * 64, 64); // 2 ns per element
+  const HandoffEstimate NoHandoff;
+  const RunCostEstimate NoCost;
+  // First in line, a worker idle, both estimates, 128 ns < 1000 ns.
+  EXPECT_TRUE(runsInline(0, 0, 2, 64, H, C));
+  EXPECT_TRUE(runsInline(0, 1, 2, 64, H, C));
+  // Each condition alone sends the job to the queue.
+  EXPECT_FALSE(runsInline(1, 0, 2, 64, H, C));         // queue non-empty
+  EXPECT_FALSE(runsInline(0, 2, 2, 64, H, C));         // no idle worker
+  EXPECT_FALSE(runsInline(0, 0, 2, 64, NoHandoff, C)); // no hand-off yet
+  EXPECT_FALSE(runsInline(0, 0, 2, 64, H, NoCost));    // no run cost yet
+  EXPECT_FALSE(runsInline(0, 0, 2, 500, H, C));        // 1000 ns: not below
+  EXPECT_FALSE(runsInline(0, 0, 2, 16384, H, C));
+  // One worker: only when nothing at all is running.
+  EXPECT_TRUE(runsInline(0, 0, 1, 64, H, C));
+  EXPECT_FALSE(runsInline(0, 1, 1, 64, H, C));
+}
+
+TEST(BatchInlinePolicy, ZeroLaneJobsNeitherDivideByZeroNorPoisonTheCost) {
+  RunCostEstimate C;
+  C.record(500, 0);
+  C.record(0, 0);
+  EXPECT_FALSE(C.ready());
+  EXPECT_EQ(C.nsPerElem(), 0.0);
+  C.record(64, 64); // 1 ns per element
+  C.record(0, 0);
+  C.record(1, 0);
+  EXPECT_DOUBLE_EQ(C.nsPerElem(), 1.0);
+  EXPECT_EQ(C.predictNs(0), 0u);
+  // Saturates instead of wrapping on absurd counts.
+  EXPECT_EQ(C.predictNs(std::numeric_limits<size_t>::max()),
+            std::numeric_limits<uint64_t>::max());
+  HandoffEstimate H;
+  H.record(50);
+  EXPECT_TRUE(runsInline(0, 0, 2, 0, H, C));
+}
+
+//===----------------------------------------------------------------------===//
+// Inline and queued paths through the service
+//===----------------------------------------------------------------------===//
+
+/// Jobs the service exported under \p Prefix has run on the caller.
+uint64_t inlineRuns(const std::string &Prefix) {
+  return static_cast<uint64_t>(metrics::Registry::global().snapshot().valueOr(
+      Prefix + "_inline_total", {}, -1));
+}
+
+/// Jobs a worker has taken off the queue of the service exported under
+/// \p Prefix.
+uint64_t queueWaits(const std::string &Prefix) {
+  const metrics::Snapshot Snap = metrics::Registry::global().snapshot();
+  const metrics::Sample *S = Snap.find(Prefix + "_queue_wait_ns");
+  return S ? S->Count : 0;
+}
+
+/// Submits op \p OpIdx (0 divide, 1 remainder, 2 divRem) of \p Len lanes.
+template <typename T>
+std::future<BatchResult> submitOp(BatchService &Svc, int OpIdx, T D,
+                                  const T *In, T *A, T *B, size_t Len) {
+  const std::span<const T> Src(In, Len);
+  switch (OpIdx) {
+  case 0:
+    return Svc.submitDivide<T>(D, Src, std::span<T>(A, Len));
+  case 1:
+    return Svc.submitRemainder<T>(D, Src, std::span<T>(A, Len));
+  default:
+    return Svc.submitDivRem<T>(D, Src, std::span<T>(A, Len),
+                               std::span<T>(B, Len));
+  }
+}
+
+/// Every op at every length 0..67, once queued on a fresh service (no
+/// estimates yet, so its first job always queues) and once on \p Warm,
+/// whose estimates exist: outputs equal hardware / and % and each
+/// other bit for bit, and the BatchResults agree. Adds the jobs \p Warm
+/// ran on the caller to \p InlineRuns.
+template <typename T>
+void expectPathsAgree(DividerRegistry &R, BatchService &Warm,
+                      const std::string &WarmPrefix, uint64_t &InlineRuns) {
+  using U = std::make_unsigned_t<T>;
+  constexpr size_t MaxLen = 67;
+  const T D = std::is_signed_v<T> ? T(-7) : T(7);
+  uint64_t Rng = 0x1717 + sizeof(T) * 2 + std::is_signed_v<T>;
+  std::vector<T> In(MaxLen);
+  for (T &V : In)
+    V = static_cast<T>(static_cast<U>(splitmix(Rng)));
+  In[0] = std::numeric_limits<T>::min();
+  In[1] = std::numeric_limits<T>::max();
+  In[2] = 0;
+
+  const uint64_t Before = inlineRuns(WarmPrefix);
+  for (int OpIdx = 0; OpIdx < 3; ++OpIdx) {
+    for (size_t Len = 0; Len <= MaxLen; ++Len) {
+      std::vector<T> QA(Len + 1, T(0x5a)), QB(Len + 1, T(0x5a));
+      std::vector<T> IA(Len + 1, T(0x5a)), IB(Len + 1, T(0x5a));
+      BatchResult Queued;
+      {
+        BatchService Fresh(R, workerOptions(1));
+        Queued = submitOp<T>(Fresh, OpIdx, D, In.data(), QA.data(),
+                             QB.data(), Len)
+                     .get();
+      }
+      const BatchResult OnWarm =
+          submitOp<T>(Warm, OpIdx, D, In.data(), IA.data(), IB.data(), Len)
+              .get();
+      ASSERT_EQ(Queued.K, keyFor<T>(D));
+      ASSERT_EQ(OnWarm.K, Queued.K);
+      ASSERT_EQ(OnWarm.Elements, Len);
+      ASSERT_EQ(Queued.Elements, Len);
+      ASSERT_STREQ(OnWarm.Backend, Queued.Backend);
+      const bool Quot = OpIdx != 1;
+      for (size_t I = 0; I < Len; ++I) {
+        const T WantA = static_cast<T>(Quot ? In[I] / D : In[I] % D);
+        ASSERT_EQ(QA[I], WantA) << int(sizeof(T) * 8) << "-bit op=" << OpIdx
+                                << " len=" << Len << " lane=" << I;
+        ASSERT_EQ(IA[I], WantA) << int(sizeof(T) * 8) << "-bit op=" << OpIdx
+                                << " len=" << Len << " lane=" << I;
+        if (OpIdx == 2) {
+          ASSERT_EQ(QB[I], static_cast<T>(In[I] % D)) << "lane " << I;
+          ASSERT_EQ(IB[I], static_cast<T>(In[I] % D)) << "lane " << I;
+        }
+      }
+      // Nothing is written past the last lane on either path.
+      ASSERT_EQ(QA[Len], T(0x5a));
+      ASSERT_EQ(IA[Len], T(0x5a));
+      ASSERT_EQ(QB, IB);
+    }
+  }
+  InlineRuns += inlineRuns(WarmPrefix) - Before;
+}
+
+TEST(BatchService, InlineAndQueuedPathsAgreeBitForBit) {
+  DividerRegistry R(smallOptions(4, 64));
+  // Two workers: a worker still finishing its bookkeeping after filling
+  // a promise leaves the other idle, so a later job can run inline.
+  BatchService Warm(R, workerOptions(2));
+  Warm.exportMetrics("gmdiv_test_batch_paths");
+  // One queued job gives both estimates.
+  std::vector<uint32_t> In(4096, 1000), Out(4096);
+  Warm.submitRemainder<uint32_t>(7, In, Out).get();
+  Warm.drain();
+
+  uint64_t Inline = 0;
+  expectPathsAgree<uint8_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<uint16_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<uint32_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<uint64_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<int8_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<int16_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<int32_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<int64_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
+  // At least every zero-lane job (predicted 0 ns) ran on the caller.
+  EXPECT_GE(Inline, 8u * 3u);
+}
+
+TEST(BatchService, SingleWorkerKeepsAShortJobBehindARunningOne) {
+  DividerRegistry R(smallOptions(2, 16));
+  BatchService Svc(R, workerOptions(1));
+  Svc.exportMetrics("gmdiv_test_batch_order");
+  // Give the service both estimates: a queued job, then an idle service
+  // runs a 1-lane job on the caller.
+  std::vector<uint32_t> Warm(4096, 100), WarmOut(4096);
+  Svc.submitRemainder<uint32_t>(7, Warm, WarmOut).get();
+  Svc.drain();
+  std::vector<uint32_t> One{13}, OneOut(1);
+  Svc.submitRemainder<uint32_t>(7, One, OneOut).get();
+  ASSERT_EQ(OneOut[0], 6u);
+  const uint64_t Before = inlineRuns("gmdiv_test_batch_order");
+  ASSERT_EQ(Before, 1u);
+
+  // x % 7 then % 5 is order-sensitive (13 % 7 % 5 = 1, 13 % 5 % 7 = 3).
+  // The long job holds the one worker, so the 1-lane job chained on its
+  // first lane must queue behind it and observe its output.
+  std::vector<uint32_t> Buf(size_t{1} << 22, 13);
+  auto F1 = Svc.submitRemainder<uint32_t>(
+      7, std::span<const uint32_t>(Buf), std::span<uint32_t>(Buf));
+  // Wait for the worker to take F1 off the queue, so that the busy
+  // worker, not an occupied queue, is what holds the next job back.
+  while (queueWaits("gmdiv_test_batch_order") < 2)
+    std::this_thread::yield();
+  const bool F1Running =
+      F1.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+  auto F2 = Svc.submitRemainder<uint32_t>(
+      5, std::span<const uint32_t>(Buf.data(), 1),
+      std::span<uint32_t>(Buf.data(), 1));
+  F1.get();
+  F2.get();
+  if (F1Running) {
+    EXPECT_EQ(inlineRuns("gmdiv_test_batch_order"), Before);
+  }
+  EXPECT_EQ(Buf[0], 1u);
+  for (size_t I = 1; I < Buf.size(); ++I)
+    ASSERT_EQ(Buf[I], 6u) << I;
+  Svc.drain();
+  EXPECT_EQ(Svc.pending(), 0u);
+}
+
+TEST(BatchService, QueueFullPathMatchesTheNormalPath) {
+  DividerRegistry R(smallOptions(2, 16));
+  BatchService::Options O;
+  O.Workers = 1;
+  O.QueueCapacity = 1;
+  BatchService Svc(R, O);
+  Svc.exportMetrics("gmdiv_test_batch_full");
+
+  // A holds the worker, B fills the one queue slot, C (on its own
+  // thread) blocks in backpressure. A fresh service has no run-cost
+  // estimate until A completes, so while A runs nothing can go inline.
+  std::vector<uint32_t> AIn(size_t{1} << 22), AOut(AIn.size());
+  uint64_t Rng = 0xf011;
+  for (uint32_t &V : AIn)
+    V = static_cast<uint32_t>(splitmix(Rng));
+  std::vector<uint64_t> BIn(64), BOut(64);
+  std::vector<int32_t> CIn(64), CQ(64), CR(64);
+  for (size_t I = 0; I < 64; ++I) {
+    BIn[I] = splitmix(Rng);
+    CIn[I] = static_cast<int32_t>(splitmix(Rng));
+  }
+
+  std::shared_future<BatchResult> FA =
+      Svc.submitRemainder<uint32_t>(7, AIn, AOut).share();
+  auto FB = Svc.submitDivide<uint64_t>(1000003, BIn, BOut);
+  std::atomic<bool> CReturned{false};
+  bool ARunningAtC = false;
+  std::future<BatchResult> FC;
+  std::thread C([&] {
+    ARunningAtC =
+        FA.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+    FC = Svc.submitDivRem<int32_t>(-13, CIn, CQ, CR);
+    CReturned.store(true);
+  });
+  // While A still runs, B still waits in the full queue, so C cannot
+  // have been accepted yet.
+  bool CAcceptedEarly = false;
+  for (;;) {
+    const bool Returned = CReturned.load();
+    if (FA.wait_for(std::chrono::microseconds(100)) ==
+        std::future_status::ready)
+      break;
+    if (Returned) {
+      CAcceptedEarly = true;
+      break;
+    }
+  }
+  C.join();
+  EXPECT_FALSE(CAcceptedEarly);
+  FA.get();
+  FB.get();
+  FC.get();
+  if (ARunningAtC) {
+    EXPECT_EQ(inlineRuns("gmdiv_test_batch_full"), 0u);
+  }
+  for (size_t I = 0; I < AIn.size(); ++I)
+    ASSERT_EQ(AOut[I], AIn[I] % 7) << I;
+  for (size_t I = 0; I < 64; ++I) {
+    ASSERT_EQ(BOut[I], BIn[I] / 1000003) << I;
+    ASSERT_EQ(CQ[I], CIn[I] / -13) << I;
+    ASSERT_EQ(CR[I], CIn[I] % -13) << I;
+  }
+  Svc.drain();
+  EXPECT_EQ(Svc.pending(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Metrics export
 //===----------------------------------------------------------------------===//
 
@@ -693,6 +1007,79 @@ TEST(BatchService, ExportMetricsPublishesJobSeries) {
 //===----------------------------------------------------------------------===//
 // Mixed stress (the TSan hammer)
 //===----------------------------------------------------------------------===//
+
+TEST(BatchService, ConcurrentSubmittersMixInlineAndQueued) {
+  // Four submitters on two workers: 1..64-lane jobs that may run on
+  // their caller, 16384-lane jobs that queue, and the Running count,
+  // the estimators and the counters shared between both paths.
+  DividerRegistry R(smallOptions(4, 32));
+  BatchService Svc(R, workerOptions(2));
+  Svc.exportMetrics("gmdiv_test_batch_mix");
+  constexpr size_t Threads = 4;
+  constexpr size_t Jobs = 300;
+  constexpr size_t Window = 4;
+  constexpr size_t LongLanes = 16384;
+
+  std::vector<std::thread> Pool;
+  std::atomic<uint64_t> Mismatches{0};
+  for (size_t T = 0; T < Threads; ++T) {
+    Pool.emplace_back([&, T] {
+      struct Slot {
+        std::vector<uint64_t> In, Out, Rem;
+        uint64_t D = 0;
+        int OpIdx = 0;
+        std::future<BatchResult> F;
+      };
+      std::vector<Slot> Slots(Window);
+      uint64_t Rng = 0xabc + T;
+      auto check = [&](Slot &S) {
+        if (S.F.get().Elements != S.In.size())
+          Mismatches.fetch_add(1);
+        for (size_t I = 0; I < S.In.size(); ++I) {
+          const uint64_t Q = S.In[I] / S.D, Rm = S.In[I] % S.D;
+          if (S.Out[I] != (S.OpIdx == 1 ? Rm : Q) ||
+              (S.OpIdx == 2 && S.Rem[I] != Rm))
+            Mismatches.fetch_add(1);
+        }
+      };
+      for (size_t J = 0; J < Jobs; ++J) {
+        Slot &S = Slots[J % Window];
+        if (S.F.valid())
+          check(S);
+        const size_t Lanes = J % 8 == 7 ? LongLanes : 1 + splitmix(Rng) % 64;
+        S.In.resize(Lanes);
+        S.Out.assign(Lanes, 0);
+        S.Rem.assign(Lanes, 0);
+        for (uint64_t &V : S.In)
+          V = splitmix(Rng);
+        S.D = 2 + splitmix(Rng) % 100;
+        S.OpIdx = static_cast<int>(J % 3);
+        S.F = submitOp<uint64_t>(Svc, S.OpIdx, S.D, S.In.data(),
+                                 S.Out.data(), S.Rem.data(), Lanes);
+      }
+      for (Slot &S : Slots)
+        if (S.F.valid())
+          check(S);
+    });
+  }
+  for (std::thread &W : Pool)
+    W.join();
+  Svc.drain();
+
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_EQ(Svc.pending(), 0u);
+  const metrics::Snapshot Snap = metrics::Registry::global().snapshot();
+  const double Submitted =
+      Snap.valueOr("gmdiv_test_batch_mix_submitted_total", {}, -1);
+  EXPECT_EQ(Submitted, double(Threads * Jobs));
+  EXPECT_EQ(Snap.valueOr("gmdiv_test_batch_mix_completed_total", {}, -2),
+            Submitted);
+  const double Inline =
+      Snap.valueOr("gmdiv_test_batch_mix_inline_total", {}, -1);
+  // Both paths ran: the first job always queues.
+  EXPECT_GT(Inline, 0.0);
+  EXPECT_LT(Inline, Submitted);
+}
 
 TEST(ServiceRegistry, MixedContentionStress) {
   // Small capacity forces constant eviction + table retirement while
