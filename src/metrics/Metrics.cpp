@@ -31,9 +31,63 @@ const char *gmdiv::metrics::kindName(Kind K) {
   return "untyped";
 }
 
+namespace {
+
+/// Owned stripe indices no live thread holds. The mutex also orders an
+/// exiting thread's last store to its stripe before the first load by
+/// the thread that leases the stripe next.
+struct StripePool {
+  std::mutex Mutex;
+  std::vector<unsigned> Free;
+  StripePool() {
+    for (unsigned I = detail::OwnedStripes; I-- > 0;)
+      Free.push_back(I); // lowest index on top
+  }
+};
+
+StripePool &stripePool() {
+  // Leaked: threads return stripes from thread_local cleanup, which
+  // can run after static destruction.
+  static StripePool *P = new StripePool();
+  return *P;
+}
+
+/// Returns the thread's stripe at thread exit. From then on the thread
+/// (its later thread_local destructors) adds to the overflow stripe,
+/// never to a stripe another thread may now own.
+struct StripeLease {
+  ~StripeLease() {
+    const unsigned I = detail::ThreadStripe;
+    detail::ThreadStripe = detail::OverflowStripe;
+    StripePool &P = stripePool();
+    std::lock_guard<std::mutex> Lock(P.Mutex);
+    P.Free.push_back(I);
+  }
+};
+
+} // namespace
+
 unsigned gmdiv::metrics::detail::allocateStripe() {
-  static std::atomic<unsigned> Next{0};
-  return Next.fetch_add(1, std::memory_order_relaxed);
+  unsigned I = OverflowStripe;
+  {
+    StripePool &P = stripePool();
+    std::lock_guard<std::mutex> Lock(P.Mutex);
+    if (!P.Free.empty()) {
+      I = P.Free.back();
+      P.Free.pop_back();
+    }
+  }
+  ThreadStripe = I;
+  if (I != OverflowStripe)
+    thread_local StripeLease Lease; // destroyed at thread exit
+  return I;
+}
+
+void Counter::addShared(uint64_t By) {
+  if (detail::stripeIndex() == detail::UnassignedStripe &&
+      detail::allocateStripe() != detail::OverflowStripe)
+    return add(By);
+  Stripes[detail::OverflowStripe].V.fetch_add(By, std::memory_order_relaxed);
 }
 
 uint64_t Gauge::pack(double V) {

@@ -13,12 +13,17 @@
 /// (metrics/Exposition.h), `--stats`, the exporter and the flight
 /// recorder all serialize.
 ///
-/// The hot path is wait-free: a Counter spreads increments over 64
-/// cache-line-sized stripes indexed by a thread-local id, so 16 threads
-/// incrementing the same counter touch 16 different cache lines — one
-/// relaxed fetch_add each, no CAS loop, no lock (bench/bench_metrics.cpp
-/// holds this at a few ns/op with near-linear thread scaling). Stripes
-/// merge at snapshot time.
+/// The hot path is wait-free. A Counter gives each of the first 64
+/// live threads a cache-line-sized stripe of its own, so an increment
+/// is a relaxed load plus a relaxed store on a line no other thread
+/// writes: no lock prefix, no CAS loop, no lock. Threads beyond those
+/// 64 share one overflow stripe that keeps a relaxed fetch_add. A
+/// thread returns its stripe at exit, so thread churn recycles stripes
+/// rather than pushing later threads onto the overflow stripe
+/// (bench/bench_metrics.cpp holds this at a few ns/op with near-linear
+/// thread scaling). Stripes merge at snapshot time. Because an owned
+/// stripe is updated by a load and a store, Counter::add must not be
+/// called from a signal handler.
 ///
 /// Sources that already keep their own accounting (the JIT code cache,
 /// the service registry, the trace rings, remark dispatch) plug in as
@@ -61,24 +66,37 @@ enum class Kind { Counter, Gauge, Histogram };
 const char *kindName(Kind K);
 
 namespace detail {
-/// Thread-local stripe id (dense, assigned on first use); callers mask
-/// it down to the stripe count.
+/// Stripes a thread can own; Counter adds one shared overflow stripe.
+inline constexpr unsigned OwnedStripes = 64;
+/// The overflow stripe's index, also every thread's index once it has
+/// returned its stripe at exit.
+inline constexpr unsigned OverflowStripe = OwnedStripes;
+/// A thread's index before its first increment.
+inline constexpr unsigned UnassignedStripe = ~0u;
+
+/// This thread's stripe: below OwnedStripes it owns that stripe,
+/// OverflowStripe shares the overflow stripe, UnassignedStripe has not
+/// asked yet.
+inline constinit thread_local unsigned ThreadStripe = UnassignedStripe;
+
+/// Cold path: leases a free owned stripe to this thread (until it
+/// exits), or the overflow stripe when all are leased. Sets and
+/// returns ThreadStripe.
 unsigned allocateStripe();
-inline unsigned stripeIndex() {
-  thread_local unsigned Index = allocateStripe();
-  return Index;
-}
+
+inline unsigned stripeIndex() { return ThreadStripe; }
 } // namespace detail
 
 //===----------------------------------------------------------------------===//
 // Instruments
 //===----------------------------------------------------------------------===//
 
-/// Monotonic counter. Increments go to one of 64 cache-line-aligned
-/// stripes chosen by thread id, so concurrent writers on different
-/// threads do not share a cache line; value() merges the stripes.
-/// More than 64 live threads alias stripes — still wait-free, just
-/// (rarely) shared lines.
+/// Monotonic counter. Each thread increments a cache-line-aligned
+/// stripe it alone writes (a relaxed load and store); threads beyond
+/// detail::OwnedStripes share an overflow stripe with fetch_add.
+/// value() merges the stripes and is exact once writers are quiet.
+/// Not async-signal-safe: an owned-stripe add interrupted by a handler
+/// that adds to the same counter would lose the handler's increment.
 class Counter {
 public:
   Counter() = default;
@@ -86,8 +104,14 @@ public:
   Counter &operator=(const Counter &) = delete;
 
   void add(uint64_t By) {
-    Stripes[detail::stripeIndex() & (NumStripes - 1)].V.fetch_add(
-        By, std::memory_order_relaxed);
+    const unsigned I = detail::stripeIndex();
+    if (I < detail::OwnedStripes) [[likely]] {
+      std::atomic<uint64_t> &V = Stripes[I].V;
+      V.store(V.load(std::memory_order_relaxed) + By,
+              std::memory_order_relaxed);
+    } else {
+      addShared(By);
+    }
   }
   void inc() { add(1); }
 
@@ -99,11 +123,13 @@ public:
   }
 
 private:
-  static constexpr size_t NumStripes = 64;
+  /// First increment on this thread, or a thread on the overflow stripe.
+  void addShared(uint64_t By);
+
   struct alignas(64) Stripe {
     std::atomic<uint64_t> V{0};
   };
-  Stripe Stripes[NumStripes];
+  Stripe Stripes[detail::OwnedStripes + 1];
 };
 
 /// Last-value-wins gauge (occupancy, ratios scaled by the caller).

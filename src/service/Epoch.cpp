@@ -10,24 +10,15 @@
 namespace gmdiv {
 namespace service {
 
-EpochDomain &EpochDomain::global() {
-  // Leaked: reader slots reference it from thread_local cleanup paths.
-  static EpochDomain *D = new EpochDomain();
-  return *D;
-}
-
-EpochSlot *EpochDomain::mySlot() {
-  thread_local EpochSlot *Mine = nullptr;
-  if (!Mine) {
-    auto *S = new EpochSlot(); // leaked at thread exit, like trace rings
-    S->Next = Slots.load(std::memory_order_relaxed);
-    while (!Slots.compare_exchange_weak(S->Next, S,
-                                        std::memory_order_release,
-                                        std::memory_order_relaxed)) {
-    }
-    Mine = S;
+EpochSlot *EpochDomain::registerThread() {
+  auto *S = new EpochSlot(); // leaked at thread exit, like trace rings
+  S->Next = Global.Slots.load(std::memory_order_relaxed);
+  while (!Global.Slots.compare_exchange_weak(S->Next, S,
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed)) {
   }
-  return Mine;
+  ThreadSlot = S;
+  return S;
 }
 
 uint64_t EpochDomain::minActive() const {

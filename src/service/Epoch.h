@@ -54,7 +54,7 @@ public:
   /// The process-wide domain every registry shares. Grace periods are
   /// coarser than per-registry domains would give, but a thread needs
   /// only one slot and reclamation stays O(live threads).
-  static EpochDomain &global();
+  static EpochDomain &global() { return Global; }
 
   /// RAII read-side critical section. While a Guard is alive the
   /// thread may dereference any table it loaded from a registry's
@@ -62,7 +62,7 @@ public:
   /// until the Guard drops. Nestable (inner guards are free).
   class Guard {
   public:
-    explicit Guard(EpochDomain &D) : Slot(D.mySlot()) {
+    explicit Guard(EpochDomain &D) : Slot(mySlot()) {
       if (Slot->Depth++ == 0)
         Slot->Active.store(D.Epoch.load(std::memory_order_seq_cst),
                            std::memory_order_seq_cst);
@@ -94,14 +94,27 @@ public:
   size_t slotCount() const;
 
 private:
-  EpochDomain() = default;
+  constexpr EpochDomain() = default;
 
   /// This thread's slot, registering (and leaking) one on first use.
-  EpochSlot *mySlot();
+  static EpochSlot *mySlot() {
+    EpochSlot *S = ThreadSlot;
+    return S ? S : registerThread();
+  }
+  /// Cold path of mySlot(): links a new slot into Global's list.
+  static EpochSlot *registerThread();
+
+  /// Constant-initialised and trivially destructible, so it is usable
+  /// during static initialisation and never torn down: reader slots
+  /// reference it from thread_local cleanup paths.
+  static EpochDomain Global;
+  static inline constinit thread_local EpochSlot *ThreadSlot = nullptr;
 
   std::atomic<uint64_t> Epoch{1};
   std::atomic<EpochSlot *> Slots{nullptr};
 };
+
+inline constinit EpochDomain EpochDomain::Global;
 
 } // namespace service
 } // namespace gmdiv

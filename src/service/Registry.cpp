@@ -70,14 +70,15 @@ uint64_t DividerRegistry::steadyNs() {
           .count());
 }
 
-bool DividerRegistry::sampleThisOp() const {
-  thread_local uint32_t Tick = 0;
-  return (++Tick & SampleMask) == 0;
-}
-
-void DividerRegistry::recordLookupNs(const Shard &S, uint64_t Ns) {
+void DividerRegistry::noteSampledHit(const Shard &S, const Key &K,
+                                     const DividerEntry &E, uint64_t T0) {
+  E.LastUseNs.store(T0, std::memory_order_relaxed);
+  const uint64_t Ns = steadyNs() - T0;
   LookupNs[static_cast<size_t>(&S - Shards.data())]->record(Ns);
   LookupNsAll.record(Ns);
+  // Sampled heavy-hitter credit, scaled back up to an estimate of the
+  // unsampled stream.
+  HotKeys.offer(K, SampleMask + uint64_t{1});
 }
 
 DividerRegistry::EntryHandle DividerRegistry::lookup(const Key &K) {
@@ -87,25 +88,9 @@ DividerRegistry::EntryHandle DividerRegistry::lookup(const Key &K) {
   }
   const uint64_t H = KeyHash()(K);
   Shard &S = Shards[shardIndexFor(H)];
-  const bool Sampled = sampleThisOp();
-  const uint64_t T0 = Sampled ? steadyNs() : 0;
   EntryHandle E;
-  {
-    EpochDomain::Guard G(EpochDomain::global());
-    const Table *T = S.Current.load(std::memory_order_seq_cst);
-    if (const Bucket *B = T->find(K, H))
-      E = B->E;
-  }
-  if (E) {
-    S.Hits.inc();
-    if (Sampled) {
-      E->LastUseNs.store(T0, std::memory_order_relaxed);
-      recordLookupNs(S, steadyNs() - T0);
-      HotKeys.offer(K, SampleMask + uint64_t{1});
-    }
-  } else {
+  if (!probe(S, K, H, [&E](const EntryHandle &Hit) { E = Hit; }))
     S.Misses.inc();
-  }
   return E;
 }
 
@@ -116,22 +101,9 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
   }
   const uint64_t H = KeyHash()(K);
   Shard &S = Shards[shardIndexFor(H)];
-  const bool Sampled = sampleThisOp();
-  const uint64_t T0 = Sampled ? steadyNs() : 0;
-  {
-    EpochDomain::Guard G(EpochDomain::global());
-    const Table *T = S.Current.load(std::memory_order_seq_cst);
-    if (const Bucket *B = T->find(K, H)) {
-      EntryHandle E = B->E;
-      S.Hits.inc();
-      if (Sampled) {
-        E->LastUseNs.store(T0, std::memory_order_relaxed);
-        recordLookupNs(S, steadyNs() - T0);
-        HotKeys.offer(K, SampleMask + uint64_t{1});
-      }
-      return E;
-    }
-  }
+  EntryHandle Found;
+  if (probe(S, K, H, [&Found](const EntryHandle &E) { Found = E; }))
+    return Found;
 
   std::lock_guard<std::mutex> Lock(S.WriterMutex);
   // Only this shard's writer replaces Current and we hold its lock, so

@@ -120,24 +120,8 @@ public:
     }
     const uint64_t H = KeyHash()(K);
     Shard &S = Shards[shardIndexFor(H)];
-    const bool Sampled = sampleThisOp();
-    const uint64_t T0 = Sampled ? steadyNs() : 0;
-    {
-      EpochDomain::Guard G(EpochDomain::global());
-      const Table *T = S.Current.load(std::memory_order_seq_cst);
-      if (const Bucket *B = T->find(K, H)) {
-        F(*B->E);
-        if (Sampled) {
-          B->E->LastUseNs.store(T0, std::memory_order_relaxed);
-          recordLookupNs(S, steadyNs() - T0);
-          // Sampled heavy-hitter credit, scaled back up to an estimate
-          // of the unsampled stream.
-          HotKeys.offer(K, SampleMask + uint64_t{1});
-        }
-        S.Hits.inc();
-        return true;
-      }
-    }
+    if (probe(S, K, H, [&F](const EntryHandle &E) { F(*E); }))
+      return true;
     S.Misses.inc();
     return false;
   }
@@ -230,11 +214,38 @@ private:
     return static_cast<size_t>(H >> 48) & (Shards.size() - 1);
   }
 
+  /// The hit path of lookup(), acquire() and withEntry(): pins the
+  /// epoch, probes the published table and, on a hit, runs
+  /// \p OnHit(const EntryHandle &) under the pin and counts the hit.
+  /// A miss counts nothing; the caller decides what it was. Unsampled,
+  /// the only locked instruction is the pin and nothing is called.
+  template <typename Fn>
+  bool probe(Shard &S, const Key &K, uint64_t H, Fn &&OnHit) {
+    const bool Sampled = sampleThisOp();
+    const uint64_t T0 = Sampled ? steadyNs() : 0;
+    EpochDomain::Guard G(EpochDomain::global());
+    const Table *T = S.Current.load(std::memory_order_seq_cst);
+    const Bucket *B = T->find(K, H);
+    if (!B)
+      return false;
+    OnHit(B->E);
+    if (Sampled) [[unlikely]]
+      noteSampledHit(S, K, *B->E, T0);
+    S.Hits.inc();
+    return true;
+  }
+
   /// 1-in-SampleEvery per-thread decimation for recency stamps and
   /// latency recording.
-  bool sampleThisOp() const;
+  bool sampleThisOp() const {
+    thread_local uint32_t Tick = 0;
+    return (++Tick & SampleMask) == 0;
+  }
   static uint64_t steadyNs();
-  void recordLookupNs(const Shard &S, uint64_t Ns);
+  /// A sampled hit's bookkeeping: recency stamp \p T0, lookup latency
+  /// since \p T0, and heavy-hitter credit.
+  void noteSampledHit(const Shard &S, const Key &K, const DividerEntry &E,
+                      uint64_t T0);
 
   /// Publishes \p NewT in \p S and retires the old table; then frees
   /// every retired table whose grace period has elapsed. Caller holds

@@ -36,6 +36,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -57,21 +58,56 @@ std::string uniqueName(const char *Stem) {
          std::to_string(Serial.fetch_add(1));
 }
 
-TEST(MetricsCounter, ExactUnderSixteenThreadContention) {
-  Counter C;
-  constexpr int NumThreads = 16;
-  constexpr uint64_t PerThread = 100000;
-  std::vector<std::thread> Threads;
-  for (int T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&C] {
-      for (uint64_t I = 0; I < PerThread; ++I)
+/// Runs \p Waves waves of \p PerWave threads, each adding \p PerThread
+/// ones to \p C. Every thread of a wave increments once, waits until
+/// the whole wave is live, then adds the rest, so a wave's threads hold
+/// their stripes at the same time. Returns how many threads ran on the
+/// shared overflow stripe.
+int countInWaves(Counter &C, int Waves, int PerWave, uint64_t PerThread) {
+  std::atomic<int> OnOverflow{0};
+  for (int W = 0; W < Waves; ++W) {
+    std::latch AllLive(PerWave);
+    std::vector<std::thread> Threads;
+    for (int T = 0; T < PerWave; ++T)
+      Threads.emplace_back([&] {
         C.inc();
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  // Striped relaxed adds merge to the exact total: increments are never
-  // lost, whatever stripe each thread landed on.
-  EXPECT_EQ(C.value(), NumThreads * PerThread);
+        if (metrics::detail::stripeIndex() == metrics::detail::OverflowStripe)
+          OnOverflow.fetch_add(1);
+        AllLive.arrive_and_wait();
+        for (uint64_t I = 1; I < PerThread; ++I)
+          C.inc();
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  return OnOverflow.load();
+}
+
+TEST(MetricsCounter, ExactUnderSixteenThreadContention) {
+  // Single-writer stripes merge to the exact total: increments are
+  // never lost, whatever stripe each thread landed on.
+  {
+    Counter C;
+    countInWaves(C, 1, 16, 100000);
+    EXPECT_EQ(C.value(), 16u * 100000);
+  }
+  // Twice as many live threads as owned stripes: at least half share
+  // the overflow stripe, whose fetch_add must not lose increments either.
+  {
+    Counter C;
+    constexpr int Owned = static_cast<int>(metrics::detail::OwnedStripes);
+    constexpr int Live = 2 * Owned;
+    EXPECT_GE(countInWaves(C, 1, Live, 100000), Live - Owned);
+    EXPECT_EQ(C.value(), static_cast<uint64_t>(Live) * 100000);
+  }
+  // Short-lived threads in waves, 264 lifetimes in all: exiting threads
+  // hand their stripes back, so no wave is pushed onto the overflow
+  // stripe, and a recycled stripe keeps every earlier increment.
+  {
+    Counter C;
+    EXPECT_EQ(countInWaves(C, 11, 24, 2000), 0);
+    EXPECT_EQ(C.value(), 11u * 24 * 2000);
+  }
 }
 
 TEST(MetricsRegistry, SameSeriesReturnsSameInstrument) {

@@ -408,27 +408,39 @@ TEST(ServiceRegistry, EightThreadCompileOncePerKey) {
 }
 
 TEST(ServiceRegistry, CountersExactUnderContention) {
+  // 8 threads at a time, in waves, so 80 thread lifetimes pass through
+  // the registry and the counters' stripes are handed back and reused.
   constexpr size_t Threads = 8;
+  constexpr size_t Waves = 10;
   constexpr size_t NumKeys = 32;
-  constexpr size_t Rounds = 400;
+  constexpr size_t Rounds = 100;
   DividerRegistry R(smallOptions(8, 64));
 
-  std::vector<std::thread> Pool;
-  for (size_t T = 0; T < Threads; ++T) {
-    Pool.emplace_back([&, T] {
-      uint64_t Rng = 0xabc + T;
-      for (size_t Round = 0; Round < Rounds; ++Round) {
-        const uint32_t D =
-            static_cast<uint32_t>(1 + (splitmix(Rng) % NumKeys));
-        ASSERT_NE(R.acquireFor<uint32_t>(D), nullptr);
-      }
-    });
+  for (size_t W = 0; W < Waves; ++W) {
+    std::vector<std::thread> Pool;
+    for (size_t T = 0; T < Threads; ++T) {
+      Pool.emplace_back([&, T, W] {
+        uint64_t Rng = 0xabc + W * Threads + T;
+        for (size_t Round = 0; Round < Rounds; ++Round) {
+          const uint32_t D =
+              static_cast<uint32_t>(1 + (splitmix(Rng) % NumKeys));
+          const Key K = keyFor<uint32_t>(D);
+          // acquire admits; lookup and withEntry then always hit.
+          ASSERT_NE(R.acquire(K), nullptr);
+          ASSERT_NE(R.lookup(K), nullptr);
+          uint32_t Q = 0;
+          ASSERT_TRUE(R.withEntry(
+              K, [&](const DividerEntry &E) { Q = E.divide<uint32_t>(1000); }));
+          ASSERT_EQ(Q, 1000u / D);
+        }
+      });
+    }
+    for (std::thread &Worker : Pool)
+      Worker.join();
   }
-  for (std::thread &W : Pool)
-    W.join();
 
   const cache::CacheStats St = R.stats();
-  EXPECT_EQ(St.Hits + St.Misses, Threads * Rounds);
+  EXPECT_EQ(St.Hits + St.Misses, 3 * Waves * Threads * Rounds);
   EXPECT_EQ(St.Misses, St.Inserts);
   EXPECT_EQ(St.Inserts, R.size());
   EXPECT_LE(St.Inserts, NumKeys);
