@@ -16,7 +16,7 @@
 //   RegistryAcquireHot/threads:N   acquire() when every key is already
 //                                  resident (hit path + key packing).
 //   RegistryAdmitChurn             cold admissions at capacity: entry
-//                                  build + copy-on-write rebuild +
+//                                  build + copy-and-patch rebuild +
 //                                  eviction + epoch retirement.
 //   BatchSubmitPipeline            32 in-flight 4096-lane jobs through
 //                                  the async front door (2 workers).
@@ -184,7 +184,8 @@ BENCHMARK(BM_RegistryAcquireHot)->Threads(1)->Threads(16)->UseRealTime();
 
 void BM_RegistryAdmitChurn(benchmark::State &State) {
   // Tiny registry, fresh divisor every iteration: each admission pays
-  // entry precompute + table rebuild + eviction + epoch retirement.
+  // entry precompute + table copy-and-patch + eviction + epoch
+  // retirement.
   service::DividerRegistry::Options O;
   O.NumShards = 1;
   O.ShardCapacity = 64;

@@ -19,10 +19,9 @@
 /// callers that don't (the batch front door, the tool) use the
 /// bit-pattern and array virtuals.
 ///
-/// Entries are immutable after construction — the only mutable field
-/// is the LastUseNs recency stamp, an atomic the registry refreshes on
-/// sampled hits — so sharing them across threads with no further
-/// synchronization is safe.
+/// Entries are immutable after construction (the registry keeps its
+/// recency stamps in its own tables), so sharing them across threads
+/// with no further synchronization is safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +30,6 @@
 
 #include "service/Key.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -88,10 +86,6 @@ public:
     return static_cast<T>(static_cast<U>(
         remainderBits(static_cast<uint64_t>(static_cast<U>(N)))));
   }
-
-  /// Approximate-LRU recency stamp (ns on the registry's steady
-  /// clock), refreshed on sampled hits; see Registry.h.
-  mutable std::atomic<uint64_t> LastUseNs{0};
 
 protected:
   explicit DividerEntry(const Key &EntryKey) : K(EntryKey) {}

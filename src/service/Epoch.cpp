@@ -10,14 +10,45 @@
 namespace gmdiv {
 namespace service {
 
+namespace {
+/// Set once this thread's slot lease has run: a guard taken by a later
+/// thread_local destructor gets a slot that is never handed back.
+constinit thread_local bool SlotHandedBack = false;
+} // namespace
+
+struct EpochDomain::SlotLease {
+  ~SlotLease() {
+    EpochSlot *S = ThreadSlot;
+    ThreadSlot = nullptr;
+    SlotHandedBack = true;
+    // Depth is 0 and Active is 0: no guard outlives its thread.
+    S->Owned.store(false, std::memory_order_release);
+  }
+};
+
 EpochSlot *EpochDomain::registerThread() {
-  auto *S = new EpochSlot(); // leaked at thread exit, like trace rings
-  S->Next = Global.Slots.load(std::memory_order_relaxed);
-  while (!Global.Slots.compare_exchange_weak(S->Next, S,
-                                             std::memory_order_release,
-                                             std::memory_order_relaxed)) {
+  EpochSlot *S = nullptr;
+  for (EpochSlot *F = Global.Slots.load(std::memory_order_acquire); F;
+       F = F->Next) {
+    bool Held = false;
+    if (F->Owned.compare_exchange_strong(Held, true,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+      S = F;
+      break;
+    }
+  }
+  if (!S) {
+    S = new EpochSlot(); // never freed; see Epoch.h
+    S->Next = Global.Slots.load(std::memory_order_relaxed);
+    while (!Global.Slots.compare_exchange_weak(S->Next, S,
+                                               std::memory_order_release,
+                                               std::memory_order_relaxed)) {
+    }
   }
   ThreadSlot = S;
+  if (!SlotHandedBack)
+    thread_local SlotLease Lease; // destroyed at thread exit
   return S;
 }
 

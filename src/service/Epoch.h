@@ -22,9 +22,12 @@
 /// replacement. On x86-64 the cost is one locked exchange on the pin;
 /// the epoch and table loads are plain MOVs.
 ///
-/// Slots live in a global intrusive list and are leaked at thread
-/// exit, the same policy as the trace rings: a detached worker's final
-/// announcement must stay readable by writers that outlive it.
+/// Slots live in a global push-only intrusive list and are never
+/// freed: a detached worker's final announcement must stay readable by
+/// writers that outlive it. A thread hands its slot back at exit and
+/// the next new thread reuses it, so the list every retirement scans
+/// grows with the peak number of live readers, not with every thread
+/// the process ever started.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,12 +40,15 @@
 namespace gmdiv {
 namespace service {
 
-/// One reader slot per thread that has ever entered a critical
+/// One reader slot per live thread that has entered a critical
 /// section. Cache-line sized so one thread's pin/unpin traffic never
 /// invalidates another's line.
 struct alignas(64) EpochSlot {
   /// 0 = quiescent; otherwise the epoch the thread announced on entry.
   std::atomic<uint64_t> Active{0};
+  /// Held by a thread. Cleared at that thread's exit (release) and
+  /// claimed by compare-exchange (acquire), which also hands Depth over.
+  std::atomic<bool> Owned{true};
   /// Reentrancy depth; touched only by the owning thread.
   uint32_t Depth = 0;
   /// Intrusive list link, written once at registration.
@@ -90,19 +96,24 @@ public:
   /// Current epoch value (tests / diagnostics).
   uint64_t current() const { return Epoch.load(std::memory_order_seq_cst); }
 
-  /// Number of registered reader slots (diagnostics; monotone).
+  /// Number of reader slots ever allocated (diagnostics; monotone, at
+  /// most the peak number of live reader threads plus those that pinned
+  /// again from thread_local destructors after handing theirs back).
   size_t slotCount() const;
 
 private:
   constexpr EpochDomain() = default;
 
-  /// This thread's slot, registering (and leaking) one on first use.
+  /// This thread's slot, claiming one on first use.
   static EpochSlot *mySlot() {
     EpochSlot *S = ThreadSlot;
     return S ? S : registerThread();
   }
-  /// Cold path of mySlot(): links a new slot into Global's list.
+  /// Cold path of mySlot(): claims a slot an exited thread handed back,
+  /// or links a new one into Global's list.
   static EpochSlot *registerThread();
+  /// Hands the thread's slot back at thread exit.
+  struct SlotLease;
 
   /// Constant-initialised and trivially destructible, so it is usable
   /// during static initialisation and never torn down: reader slots

@@ -57,10 +57,77 @@ DividerRegistry::~DividerRegistry() {
   // Destruction contract: no concurrent readers. Everything retired is
   // past its grace period by definition.
   for (Shard &S : Shards) {
-    delete S.Current.load(std::memory_order_acquire);
-    for (const Retired &R : S.RetiredTables)
+    const Table *Cur = S.Current.load(std::memory_order_acquire);
+    for (const Bucket &B : Cur->Buckets)
+      delete B.Owner;
+    delete Cur;
+    for (const Retired &R : S.RetiredTables) {
       delete R.T;
+      delete R.Owner;
+    }
   }
+}
+
+DividerRegistry::Table::Table(size_t BucketCount)
+    : Buckets(BucketCount),
+      Stamps(new std::atomic<uint64_t>[BucketCount]),
+      Mask(BucketCount - 1) {
+  for (size_t I = 0; I < BucketCount; ++I)
+    Stamps[I].store(UINT64_MAX, std::memory_order_relaxed);
+}
+
+DividerRegistry::Table::Table(const Table &From)
+    : Buckets(From.Buckets),
+      Stamps(new std::atomic<uint64_t>[From.Buckets.size()]),
+      Mask(From.Mask), Size(From.Size) {
+  for (size_t I = 0; I < Buckets.size(); ++I)
+    Stamps[I].store(From.Stamps[I].load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+}
+
+size_t DividerRegistry::Table::stalest() const {
+  size_t Slot = 0;
+  uint64_t Stalest = UINT64_MAX;
+  for (size_t I = 0; I < Buckets.size(); ++I) {
+    const uint64_t Used = Stamps[I].load(std::memory_order_relaxed);
+    if (Used <= Stalest) {
+      // <= so a tie (e.g. SampleEvery leaving stamps at admission
+      // time) still yields a victim deterministically (last wins).
+      Stalest = Used;
+      Slot = I;
+    }
+  }
+  return Slot;
+}
+
+DividerRegistry::EntryHandle *DividerRegistry::Table::erase(size_t Slot) {
+  EntryHandle *Dropped = Buckets[Slot].Owner;
+  // Walk the rest of the cluster. A later bucket moves back into the
+  // hole unless its home slot lies cyclically in (hole, J]: then the
+  // hole is not on its probe path.
+  for (size_t J = (Slot + 1) & Mask; Buckets[J].E; J = (J + 1) & Mask) {
+    const uint64_t Home = KeyHash()(Buckets[J].K) & Mask;
+    if (((J - Home) & Mask) < ((J - Slot) & Mask))
+      continue;
+    Buckets[Slot] = Buckets[J];
+    Stamps[Slot].store(Stamps[J].load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    Slot = J;
+  }
+  Buckets[Slot] = Bucket{};
+  Stamps[Slot].store(UINT64_MAX, std::memory_order_relaxed);
+  --Size;
+  return Dropped;
+}
+
+void DividerRegistry::Table::insert(const Key &K, uint64_t H,
+                                    EntryHandle *Owner, uint64_t Ns) {
+  uint64_t I = H & Mask;
+  while (Buckets[I].E)
+    I = (I + 1) & Mask;
+  Buckets[I] = Bucket{K, Owner->get(), Owner};
+  Stamps[I].store(Ns, std::memory_order_relaxed);
+  ++Size;
 }
 
 uint64_t DividerRegistry::steadyNs() {
@@ -70,15 +137,15 @@ uint64_t DividerRegistry::steadyNs() {
           .count());
 }
 
-void DividerRegistry::noteSampledHit(const Shard &S, const Key &K,
-                                     const DividerEntry &E, uint64_t T0) {
-  E.LastUseNs.store(T0, std::memory_order_relaxed);
+void DividerRegistry::noteSampledHit(const Shard &S, const Table &T,
+                                     const Bucket &B, uint64_t T0) {
+  T.touch(B, T0);
   const uint64_t Ns = steadyNs() - T0;
   LookupNs[static_cast<size_t>(&S - Shards.data())]->record(Ns);
   LookupNsAll.record(Ns);
   // Sampled heavy-hitter credit, scaled back up to an estimate of the
   // unsampled stream.
-  HotKeys.offer(K, SampleMask + uint64_t{1});
+  HotKeys.offer(B.K, SampleMask + uint64_t{1});
 }
 
 DividerRegistry::EntryHandle DividerRegistry::lookup(const Key &K) {
@@ -89,7 +156,7 @@ DividerRegistry::EntryHandle DividerRegistry::lookup(const Key &K) {
   const uint64_t H = KeyHash()(K);
   Shard &S = Shards[shardIndexFor(H)];
   EntryHandle E;
-  if (!probe(S, K, H, [&E](const EntryHandle &Hit) { E = Hit; }))
+  if (!probe(S, K, H, [&E](const Bucket &B) { E = *B.Owner; }))
     S.Misses.inc();
   return E;
 }
@@ -102,7 +169,7 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
   const uint64_t H = KeyHash()(K);
   Shard &S = Shards[shardIndexFor(H)];
   EntryHandle Found;
-  if (probe(S, K, H, [&Found](const EntryHandle &E) { Found = E; }))
+  if (probe(S, K, H, [&Found](const Bucket &B) { Found = *B.Owner; }))
     return Found;
 
   std::lock_guard<std::mutex> Lock(S.WriterMutex);
@@ -114,71 +181,54 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
     // the lock. Build-once means this counts as a hit, keeping
     // Misses == Inserts exact.
     S.Hits.inc();
-    return B->E;
+    return *B->Owner;
   }
 
   S.Misses.inc();
   const uint64_t Admit0 = steadyNs();
-  EntryHandle E = makeDividerEntry(K);
-  AdmitNsAll.record(steadyNs() - Admit0);
-  E->LastUseNs.store(steadyNs(), std::memory_order_relaxed);
+  auto Owner = std::make_unique<EntryHandle>(makeDividerEntry(K));
+  // One clock read ends the latency sample and stamps the admission.
+  const uint64_t Now = steadyNs();
+  AdmitNsAll.record(Now - Admit0);
 
-  // Copy-on-write rebuild: same geometry, minus a victim when full.
-  auto *NewT = new Table(BucketsPerShard);
-  const Bucket *Victim = nullptr;
-  if (Cur->Size >= ShardCapacity) {
-    uint64_t Stalest = UINT64_MAX;
-    for (const Bucket &B : Cur->Buckets) {
-      if (!B.E)
-        continue;
-      const uint64_t Used = B.E->LastUseNs.load(std::memory_order_relaxed);
-      if (Used <= Stalest) {
-        // <= so a tie (e.g. SampleEvery leaving stamps at admission
-        // time) still yields a victim deterministically (last wins).
-        Stalest = Used;
-        Victim = &B;
-      }
-    }
-  }
-  auto place = [NewT](const Key &BK, uint64_t BH, EntryHandle BE) {
-    for (uint64_t I = BH & NewT->Mask;; I = (I + 1) & NewT->Mask) {
-      Bucket &Slot = NewT->Buckets[I];
-      if (!Slot.E) {
-        Slot.K = BK;
-        Slot.E = std::move(BE);
-        ++NewT->Size;
-        return;
-      }
-    }
-  };
-  for (const Bucket &B : Cur->Buckets)
-    if (B.E && &B != Victim)
-      place(B.K, KeyHash()(B.K), B.E);
-  place(K, H, E);
-  if (Victim)
+  // Copy-and-patch: the published table minus the stalest entry when
+  // full, plus the new key. Only the victim's cluster moves.
+  auto *NewT = new Table(*Cur);
+  EntryHandle *Victim = nullptr;
+  if (NewT->Size >= ShardCapacity) {
+    Victim = NewT->erase(NewT->stalest());
     S.Evictions.fetch_add(1, std::memory_order_relaxed);
+  }
+  EntryHandle *Admitted = Owner.release();
+  NewT->insert(K, H, Admitted, Now);
   S.Inserts.fetch_add(1, std::memory_order_relaxed);
   // Admissions always reach the sketch, so cold-start traffic is
   // attributed even before any sampled hit lands.
   HotKeys.offer(K);
-  publish(S, NewT);
-  return E;
+  publish(S, NewT, {&Victim, Victim ? 1u : 0u});
+  return *Admitted;
 }
 
-void DividerRegistry::publish(Shard &S, const Table *NewT) {
+void DividerRegistry::publish(Shard &S, const Table *NewT,
+                              std::span<EntryHandle *const> Dropped) {
   const Table *Old = S.Current.load(std::memory_order_relaxed);
   S.Current.store(NewT, std::memory_order_seq_cst);
   EpochDomain &D = EpochDomain::global();
-  S.RetiredTables.push_back({Old, D.retire()});
-  // Reclaim every retired table whose grace period has elapsed: no
-  // active reader announced an epoch older than its retirement tag.
+  const uint64_t Tag = D.retire();
+  S.RetiredTables.push_back({Old, nullptr, Tag});
+  for (EntryHandle *Owner : Dropped)
+    S.RetiredTables.push_back({nullptr, Owner, Tag});
+  // Reclaim everything whose grace period has elapsed: no active
+  // reader announced an epoch older than its retirement tag.
   const uint64_t MinActive = D.minActive();
   auto Keep = S.RetiredTables.begin();
   for (Retired &R : S.RetiredTables) {
-    if (R.Epoch <= MinActive)
+    if (R.Epoch <= MinActive) {
       delete R.T;
-    else
+      delete R.Owner;
+    } else {
       *Keep++ = R;
+    }
   }
   S.RetiredTables.erase(Keep, S.RetiredTables.end());
 }
@@ -186,7 +236,11 @@ void DividerRegistry::publish(Shard &S, const Table *NewT) {
 void DividerRegistry::clear() {
   for (Shard &S : Shards) {
     std::lock_guard<std::mutex> Lock(S.WriterMutex);
-    publish(S, new Table(BucketsPerShard));
+    std::vector<EntryHandle *> Dropped;
+    for (const Bucket &B : S.Current.load(std::memory_order_relaxed)->Buckets)
+      if (B.Owner)
+        Dropped.push_back(B.Owner);
+    publish(S, new Table(BucketsPerShard), Dropped);
   }
 }
 

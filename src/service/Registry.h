@@ -14,23 +14,35 @@
 /// partitioners that resolve a divisor per message.
 ///
 /// Structure: keys spread over power-of-two shards (cache::mixBits).
-/// Each shard publishes an immutable open-addressing table through an
-/// atomic pointer. The hit path — lookup() / withEntry() — never takes
-/// a mutex: it pins the epoch domain (service/Epoch.h), loads the
-/// published table, probes, and copies out the entry's shared_ptr.
-/// Writers (acquire() on a miss) serialize on a per-shard mutex,
-/// re-probe (build-once: latecomers on the same key become "late
-/// hits"), precompute the entry (no code generation), then publish a
-/// rebuilt table copy-on-write and retire the old one through the
-/// epoch domain.
+/// Each shard publishes an open-addressing table through an atomic
+/// pointer. The hit path — lookup() / withEntry() — never takes a
+/// mutex: it pins the epoch domain (service/Epoch.h), loads the
+/// published table, probes, and reads the entry through the bucket's
+/// raw pointer (copying out the registry's shared_ptr only for
+/// lookup() and acquire()). Writers (acquire() on a miss) serialize on
+/// a per-shard mutex, re-probe (build-once: latecomers on the same key
+/// become "late hits"), precompute the entry (no code generation),
+/// then publish a patched copy of the table and retire the old one
+/// through the epoch domain.
 ///
-/// Eviction is size-capped approximate LRU: each entry carries an
-/// atomic LastUseNs stamp refreshed on *sampled* hits (1 in
-/// Options::SampleEvery, sharing the clock read with the
-/// lookup-latency histogram, so the unsampled hit path performs no
-/// clock reads); a full shard evicts the stalest entry during the
-/// admission rebuild. Handles are shared_ptr: eviction drops the
-/// registry's reference, never the entry — holders keep dividing.
+/// Admission is copy-and-patch: buckets are trivially copyable (key,
+/// raw entry pointer, pointer to the registry's owning reference), so
+/// the copy touches no reference count; a full shard removes its victim
+/// from the private copy by backward-shift deletion and the new key
+/// takes the first empty slot on its probe path. Only the victim's
+/// probe cluster moves; no other resident is rehashed. The victim's
+/// owning reference is dropped with the retired table, once its grace
+/// period ends.
+///
+/// Eviction is size-capped approximate LRU: each table carries one
+/// atomic recency stamp per bucket, its only mutable part, refreshed
+/// on *sampled* hits (1 in Options::SampleEvery, sharing the clock read
+/// with the lookup-latency histogram, so the unsampled hit path
+/// performs no clock reads). A rebuild copies the stamps and evicts
+/// the smallest; a refresh that lands on a table being retired is
+/// lost, which an approximate LRU accepts. Handles are shared_ptr:
+/// eviction drops the registry's reference, never the entry — holders
+/// keep dividing.
 ///
 /// Counters per shard: Hits/Misses on wait-free striped
 /// metrics::Counter (exact at snapshot); Inserts/Evictions as plain
@@ -56,7 +68,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace gmdiv {
@@ -120,7 +134,7 @@ public:
     }
     const uint64_t H = KeyHash()(K);
     Shard &S = Shards[shardIndexFor(H)];
-    if (probe(S, K, H, [&F](const EntryHandle &E) { F(*E); }))
+    if (probe(S, K, H, [&F](const Bucket &B) { F(*B.E); }))
       return true;
     S.Misses.inc();
     return false;
@@ -163,20 +177,30 @@ public:
   static DividerRegistry &global();
 
 private:
+  /// Trivially copyable, so a rebuild copies buckets without touching
+  /// a reference count. Every read goes through E; Owner is the
+  /// registry's one counted reference, which lookup() and acquire()
+  /// copy out and which is deleted with the last table naming it.
   struct Bucket {
     Key K{};
-    EntryHandle E; ///< Null = empty slot (no tombstones; see rebuild).
+    const DividerEntry *E = nullptr; ///< Null = empty slot (no tombstones).
+    EntryHandle *Owner = nullptr;
   };
+  static_assert(std::is_trivially_copyable_v<Bucket>);
 
-  /// Immutable once published: linear-probing table with load <= 0.5,
-  /// so probes on a published table always terminate at an empty slot.
+  /// Linear-probing table with load <= 0.5, so probes on a published
+  /// table always terminate at an empty slot. Immutable once published
+  /// except Stamps: one recency stamp per bucket (steady-clock ns,
+  /// UINT64_MAX = empty), written by sampled hits.
   struct Table {
     std::vector<Bucket> Buckets;
+    std::unique_ptr<std::atomic<uint64_t>[]> Stamps;
     uint64_t Mask = 0;
     size_t Size = 0;
 
-    explicit Table(size_t BucketCount)
-        : Buckets(BucketCount), Mask(BucketCount - 1) {}
+    explicit Table(size_t BucketCount);
+    /// A private copy of \p From: same geometry, stamps as read now.
+    explicit Table(const Table &From);
 
     const Bucket *find(const Key &K, uint64_t H) const {
       for (uint64_t I = H & Mask;; I = (I + 1) & Mask) {
@@ -187,10 +211,27 @@ private:
           return &B;
       }
     }
+
+    void touch(const Bucket &B, uint64_t Ns) const {
+      Stamps[static_cast<size_t>(&B - Buckets.data())].store(
+          Ns, std::memory_order_relaxed);
+    }
+
+    /// Slot with the smallest stamp (ties: the last one wins).
+    size_t stalest() const;
+    /// Backward-shift deletion of \p Slot on an unpublished table;
+    /// returns the removed bucket's owning reference.
+    EntryHandle *erase(size_t Slot);
+    /// Puts \p K in the first empty slot on its probe path, on an
+    /// unpublished table.
+    void insert(const Key &K, uint64_t H, EntryHandle *Owner, uint64_t Ns);
   };
 
+  /// A table and/or an owning reference no published table names any
+  /// more (either may be null).
   struct Retired {
     const Table *T;
+    EntryHandle *Owner;
     uint64_t Epoch; ///< Free once Epoch <= EpochDomain::minActive().
   };
 
@@ -216,7 +257,7 @@ private:
 
   /// The hit path of lookup(), acquire() and withEntry(): pins the
   /// epoch, probes the published table and, on a hit, runs
-  /// \p OnHit(const EntryHandle &) under the pin and counts the hit.
+  /// \p OnHit(const Bucket &) under the pin and counts the hit.
   /// A miss counts nothing; the caller decides what it was. Unsampled,
   /// the only locked instruction is the pin and nothing is called.
   template <typename Fn>
@@ -228,9 +269,9 @@ private:
     const Bucket *B = T->find(K, H);
     if (!B)
       return false;
-    OnHit(B->E);
+    OnHit(*B);
     if (Sampled) [[unlikely]]
-      noteSampledHit(S, K, *B->E, T0);
+      noteSampledHit(S, *T, *B, T0);
     S.Hits.inc();
     return true;
   }
@@ -242,15 +283,16 @@ private:
     return (++Tick & SampleMask) == 0;
   }
   static uint64_t steadyNs();
-  /// A sampled hit's bookkeeping: recency stamp \p T0, lookup latency
-  /// since \p T0, and heavy-hitter credit.
-  void noteSampledHit(const Shard &S, const Key &K, const DividerEntry &E,
+  /// A sampled hit's bookkeeping: recency stamp \p T0 on \p B, lookup
+  /// latency since \p T0, and heavy-hitter credit.
+  void noteSampledHit(const Shard &S, const Table &T, const Bucket &B,
                       uint64_t T0);
 
-  /// Publishes \p NewT in \p S and retires the old table; then frees
-  /// every retired table whose grace period has elapsed. Caller holds
-  /// S.WriterMutex.
-  void publish(Shard &S, const Table *NewT);
+  /// Publishes \p NewT in \p S and retires the old table together with
+  /// the owning references in \p Dropped; then frees everything retired
+  /// whose grace period has elapsed. Caller holds S.WriterMutex.
+  void publish(Shard &S, const Table *NewT,
+               std::span<EntryHandle *const> Dropped);
 
   void collect(metrics::SnapshotBuilder &B) const;
 

@@ -10,8 +10,9 @@
 // LRU eviction liveness, bit-for-bit agreement with the core dividers,
 // the async batch front door's ordering and error paths, its inline
 // guard and the paths it chooses between, and the metrics-plane export.
-// The TSan CI leg runs this whole file; MixedContentionStress and
-// ConcurrentSubmittersMixInlineAndQueued at the bottom are the
+// The TSan CI leg runs this whole file; MixedContentionStress,
+// ConcurrentSubmittersMixInlineAndQueued and
+// ReadersNeverSeeAWrongEntryDuringEviction at the bottom are the
 // data-race hammers.
 //
 //===----------------------------------------------------------------------===//
@@ -55,6 +56,28 @@ DividerRegistry::Options smallOptions(size_t Shards, size_t Capacity) {
   O.ShardCapacity = Capacity;
   O.SampleEvery = 1; // deterministic recency stamps for LRU tests
   return O;
+}
+
+/// u32 keys whose home bucket, in a one-shard table of \p Buckets
+/// slots, is one of its last two slots or its first: they form long
+/// clusters that wrap the table end, so every eviction's backward shift
+/// moves entries across the wrap.
+std::vector<Key> wrappingClusterKeys(size_t Count, uint64_t Buckets) {
+  std::vector<Key> Keys;
+  for (uint32_t D = 1; Keys.size() < Count; ++D) {
+    const Key K = keyFor<uint32_t>(D);
+    const uint64_t Home = KeyHash()(K) & (Buckets - 1);
+    if (Home + 2 >= Buckets || Home == 0)
+      Keys.push_back(K);
+  }
+  return Keys;
+}
+
+/// The entry is the one asked for and divides like hardware.
+bool dividesAs(const DividerEntry &E, const Key &K) {
+  const uint32_t N = 0xfedcba98u;
+  return E.key() == K &&
+         E.divide<uint32_t>(N) == N / static_cast<uint32_t>(K.DivisorBits);
 }
 
 //===----------------------------------------------------------------------===//
@@ -497,6 +520,68 @@ TEST(ServiceRegistry, EvictionPicksTheStalestEntry) {
   EXPECT_EQ(R.stats().Evictions, 1u);
 }
 
+TEST(ServiceRegistry, EvictionKeepsEveryResidentKeyReachable) {
+  // One shard of 16 (32 buckets at load <= 0.5) and keys homed in its
+  // last two slots or its first. A reference LRU model says what must
+  // be resident after each admission; SampleEvery = 1 makes every hit
+  // a refresh, and checking residents oldest-first keeps their order.
+  constexpr size_t Capacity = 16;
+  DividerRegistry R(smallOptions(1, Capacity));
+  const std::vector<Key> Pool = wrappingClusterKeys(40, 2 * Capacity);
+  std::vector<size_t> Lru; // pool indices, least recently used first
+  uint64_t Inserts = 0, Evictions = 0;
+  const auto resident = [&Lru](size_t I) {
+    return std::find(Lru.begin(), Lru.end(), I) != Lru.end();
+  };
+  const auto touch = [&Lru](size_t I) {
+    Lru.erase(std::find(Lru.begin(), Lru.end(), I));
+    Lru.push_back(I);
+  };
+
+  uint64_t Rng = 19;
+  while (Inserts < 10000) {
+    const size_t I = splitmix(Rng) % Pool.size();
+    if (splitmix(Rng) % 4 == 0) {
+      const auto E = R.lookup(Pool[I]);
+      ASSERT_EQ(E != nullptr, resident(I)) << Pool[I].describe();
+      if (E)
+        touch(I);
+      continue;
+    }
+    ASSERT_NE(R.acquire(Pool[I]), nullptr);
+    if (resident(I)) {
+      touch(I);
+      continue;
+    }
+    if (Lru.size() == Capacity) {
+      Lru.erase(Lru.begin());
+      ++Evictions;
+    }
+    Lru.push_back(I);
+    ++Inserts;
+
+    for (size_t J : Lru) {
+      const auto E = R.lookup(Pool[J]);
+      ASSERT_NE(E, nullptr) << Pool[J].describe() << " after " << Inserts;
+      ASSERT_TRUE(dividesAs(*E, Pool[J]));
+    }
+    for (size_t J : Lru) {
+      bool Ok = false;
+      ASSERT_TRUE(R.withEntry(Pool[J], [&](const DividerEntry &E) {
+        Ok = dividesAs(E, Pool[J]);
+      }));
+      ASSERT_TRUE(Ok) << Pool[J].describe();
+    }
+    for (size_t J = 0; J < Pool.size(); ++J)
+      if (!resident(J))
+        ASSERT_EQ(R.lookup(Pool[J]), nullptr) << Pool[J].describe();
+    const cache::CacheStats St = R.stats();
+    ASSERT_EQ(R.size(), Lru.size());
+    ASSERT_EQ(St.Inserts, Inserts);
+    ASSERT_EQ(St.Evictions, Evictions);
+  }
+}
+
 TEST(ServiceRegistry, ClearDropsEntriesKeepsCounters) {
   DividerRegistry R(smallOptions(2, 8));
   ASSERT_NE(R.acquireFor<uint32_t>(5), nullptr);
@@ -527,6 +612,17 @@ TEST(ServiceEpoch, GuardsNestAndAnnounce) {
   }
   EXPECT_GE(D.current(), Before);
   EXPECT_GE(D.slotCount(), 1u);
+}
+
+TEST(ServiceEpoch, ExitedThreadsHandTheirSlotsBack) {
+  // Every retirement scans the slot list, so it must track live
+  // readers, not every thread that ever pinned.
+  EpochDomain &D = EpochDomain::global();
+  { EpochDomain::Guard G(D); } // this thread holds a slot from here on
+  const size_t Before = D.slotCount();
+  for (int I = 0; I < 64; ++I)
+    std::thread([&D] { EpochDomain::Guard G(D); }).join();
+  EXPECT_LE(D.slotCount(), Before + 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1154,6 +1250,69 @@ TEST(ServiceRegistry, MixedContentionStress) {
             R.shardStats()[0].Hits + R.shardStats()[0].Misses +
                 R.shardStats()[1].Hits + R.shardStats()[1].Misses);
   EXPECT_GT(Checksum.load(), 0u);
+}
+
+TEST(ServiceRegistry, ReadersNeverSeeAWrongEntryDuringEviction) {
+  // A writer admits into one small shard as fast as it can, so nearly
+  // every admission evicts and backward-shifts a wrapping cluster,
+  // while readers ask for the same keys through all three hit paths.
+  // A miss is fine; an entry for another key, or one that divides
+  // wrongly, is not.
+  constexpr size_t Capacity = 8;
+  DividerRegistry R(smallOptions(1, Capacity));
+  const std::vector<Key> Pool = wrappingClusterKeys(64, 2 * Capacity);
+  std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> Wrong{0}, Hits{0};
+
+  std::vector<std::thread> Readers;
+  for (uint64_t T = 0; T < 3; ++T) {
+    Readers.emplace_back([&, T] {
+      uint64_t Rng = 0x5eed + T;
+      uint64_t LocalWrong = 0, LocalHits = 0;
+      while (!Stop.load(std::memory_order_relaxed)) {
+        const Key &K = Pool[splitmix(Rng) % Pool.size()];
+        bool Ok = true, Hit = false;
+        switch (splitmix(Rng) % 4) {
+        case 0: {
+          const auto E = R.acquire(K);
+          Hit = E != nullptr;
+          Ok = Hit && dividesAs(*E, K);
+          break;
+        }
+        case 1:
+          if (const auto E = R.lookup(K)) {
+            Hit = true;
+            Ok = dividesAs(*E, K);
+          }
+          break;
+        default:
+          Hit = R.withEntry(K, [&](const DividerEntry &E) {
+            Ok = dividesAs(E, K);
+          });
+          break;
+        }
+        LocalWrong += !Ok;
+        LocalHits += Hit;
+      }
+      Wrong.fetch_add(LocalWrong);
+      Hits.fetch_add(LocalHits);
+    });
+  }
+
+  uint64_t Rng = 7, NullAdmissions = 0;
+  for (int I = 0; I < 20000; ++I)
+    NullAdmissions += R.acquire(Pool[splitmix(Rng) % Pool.size()]) == nullptr;
+  Stop.store(true);
+  for (std::thread &T : Readers)
+    T.join();
+
+  EXPECT_EQ(NullAdmissions, 0u);
+  EXPECT_EQ(Wrong.load(), 0u);
+  EXPECT_GT(Hits.load(), 0u);
+  const cache::CacheStats St = R.stats();
+  EXPECT_GT(St.Evictions, 0u);
+  EXPECT_EQ(St.Inserts - St.Evictions, R.size());
+  EXPECT_LE(R.size(), Capacity);
 }
 
 } // namespace
