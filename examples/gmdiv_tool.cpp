@@ -61,8 +61,10 @@
 //   gmdiv_tool top [--keys K] [--ops N]  drive a skewed synthetic
 //                                        workload through the divider
 //                                        registry and the JIT cache,
-//                                        then print each heavy-hitter
-//                                        sketch as a ranked table,
+//                                        then print the registry's
+//                                        hottest resident keys by heat
+//                                        and the JIT cache's heavy-
+//                                        hitter sketch as ranked tables,
 //                                        cross-referenced against the
 //                                        underlying eviction counters.
 //   gmdiv_tool service [--threads N] [--keys K] [--ops M]
@@ -129,6 +131,7 @@
 #include "verify/Fuzzer.h"
 #include "verify/Verify.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -1208,43 +1211,55 @@ int runCommand(int Argc, char **Argv) {
         jit::JitBatchDivider<uint32_t>{static_cast<uint32_t>(D)};
     }
 
-    const auto PrintSketch = [](const char *What, const auto &Sketch,
-                                uint64_t CacheEvictions,
-                                auto &&Describe) {
-      const auto Items = Sketch.items();
-      std::printf("%s top-%zu (sketch capacity %zu, %llu offered, "
-                  "sketch evictions %llu%s):\n",
-                  What, Items.size(), Sketch.capacity(),
-                  static_cast<unsigned long long>(Sketch.totalOffered()),
-                  static_cast<unsigned long long>(Sketch.evictions()),
-                  Sketch.evictions() == 0 ? " — counts exact" : "");
-      std::printf("  %4s  %-18s %12s %10s\n", "rank", "key", "est.count",
-                  "max.err");
-      const size_t Rows = Items.size() < 10 ? Items.size() : 10;
-      for (size_t I = 0; I < Rows; ++I)
-        std::printf("  %4zu  %-18s %12llu %10llu\n", I,
-                    Describe(Items[I].Key).c_str(),
-                    static_cast<unsigned long long>(Items[I].Count),
-                    static_cast<unsigned long long>(Items[I].Error));
-      if (Items.size() > Rows)
-        std::printf("  ... %zu more tracked keys\n", Items.size() - Rows);
-      std::printf("  cross-reference: %llu cache evictions — %s\n",
-                  static_cast<unsigned long long>(CacheEvictions),
-                  CacheEvictions == 0
-                      ? "every hot key admitted once and stayed resident"
-                      : "hot keys may have been re-admitted; compare "
-                        "ranks against the per-shard _evictions_total "
-                        "counters");
-    };
+    constexpr size_t MaxRows = 10;
+    // Registry: heat read from its tables, so only resident keys show.
+    const auto Hot = Reg.hotKeys();
+    const uint64_t RegEvictions = Reg.stats().Evictions;
+    std::printf("service registry top-%zu of %zu resident keys by heat "
+                "(hits since admission, from sampled hits):\n",
+                Hot.size(), Reg.size());
+    std::printf("  %4s  %-18s %12s\n", "rank", "key", "heat");
+    const size_t HotRows = std::min(Hot.size(), MaxRows);
+    for (size_t I = 0; I < HotRows; ++I)
+      std::printf("  %4zu  %-18s %12llu\n", I, Hot[I].K.describe().c_str(),
+                  static_cast<unsigned long long>(Hot[I].Heat));
+    if (Hot.size() > HotRows)
+      std::printf("  ... %zu more keys\n", Hot.size() - HotRows);
+    std::printf("  cross-reference: %llu cache evictions — %s\n\n",
+                static_cast<unsigned long long>(RegEvictions),
+                RegEvictions == 0
+                    ? "every key admitted once; heat covers its whole "
+                      "traffic"
+                    : "an evicted key leaves the list and restarts at "
+                      "heat 1 when re-admitted");
 
-    PrintSketch("service registry", Reg.hotKeys(), Reg.stats().Evictions,
-                [](const service::Key &K) { return K.describe(); });
-    std::printf("\n");
-    PrintSketch("jit cache", jit::CodeCache::global().hotKeys(),
-                jit::CodeCache::global().stats().Evictions,
-                [](const jit::CacheKey &K) {
-                  return jit::describeCacheKey(K);
-                });
+    const jit::CodeCache &Jit = jit::CodeCache::global();
+    const auto &Sketch = Jit.hotKeys();
+    const auto Items = Sketch.items();
+    std::printf("jit cache top-%zu (sketch capacity %zu, %llu offered, "
+                "sketch evictions %llu%s):\n",
+                Items.size(), Sketch.capacity(),
+                static_cast<unsigned long long>(Sketch.totalOffered()),
+                static_cast<unsigned long long>(Sketch.evictions()),
+                Sketch.evictions() == 0 ? " — counts exact" : "");
+    std::printf("  %4s  %-18s %12s %10s\n", "rank", "key", "est.count",
+                "max.err");
+    const size_t Rows = std::min(Items.size(), MaxRows);
+    for (size_t I = 0; I < Rows; ++I)
+      std::printf("  %4zu  %-18s %12llu %10llu\n", I,
+                  jit::describeCacheKey(Items[I].Key).c_str(),
+                  static_cast<unsigned long long>(Items[I].Count),
+                  static_cast<unsigned long long>(Items[I].Error));
+    if (Items.size() > Rows)
+      std::printf("  ... %zu more tracked keys\n", Items.size() - Rows);
+    const uint64_t JitEvictions = Jit.stats().Evictions;
+    std::printf("  cross-reference: %llu cache evictions — %s\n",
+                static_cast<unsigned long long>(JitEvictions),
+                JitEvictions == 0
+                    ? "every hot key admitted once and stayed resident"
+                    : "hot keys may have been re-admitted; compare "
+                      "ranks against the per-shard _evictions_total "
+                      "counters");
     return 0;
   }
 

@@ -7,10 +7,11 @@
 ///
 /// \file
 /// A bounded top-K heavy-hitter sketch (Metwally-Agrawal-El Abbadi
-/// "space-saving") over an arbitrary key type. The registry and the JIT
-/// code cache both feed one of these with divisor keys so the metrics
-/// exposition can answer "which divisors dominate traffic" without an
-/// unbounded per-key counter map.
+/// "space-saving") over an arbitrary key type. The JIT code cache feeds
+/// one with its keys so the metrics exposition can answer "which
+/// divisors dominate compiles" without an unbounded per-key counter
+/// map. (The divider registry needs no sketch: it ranks its resident
+/// keys by a per-bucket heat count; see service/Registry.h.)
 ///
 /// Invariants of the algorithm (and what the tests check):
 ///   - At most K slots are ever allocated; memory is O(K).
@@ -23,8 +24,8 @@
 ///     Error is 0, and counts equal exact reference counts.
 ///
 /// offer() takes an internal mutex: callers on hot paths are expected
-/// to sample (the registry offers on its existing 1/64 sampled ops, the
-/// JIT cache on compile-or-lookup calls, both far from per-divide).
+/// to sample (the JIT cache offers on compile-or-lookup calls, far from
+/// per-divide).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,6 +7,8 @@
 
 #include "service/Registry.h"
 
+#include "prof/TopK.h"
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -43,7 +45,10 @@ DividerRegistry::DividerRegistry(Options Opts)
       BucketsPerShard(cache::ceilPow2(std::max<size_t>(8, ShardCapacity * 2))),
       SampleMask(static_cast<uint32_t>(
           cache::ceilPow2(std::max<uint32_t>(1, Opts.SampleEvery)) - 1)),
-      HotKeys(Opts.TopKSlots) {
+      TimedMask(static_cast<uint32_t>(std::min<uint64_t>(
+          (SampleMask + uint64_t{1}) * (SampleMask + uint64_t{1}) - 1,
+          UINT32_MAX))),
+      HotKeySlots(std::max<size_t>(1, Opts.TopKSlots)) {
   LookupNs.reserve(Shards.size());
   for (Shard &S : Shards) {
     S.Current.store(new Table(BucketsPerShard), std::memory_order_release);
@@ -69,30 +74,29 @@ DividerRegistry::~DividerRegistry() {
 }
 
 DividerRegistry::Table::Table(size_t BucketCount)
-    : Buckets(BucketCount),
-      Stamps(new std::atomic<uint64_t>[BucketCount]),
+    : Buckets(BucketCount), Use(new Recency[BucketCount]),
       Mask(BucketCount - 1) {
-  for (size_t I = 0; I < BucketCount; ++I)
-    Stamps[I].store(UINT64_MAX, std::memory_order_relaxed);
+  std::fill_n(Use.get(), BucketCount, Recency{UINT64_MAX, 0});
 }
 
 DividerRegistry::Table::Table(const Table &From)
     : Buckets(From.Buckets),
-      Stamps(new std::atomic<uint64_t>[From.Buckets.size()]),
+      Use(std::make_unique_for_overwrite<Recency[]>(From.Buckets.size())),
       Mask(From.Mask), Size(From.Size) {
   for (size_t I = 0; I < Buckets.size(); ++I)
-    Stamps[I].store(From.Stamps[I].load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
+    Use[I] = {std::atomic_ref<uint64_t>(From.Use[I].Stamp)
+                  .load(std::memory_order_relaxed),
+              std::atomic_ref<uint64_t>(From.Use[I].Heat)
+                  .load(std::memory_order_relaxed)};
 }
 
 size_t DividerRegistry::Table::stalest() const {
   size_t Slot = 0;
   uint64_t Stalest = UINT64_MAX;
   for (size_t I = 0; I < Buckets.size(); ++I) {
-    const uint64_t Used = Stamps[I].load(std::memory_order_relaxed);
+    const uint64_t Used = Use[I].Stamp;
     if (Used <= Stalest) {
-      // <= so a tie (e.g. SampleEvery leaving stamps at admission
-      // time) still yields a victim deterministically (last wins).
+      // <= so a table of empty slots still yields a slot (last wins).
       Stalest = Used;
       Slot = I;
     }
@@ -110,23 +114,22 @@ DividerRegistry::EntryHandle *DividerRegistry::Table::erase(size_t Slot) {
     if (((J - Home) & Mask) < ((J - Slot) & Mask))
       continue;
     Buckets[Slot] = Buckets[J];
-    Stamps[Slot].store(Stamps[J].load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
+    Use[Slot] = Use[J];
     Slot = J;
   }
   Buckets[Slot] = Bucket{};
-  Stamps[Slot].store(UINT64_MAX, std::memory_order_relaxed);
+  Use[Slot] = {UINT64_MAX, 0};
   --Size;
   return Dropped;
 }
 
 void DividerRegistry::Table::insert(const Key &K, uint64_t H,
-                                    EntryHandle *Owner, uint64_t Ns) {
+                                    EntryHandle *Owner, uint64_t Stamp) {
   uint64_t I = H & Mask;
   while (Buckets[I].E)
     I = (I + 1) & Mask;
   Buckets[I] = Bucket{K, Owner->get(), Owner};
-  Stamps[I].store(Ns, std::memory_order_relaxed);
+  Use[I] = {Stamp, 1};
   ++Size;
 }
 
@@ -137,15 +140,17 @@ uint64_t DividerRegistry::steadyNs() {
           .count());
 }
 
-void DividerRegistry::noteSampledHit(const Shard &S, const Table &T,
-                                     const Bucket &B, uint64_t T0) {
-  T.touch(B, T0);
+void DividerRegistry::noteSampledHit(Shard &S, const Table &T,
+                                     const Bucket &B, uint32_t Tick,
+                                     uint64_t T0) {
+  // Heat in hits: a sampled hit stands for SampleEvery of them.
+  T.touch(B, S.StampSeq.fetch_add(1, std::memory_order_relaxed),
+          SampleMask + uint64_t{1});
+  if ((Tick & TimedMask) != 0)
+    return;
   const uint64_t Ns = steadyNs() - T0;
   LookupNs[static_cast<size_t>(&S - Shards.data())]->record(Ns);
   LookupNsAll.record(Ns);
-  // Sampled heavy-hitter credit, scaled back up to an estimate of the
-  // unsampled stream.
-  HotKeys.offer(B.K, SampleMask + uint64_t{1});
 }
 
 DividerRegistry::EntryHandle DividerRegistry::lookup(const Key &K) {
@@ -187,9 +192,7 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
   S.Misses.inc();
   const uint64_t Admit0 = steadyNs();
   auto Owner = std::make_unique<EntryHandle>(makeDividerEntry(K));
-  // One clock read ends the latency sample and stamps the admission.
-  const uint64_t Now = steadyNs();
-  AdmitNsAll.record(Now - Admit0);
+  AdmitNsAll.record(steadyNs() - Admit0);
 
   // Copy-and-patch: the published table minus the stalest entry when
   // full, plus the new key. Only the victim's cluster moves.
@@ -200,11 +203,9 @@ DividerRegistry::EntryHandle DividerRegistry::acquire(const Key &K) {
     S.Evictions.fetch_add(1, std::memory_order_relaxed);
   }
   EntryHandle *Admitted = Owner.release();
-  NewT->insert(K, H, Admitted, Now);
+  NewT->insert(K, H, Admitted,
+               S.StampSeq.fetch_add(1, std::memory_order_relaxed));
   S.Inserts.fetch_add(1, std::memory_order_relaxed);
-  // Admissions always reach the sketch, so cold-start traffic is
-  // attributed even before any sampled hit lands.
-  HotKeys.offer(K);
   publish(S, NewT, {&Victim, Victim ? 1u : 0u});
   return *Admitted;
 }
@@ -275,6 +276,28 @@ size_t DividerRegistry::size() const {
   return N;
 }
 
+std::vector<DividerRegistry::HotKey> DividerRegistry::hotKeys() const {
+  std::vector<HotKey> Hot;
+  {
+    EpochDomain::Guard G(EpochDomain::global());
+    for (const Shard &S : Shards) {
+      const Table *T = S.Current.load(std::memory_order_seq_cst);
+      for (size_t I = 0; I < T->Buckets.size(); ++I)
+        if (T->Buckets[I].E)
+          Hot.push_back({T->Buckets[I].K,
+                         std::atomic_ref<uint64_t>(T->Use[I].Heat)
+                             .load(std::memory_order_relaxed)});
+    }
+  }
+  const size_t N = std::min(HotKeySlots, Hot.size());
+  std::partial_sort(Hot.begin(), Hot.begin() + static_cast<ptrdiff_t>(N),
+                    Hot.end(), [](const HotKey &A, const HotKey &B) {
+                      return A.Heat > B.Heat;
+                    });
+  Hot.resize(N);
+  return Hot;
+}
+
 void DividerRegistry::collect(metrics::SnapshotBuilder &B) const {
   const std::string &P = MetricsPrefix;
   const std::vector<cache::CacheStats> PerShard = shardStats();
@@ -299,7 +322,9 @@ void DividerRegistry::collect(metrics::SnapshotBuilder &B) const {
             static_cast<double>(Row.Capacity));
     metrics::Histogram::Cumulative C = LookupNs[I]->cumulative();
     B.histogram(P + "_shard_lookup_ns",
-                "Sampled hit-path lookup latency per shard (ns)", L,
+                "Timed hit-path lookup latency per shard, 1 hit in "
+                "SampleEvery^2 (ns)",
+                L,
                 std::move(C.Bounds), C.Count, C.Sum);
     Total += Row;
   }
@@ -319,32 +344,26 @@ void DividerRegistry::collect(metrics::SnapshotBuilder &B) const {
           Total.hitRatio());
   metrics::Histogram::Cumulative CL = LookupNsAll.cumulative();
   B.histogram(P + "_lookup_ns",
-              "Sampled hit-path lookup latency, all shards (ns)", {},
+              "Timed hit-path lookup latency, all shards, 1 hit in "
+              "SampleEvery^2 (ns)",
+              {},
               std::move(CL.Bounds), CL.Count, CL.Sum);
   metrics::Histogram::Cumulative CA = AdmitNsAll.cumulative();
   B.histogram(P + "_admit_ns",
               "Entry construction latency on admission (ns)", {},
               std::move(CA.Bounds), CA.Count, CA.Sum);
-  // Heavy-hitter sketch: estimated traffic per hot key. Counts are
-  // space-saving estimates (overestimate by at most _topk_error); with
-  // zero sketch evictions they are exact.
-  const auto Hot = HotKeys.items();
+  // Heat of the hottest resident keys, one scan of the tables.
+  const std::vector<HotKey> Hot = hotKeys();
   for (size_t I = 0; I < Hot.size(); ++I) {
-    const metrics::LabelSet L = {{"key", Hot[I].Key.describe()},
+    const metrics::LabelSet L = {{"key", Hot[I].K.describe()},
                                  {"rank", std::to_string(I)}};
     B.gauge(P + "_topk",
-            "Estimated operations for the hottest divisor keys "
-            "(space-saving sketch)",
-            L, static_cast<double>(Hot[I].Count));
-    B.gauge(P + "_topk_error",
-            "Overestimate bound for the matching _topk sample", L,
-            static_cast<double>(Hot[I].Error));
+            "Heat of the hottest resident divisor keys: hits since "
+            "admission, estimated from sampled hits",
+            L, static_cast<double>(Hot[I].Heat));
   }
-  B.gauge(P + "_topk_capacity", "Heavy-hitter sketch slots", {},
-          static_cast<double>(HotKeys.capacity()));
-  B.counter(P + "_topk_evictions_total",
-            "Space-saving sketch evictions (0 means counts are exact)",
-            {}, static_cast<double>(HotKeys.evictions()));
+  B.gauge(P + "_topk_capacity", "Hottest resident keys exported as _topk",
+          {}, static_cast<double>(HotKeySlots));
 }
 
 void DividerRegistry::exportMetrics(const std::string &Prefix) {

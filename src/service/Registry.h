@@ -35,14 +35,19 @@
 /// period ends.
 ///
 /// Eviction is size-capped approximate LRU: each table carries one
-/// atomic recency stamp per bucket, its only mutable part, refreshed
-/// on *sampled* hits (1 in Options::SampleEvery, sharing the clock read
-/// with the lookup-latency histogram, so the unsampled hit path
-/// performs no clock reads). A rebuild copies the stamps and evicts
-/// the smallest; a refresh that lands on a table being retired is
-/// lost, which an approximate LRU accepts. Handles are shared_ptr:
-/// eviction drops the registry's reference, never the entry — holders
-/// keep dividing.
+/// recency record per bucket, its only mutable part: a stamp drawn from
+/// a per-shard sequence and a heat count. *Sampled* hits (1 in
+/// Options::SampleEvery) take the next stamp and add SampleEvery to the
+/// heat; an admission takes the next stamp and starts the heat at 1. No
+/// lock and no clock read is involved, so LRU order is strict at
+/// SampleEvery = 1. A rebuild copies the records and evicts the smallest
+/// stamp; an update that lands on a table being retired is lost, which
+/// an approximate LRU accepts. hotKeys() ranks resident keys by heat.
+/// Handles are shared_ptr: eviction drops the registry's reference,
+/// never the entry — holders keep dividing.
+///
+/// The lookup-latency histograms time one sampled hit in SampleEvery,
+/// so the only clock reads on the hit path are 1 in SampleEvery².
 ///
 /// Counters per shard: Hits/Misses on wait-free striped
 /// metrics::Counter (exact at snapshot); Inserts/Evictions as plain
@@ -59,7 +64,6 @@
 
 #include "jit/CachePolicy.h"
 #include "metrics/Metrics.h"
-#include "prof/TopK.h"
 #include "service/DividerEntry.h"
 #include "service/Epoch.h"
 #include "service/Key.h"
@@ -87,11 +91,12 @@ public:
     /// Stays only until the next change to the end-to-end benchmark
     /// (bench/e2e) stops reading it.
     bool UseJit = true;
-    /// Recency-stamp + latency-histogram sampling period, rounded up
-    /// to a power of two. 1 = every hit (deterministic LRU, used by
-    /// tests); default 64 keeps clock reads off the common hit path.
+    /// Recency-stamp and heat sampling period, rounded up to a power
+    /// of two; lookup latency is timed on one sampled hit in
+    /// SampleEvery (at most 1 hit in 2^32). 1 = every hit (strict LRU,
+    /// exact heat, used by tests).
     uint32_t SampleEvery = 64;
-    /// Heavy-hitter sketch slots for the hottest divisor keys
+    /// How many of the hottest resident keys hotKeys() reports
     /// (gmdiv_service_registry_topk, `gmdiv_tool top`).
     size_t TopKSlots = 32;
 
@@ -155,12 +160,20 @@ public:
   /// writer lock; concurrent readers stay safe via the epoch domain.
   void clear();
 
-  /// Heavy-hitter sketch over divisor keys: sampled hits (weighted by
-  /// the sampling period) plus every admission. Exported as
-  /// <prefix>_topk and printed by `gmdiv_tool top`.
-  const prof::TopK<Key, KeyHash> &hotKeys() const { return HotKeys; }
+  struct HotKey {
+    Key K;
+    /// Hits since admission, estimated from sampled hits: 1 at
+    /// admission plus SampleEvery per sampled hit (exact at 1).
+    uint64_t Heat;
+  };
+  /// The Options::TopKSlots hottest resident keys, hottest first (ties
+  /// in no particular order), from one scan of the published tables.
+  /// An evicted key leaves the list. Exported as <prefix>_topk and
+  /// printed by `gmdiv_tool top`.
+  std::vector<HotKey> hotKeys() const;
 
-  /// Sampled hit-path lookup latency (ns), aggregated over shards.
+  /// Hit-path lookup latency (ns) of timed hits (1 in SampleEvery²),
+  /// aggregated over shards.
   const metrics::Histogram &lookupLatency() const { return LookupNsAll; }
   /// Entry-construction latency (ns): core + batch precompute.
   const metrics::Histogram &admitLatency() const { return AdmitNsAll; }
@@ -188,18 +201,30 @@ private:
   };
   static_assert(std::is_trivially_copyable_v<Bucket>);
 
+  /// A bucket's mutable part. On a published table every access goes
+  /// through std::atomic_ref (sampled hits write it while a writer
+  /// copies it); an unpublished table is private to its writer, which
+  /// reads and moves records as plain words.
+  struct Recency {
+    /// From the shard's StampSeq; UINT64_MAX = empty slot.
+    uint64_t Stamp;
+    uint64_t Heat;
+  };
+  static_assert(alignof(Recency) >=
+                std::atomic_ref<uint64_t>::required_alignment);
+
   /// Linear-probing table with load <= 0.5, so probes on a published
   /// table always terminate at an empty slot. Immutable once published
-  /// except Stamps: one recency stamp per bucket (steady-clock ns,
-  /// UINT64_MAX = empty), written by sampled hits.
+  /// except Use, one recency record per bucket.
   struct Table {
     std::vector<Bucket> Buckets;
-    std::unique_ptr<std::atomic<uint64_t>[]> Stamps;
+    std::unique_ptr<Recency[]> Use;
     uint64_t Mask = 0;
     size_t Size = 0;
 
     explicit Table(size_t BucketCount);
-    /// A private copy of \p From: same geometry, stamps as read now.
+    /// A private copy of the published \p From: same geometry, records
+    /// as read now.
     explicit Table(const Table &From);
 
     const Bucket *find(const Key &K, uint64_t H) const {
@@ -212,19 +237,23 @@ private:
       }
     }
 
-    void touch(const Bucket &B, uint64_t Ns) const {
-      Stamps[static_cast<size_t>(&B - Buckets.data())].store(
-          Ns, std::memory_order_relaxed);
+    void touch(const Bucket &B, uint64_t Stamp, uint64_t Weight) const {
+      Recency &R = Use[static_cast<size_t>(&B - Buckets.data())];
+      std::atomic_ref<uint64_t>(R.Stamp).store(Stamp,
+                                               std::memory_order_relaxed);
+      std::atomic_ref<uint64_t>(R.Heat).fetch_add(Weight,
+                                                  std::memory_order_relaxed);
     }
 
-    /// Slot with the smallest stamp (ties: the last one wins).
+    /// Slot with the smallest stamp.
     size_t stalest() const;
     /// Backward-shift deletion of \p Slot on an unpublished table;
     /// returns the removed bucket's owning reference.
     EntryHandle *erase(size_t Slot);
     /// Puts \p K in the first empty slot on its probe path, on an
-    /// unpublished table.
-    void insert(const Key &K, uint64_t H, EntryHandle *Owner, uint64_t Ns);
+    /// unpublished table, with heat 1.
+    void insert(const Key &K, uint64_t H, EntryHandle *Owner,
+                uint64_t Stamp);
   };
 
   /// A table and/or an owning reference no published table names any
@@ -241,6 +270,9 @@ private:
     /// Wait-free striped counters: written by the lock-free hit path.
     metrics::Counter Hits;
     metrics::Counter Misses;
+    /// Recency stamps for sampled hits and admissions alike; on its own
+    /// line so sampled hits do not invalidate Current.
+    alignas(64) std::atomic<uint64_t> StampSeq{0};
     /// Everything below is written only under WriterMutex; the insert
     /// and eviction counts are atomics so stats() can read them
     /// without taking the lock.
@@ -262,8 +294,9 @@ private:
   /// the only locked instruction is the pin and nothing is called.
   template <typename Fn>
   bool probe(Shard &S, const Key &K, uint64_t H, Fn &&OnHit) {
-    const bool Sampled = sampleThisOp();
-    const uint64_t T0 = Sampled ? steadyNs() : 0;
+    const uint32_t Tick = nextTick();
+    const bool Sampled = (Tick & SampleMask) == 0;
+    const uint64_t T0 = Sampled && (Tick & TimedMask) == 0 ? steadyNs() : 0;
     EpochDomain::Guard G(EpochDomain::global());
     const Table *T = S.Current.load(std::memory_order_seq_cst);
     const Bucket *B = T->find(K, H);
@@ -271,22 +304,24 @@ private:
       return false;
     OnHit(*B);
     if (Sampled) [[unlikely]]
-      noteSampledHit(S, *T, *B, T0);
+      noteSampledHit(S, *T, *B, Tick, T0);
     S.Hits.inc();
     return true;
   }
 
-  /// 1-in-SampleEvery per-thread decimation for recency stamps and
-  /// latency recording.
-  bool sampleThisOp() const {
+  /// Per-thread operation count: a hit is sampled when its tick is a
+  /// multiple of SampleEvery and timed when it is a multiple of
+  /// TimedMask + 1.
+  static uint32_t nextTick() {
     thread_local uint32_t Tick = 0;
-    return (++Tick & SampleMask) == 0;
+    return ++Tick;
   }
   static uint64_t steadyNs();
-  /// A sampled hit's bookkeeping: recency stamp \p T0 on \p B, lookup
-  /// latency since \p T0, and heavy-hitter credit.
-  void noteSampledHit(const Shard &S, const Table &T, const Bucket &B,
-                      uint64_t T0);
+  /// A sampled hit's bookkeeping: a fresh recency stamp and SampleEvery
+  /// heat on \p B and, if \p Tick is timed, the lookup latency since
+  /// \p T0.
+  void noteSampledHit(Shard &S, const Table &T, const Bucket &B,
+                      uint32_t Tick, uint64_t T0);
 
   /// Publishes \p NewT in \p S and retires the old table together with
   /// the owning references in \p Dropped; then frees everything retired
@@ -300,11 +335,11 @@ private:
   size_t ShardCapacity;
   size_t BucketsPerShard;
   uint32_t SampleMask;
-  /// Space-saving sketch of the hottest keys (its own mutex; touched
-  /// only on sampled hits and admissions, never the common hit path).
-  prof::TopK<Key, KeyHash> HotKeys;
+  /// SampleEvery² − 1, saturated at 32 bits.
+  uint32_t TimedMask;
+  size_t HotKeySlots;
   metrics::Counter InvalidKeys;
-  /// Sampled lookup latency: per shard + aggregate (mirrors the JIT
+  /// Timed lookup latency: per shard + aggregate (mirrors the JIT
   /// cache's per-shard compile histograms).
   std::vector<std::unique_ptr<metrics::Histogram>> LookupNs;
   metrics::Histogram LookupNsAll;

@@ -37,6 +37,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,6 +176,37 @@ TEST(ServiceRegistry, SampledLookupsFeedTheLookupHistogram) {
     ASSERT_NE(R.lookup(K), nullptr);
   EXPECT_GE(R.lookupLatency().cumulative().Count, 10u);
   EXPECT_EQ(R.admitLatency().cumulative().Count, 1u);
+}
+
+TEST(ServiceRegistry, LookupLatencyIsTimedOnceInSampleEverySampledHits) {
+  // 64 consecutive ticks hold exactly 16 multiples of 4 (sampled hits)
+  // and 4 multiples of 16 (timed ones), whatever the thread's phase.
+  DividerRegistry::Options O = smallOptions(1, 8);
+  O.SampleEvery = 4;
+  DividerRegistry R(O);
+  const Key K = keyFor<uint32_t>(3);
+  ASSERT_NE(R.acquire(K), nullptr);
+  for (int I = 0; I < 64; ++I)
+    ASSERT_NE(R.lookup(K), nullptr);
+  EXPECT_EQ(R.lookupLatency().cumulative().Count, 4u);
+  ASSERT_EQ(R.hotKeys().size(), 1u);
+  EXPECT_EQ(R.hotKeys()[0].Heat, 1u + 16 * 4);
+
+  // SampleEvery² = 2^40 saturates to 1 hit in 2^32. A fresh thread
+  // starts its tick at 0, so 2^20 hits hold one sampled hit and no
+  // timed one.
+  O.SampleEvery = 1u << 20;
+  DividerRegistry Sparse(O);
+  uint64_t Timed = ~0ull, Heat = 0;
+  std::thread([&] {
+    ASSERT_NE(Sparse.acquire(K), nullptr);
+    for (uint32_t I = 0; I < (1u << 20); ++I)
+      ASSERT_NE(Sparse.lookup(K), nullptr);
+    Timed = Sparse.lookupLatency().cumulative().Count;
+    Heat = Sparse.hotKeys().at(0).Heat;
+  }).join();
+  EXPECT_EQ(Heat, 1u + (1u << 20));
+  EXPECT_EQ(Timed, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -580,6 +612,60 @@ TEST(ServiceRegistry, EvictionKeepsEveryResidentKeyReachable) {
     ASSERT_EQ(St.Inserts, Inserts);
     ASSERT_EQ(St.Evictions, Evictions);
   }
+}
+
+TEST(ServiceRegistry, HotKeysRankResidentKeysBySampledHits) {
+  // SampleEvery = 1: heat is exactly 1 + hits. Keys homed at the wrap
+  // of an 8-bucket shard, so the eviction's backward shift moves
+  // survivors, and their heat with them.
+  DividerRegistry R(smallOptions(1, 4));
+  const std::vector<Key> Keys = wrappingClusterKeys(5, 8);
+  const Key &A = Keys[0], &B = Keys[1], &C = Keys[2], &D = Keys[3],
+            &E = Keys[4];
+  const auto hits = [&R](const Key &K, int N) {
+    for (int I = 0; I < N; ++I)
+      ASSERT_TRUE(R.withEntry(K, [](const DividerEntry &) {}));
+  };
+  using Ranked = std::vector<std::pair<std::string, uint64_t>>;
+  const auto ranked = [&R] {
+    Ranked Out;
+    for (const DividerRegistry::HotKey &H : R.hotKeys())
+      Out.emplace_back(H.K.describe(), H.Heat);
+    return Out;
+  };
+
+  for (const Key &K : {A, B, C})
+    ASSERT_NE(R.acquire(K), nullptr);
+  hits(A, 4);
+  ASSERT_NE(R.lookup(A), nullptr);
+  ASSERT_NE(R.acquire(B), nullptr); // a hit: acquire() counts too
+  hits(B, 1);
+  EXPECT_EQ(ranked(), (Ranked{{A.describe(), 6}, {B.describe(), 3},
+                              {C.describe(), 1}}));
+
+  // Copy-and-patch admission carries every count into the new table.
+  ASSERT_NE(R.acquire(D), nullptr);
+  hits(D, 1);
+  EXPECT_EQ(ranked(), (Ranked{{A.describe(), 6}, {B.describe(), 3},
+                              {D.describe(), 2}, {C.describe(), 1}}));
+
+  // A full shard evicts C, the stalest; it leaves the list.
+  ASSERT_NE(R.acquire(E), nullptr);
+  ASSERT_EQ(R.lookup(C), nullptr);
+  EXPECT_EQ(R.stats().Evictions, 1u);
+  EXPECT_EQ(ranked(), (Ranked{{A.describe(), 6}, {B.describe(), 3},
+                              {D.describe(), 2}, {E.describe(), 1}}));
+
+  // TopKSlots caps the list; the hottest keys stay.
+  DividerRegistry::Options O = smallOptions(1, 4);
+  O.TopKSlots = 1;
+  DividerRegistry One(O);
+  ASSERT_NE(One.acquire(A), nullptr);
+  ASSERT_NE(One.acquire(B), nullptr);
+  ASSERT_NE(One.lookup(B), nullptr);
+  ASSERT_EQ(One.hotKeys().size(), 1u);
+  EXPECT_EQ(One.hotKeys()[0].K, B);
+  EXPECT_EQ(One.hotKeys()[0].Heat, 2u);
 }
 
 TEST(ServiceRegistry, ClearDropsEntriesKeepsCounters) {
@@ -1077,6 +1163,11 @@ TEST(ServiceRegistry, ExportMetricsPublishesPerShardAndAggregateSeries) {
   EXPECT_EQ(Hits, 1.0);
   EXPECT_EQ(Misses, 1.0);
   EXPECT_EQ(Inserts, 1.0);
+  // Heat of u32/7: its admission plus one sampled hit.
+  EXPECT_EQ(Snap.valueOr("gmdiv_test_service_topk",
+                         {{"key", "u32/7"}, {"rank", "0"}}, -1),
+            2.0);
+  EXPECT_EQ(Snap.valueOr("gmdiv_test_service_topk_capacity", {}, -1), 32.0);
 
   // Destruction unregisters the collector: the series disappear.
   R.reset();
