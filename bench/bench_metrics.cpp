@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The price of instrumentation, measured. The metrics plane promises a
-// wait-free hot path cheap enough to leave on in the JIT cache and the
-// batch dispatcher; this suite pins that promise:
+// wait-free hot path cheap enough to leave on in the service registry
+// and the batch dispatcher; this suite pins that promise:
 //
 //   CounterInc     one striped increment, at 1/4/16 threads. The stripe
 //                  design (64 cache-line-aligned lanes, thread-local

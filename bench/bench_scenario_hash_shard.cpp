@@ -12,9 +12,9 @@
 //   HashInsert/HashLookup   open-addressing table with a prime slot
 //                           count chosen at run time — every probe is
 //                           one reduction, Divider vs hardware %.
-//   ShardRoute              the JIT code cache's other use of the same
-//                           idiom: route keys to a fixed shard count
-//                           by remainder.
+//   ShardRoute              a sharded cache's use of the same idiom:
+//                           route keys to a fixed shard count by
+//                           remainder.
 //   HashLookupInstrumented  the divider lookup loop with a live
 //                           metrics counter counting probes — pins the
 //                           claim that leaving instrumentation on does
@@ -197,9 +197,9 @@ BENCHMARK(BM_HashLookupInstrumented);
 // Shard routing: remainder by a small invariant count
 //===----------------------------------------------------------------------===//
 //
-// The JIT code cache routes keys to shards the same way the hash table
+// A sharded cache can route keys to shards the same way the hash table
 // picks slots: a remainder by a count fixed at construction. 4096 keys
-// per pass, 13 shards (prime, like the cache default).
+// per pass, 13 shards (prime).
 
 constexpr size_t RouteCount = 4096;
 constexpr uint64_t NumShards = 13;

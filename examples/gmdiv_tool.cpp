@@ -14,12 +14,6 @@
 //   gmdiv_tool asm <d> [width] [mips|sparc|alpha|power]
 //                                        select + allocate + emit
 //                                        target assembly.
-//   gmdiv_tool jit <d> [width] [u|s|floor]
-//                                        run the JIT pipeline: print the
-//                                        scheduled IR, then the vector
-//                                        loop's x86-64 bytes annotated
-//                                        per IR op (where the vector
-//                                        emitter takes the program).
 //   gmdiv_tool lower                     read IR with divu/divs/remu/rems
 //                                        from stdin, run the §10 pass,
 //                                        print the result.
@@ -56,17 +50,15 @@
 //                                        one-shot metrics snapshot in
 //                                        Prometheus text 0.0.4 (default)
 //                                        or JSON; --exercise runs a tiny
-//                                        batch + JIT workload first so
-//                                        the instruments have data.
+//                                        batch workload first so the
+//                                        instruments have data.
 //   gmdiv_tool top [--keys K] [--ops N]  drive a skewed synthetic
 //                                        workload through the divider
-//                                        registry and the JIT cache,
-//                                        then print the registry's
+//                                        registry, then print its
 //                                        hottest resident keys by heat
-//                                        and the JIT cache's heavy-
-//                                        hitter sketch as ranked tables,
-//                                        cross-referenced against the
-//                                        underlying eviction counters.
+//                                        as a ranked table, cross-
+//                                        referenced against its
+//                                        eviction counter.
 //   gmdiv_tool service [--threads N] [--keys K] [--ops M]
 //                      [--seconds S] [--batch B] [--workers W]
 //                                        hammer the divider registry
@@ -112,9 +104,7 @@
 #include "core/ChooseMultiplier.h"
 #include "numtheory/ModArith.h"
 #include "ir/AsmPrinter.h"
-#include "ir/Interp.h"
 #include "ir/Parser.h"
-#include "jit/JitBatchDivider.h"
 #include "metrics/Exporter.h"
 #include "metrics/Exposition.h"
 #include "metrics/FlightRecorder.h"
@@ -157,7 +147,6 @@ int usage(const char *Argv0) {
                "  %s magic <d> [8|16|32|64]\n"
                "  %s codegen <d> [8|16|32|64] [u|s|floor|exact|alverson]\n"
                "  %s asm <d> [32|64] [mips|sparc|alpha|power]\n"
-               "  %s jit <d> [8|16|32|64] [u|s|floor] [--batch <n>]\n"
                "  %s lower [width] [numargs]   (IR on stdin)\n"
                "  %s batch <d> [8|16|32|64] [u|s] [count]\n"
                "  %s family <divide|rem|divrem|divisible> <8|16|32|64> <d> "
@@ -180,7 +169,7 @@ int usage(const char *Argv0) {
                "  --profile=FILE        sampling profiler on; write "
                "collapsed stacks on exit\n",
                Argv0, Argv0, Argv0, Argv0, Argv0, Argv0, Argv0, Argv0,
-               Argv0, Argv0, Argv0, Argv0, Argv0);
+               Argv0, Argv0, Argv0, Argv0);
   return 1;
 }
 
@@ -311,164 +300,8 @@ template <typename T> int runBatch(T D, size_t Count) {
   return Mismatches ? 1 : 0;
 }
 
-/// Annotated hex listing, the `jit` command's format: each IR
-/// instruction (or a \p CtrlLabel marker for emitter-inserted lines) as
-/// a comment above the machine instructions emitted for it.
-void printAsmListing(const ir::Program &P, const std::vector<uint8_t> &Code,
-                     const std::vector<jit::AsmLine> &Lines,
-                     const char *CtrlLabel) {
-  int LastIr = -2;
-  bool SeenBody = false;
-  for (const jit::AsmLine &Line : Lines) {
-    if (Line.IrIndex != LastIr) {
-      if (Line.IrIndex < 0)
-        std::printf("; %s\n", SeenBody ? CtrlLabel : "prologue");
-      else
-        std::printf("; %s\n", ir::formatInstr(P, Line.IrIndex).c_str());
-      LastIr = Line.IrIndex;
-      SeenBody = SeenBody || Line.IrIndex >= 0;
-    }
-    std::string Bytes;
-    for (size_t I = 0; I < Line.NumBytes; ++I) {
-      char Hex[4];
-      std::snprintf(Hex, sizeof(Hex), "%02x ", Code[Line.Offset + I]);
-      Bytes += Hex;
-    }
-    std::printf("  %04zx: %-33s %s\n", Line.Offset, Bytes.c_str(),
-                Line.Text.c_str());
-  }
-}
-
-/// Why vectorJitIsa() said no, for the `jit` listings.
-constexpr const char *VectorJitOff =
-    "GMDIV_JIT_VECTOR=0, or the host cannot run the vector loops";
-
-/// Emits \p Prepared as an \p Isa vector loop and prints its annotated
-/// listing, or the emitter's bail reason. Emission is portable, so this
-/// works on any host. Returns whether the emitter took the program.
-bool printVectorLoop(const ir::Program &Prepared, jit::SeqKind Seq,
-                     long long D, int Bits, jit::VectorIsa Isa) {
-  jit::VectorEmitOptions Opts;
-  Opts.Isa = Isa;
-  const jit::VectorEmitResult Emitted =
-      jit::emitX86VectorLoop(Prepared, Opts);
-  if (!Emitted.Ok) {
-    std::printf("; vector emitter bailed: %s — arrays run on the static "
-                "kernels\n",
-                Emitted.Error.c_str());
-    return false;
-  }
-  std::printf("; %s d=%lld N=%d — %s loop, %d x %d-bit lanes, "
-              "unroll %d (%zu bytes):\n",
-              jit::seqKindName(Seq), D, Bits,
-              jit::vectorIsaName(Emitted.Shape.Isa), Emitted.Shape.Lanes,
-              Emitted.Shape.ContainerBits, Emitted.Shape.Unroll,
-              Emitted.Code.size());
-  printAsmListing(Prepared, Emitted.Code, Emitted.Lines, "loop control");
-  return true;
-}
-
-/// The `jit --batch <n>` mode body for one lane type: emit the
-/// divisor's vector loop and print its annotated listing, then
-/// cross-check the live JitBatchDivider (jitted loop + static tail)
-/// against the static batch kernels and ir::Interp over \p Count
-/// elements, and close with the divisor-specialized cost model.
-/// Returns nonzero on any mismatch.
-template <typename T> int runJitBatch(T D, size_t Count) {
-  constexpr int Bits = static_cast<int>(sizeof(T) * 8);
-  constexpr bool IsSigned = std::is_signed_v<T>;
-  using UWord = std::make_unsigned_t<T>;
-  const uint64_t Mask = Bits == 64 ? ~uint64_t{0} : (uint64_t{1} << Bits) - 1;
-  const uint64_t DBits = static_cast<uint64_t>(static_cast<UWord>(D));
-
-  const jit::SeqKind Seq =
-      IsSigned ? jit::SeqKind::SDivRem : jit::SeqKind::UDivRem;
-  const ir::Program Prepared =
-      jit::prepareForJit(jit::genSequence(Seq, Bits, DBits));
-
-  jit::VectorIsa Isa = jit::VectorIsa::Avx2;
-  if (!jit::vectorJitIsa(Isa))
-    std::printf("; vector jit unavailable (%s) — batch runs on the "
-                "static %s kernels\n",
-                VectorJitOff, batch::backendName(batch::activeBackend()));
-  else
-    printVectorLoop(Prepared, Seq, static_cast<long long>(D), Bits, Isa);
-
-  // Live cross-check through the real front door.
-  const jit::JitBatchDivider<T> Jit(D);
-  std::printf("; %s\n", Jit.describe().c_str());
-
-  std::vector<T> In(Count);
-  uint64_t State = 0x9E3779B97F4A7C15ull;
-  for (T &Value : In) {
-    State ^= State << 13;
-    State ^= State >> 7;
-    State ^= State << 17;
-    Value = static_cast<T>(State);
-  }
-  // Pin the corners: all-ones, the signed extremes, one exact multiple.
-  if (Count > 0)
-    In[0] = static_cast<T>(Mask);
-  if (Count > 1)
-    In[1] = static_cast<T>(Mask >> 1);
-  if (Count > 2)
-    In[2] = static_cast<T>((Mask >> 1) + 1);
-  if (Count > 3)
-    In[3] = D;
-
-  std::vector<T> QJ(Count), RJ(Count), QS(Count), RS(Count);
-  Jit.divRem(In.data(), QJ.data(), RJ.data(), Count);
-  Jit.fallback().divRem(In.data(), QS.data(), RS.data(), Count);
-
-  size_t StaticMismatches = 0, InterpMismatches = 0;
-  std::vector<uint64_t> Args(1), Scratch, Want;
-  for (size_t I = 0; I < Count; ++I) {
-    if (QJ[I] != QS[I] || RJ[I] != RS[I])
-      ++StaticMismatches;
-    Args[0] = static_cast<uint64_t>(static_cast<UWord>(In[I]));
-    ir::runScratch(Prepared, Args, Scratch, Want);
-    if (static_cast<uint64_t>(static_cast<UWord>(QJ[I])) != Want[0] ||
-        static_cast<uint64_t>(static_cast<UWord>(RJ[I])) != Want[1])
-      ++InterpMismatches;
-  }
-  std::printf("; divRem over %zu elements: %s static %s kernels, "
-              "%s ir::Interp\n",
-              Count, StaticMismatches ? "MISMATCHES" : "matches",
-              batch::backendName(Jit.fallback().backend()),
-              InterpMismatches ? "MISMATCHES" : "matches");
-
-  size_t DivisMismatches = 0;
-  if constexpr (!IsSigned) {
-    std::vector<uint8_t> FJ(Count, 0xAA), FS(Count, 0x55);
-    Jit.divisible(In.data(), FJ.data(), Count);
-    Jit.fallback().divisible(In.data(), FS.data(), Count);
-    for (size_t I = 0; I < Count; ++I)
-      if (FJ[I] != FS[I])
-        ++DivisMismatches;
-    std::printf("; divisible over %zu elements: %s static kernels\n", Count,
-                DivisMismatches ? "MISMATCHES" : "matches");
-  }
-
-  // The divisor-specialized pricing next to the divisor-agnostic one:
-  // why the dispatch prefers the jitted loop for this d.
-  const uint64_t Magnitude =
-      IsSigned && D < 0 ? (~DBits + 1) & Mask : DBits;
-  std::printf("\ncost-model (%d-bit lanes, 256-bit vectors, |d|=%llu):\n",
-              Bits, static_cast<unsigned long long>(Magnitude));
-  for (const arch::ArchProfile &Profile : arch::table11Profiles()) {
-    const arch::BatchCost Static = arch::estimateBatchCost(Bits, Profile, 256);
-    const arch::BatchCost Jitted =
-        arch::estimateJitBatchCost(Bits, Profile, 256, Magnitude);
-    std::printf("  %-18s static %.2fx, jitted %.2fx, jit break-even %zu\n",
-                Profile.Name.c_str(), Static.speedup(), Jitted.speedup(),
-                Jitted.breakEvenBatch());
-  }
-  return StaticMismatches + InterpMismatches + DivisMismatches ? 1 : 0;
-}
-
 /// A tiny deterministic workload for `metrics --exercise`: a few batch
-/// kernel calls straddling the break-even hint plus repeated jitted
-/// batch dividers (JIT cache misses, then hits), so a fresh process
+/// kernel calls straddling the break-even hint, so a fresh process
 /// produces a snapshot with live series.
 void exerciseMetrics() {
   batch::BatchDivider<uint32_t> Div(7);
@@ -477,9 +310,6 @@ void exerciseMetrics() {
     In[I] = static_cast<uint32_t>(I * 2654435761u);
   Div.divide(In.data(), Out.data(), In.size());
   Div.remainder(In.data(), Out.data(), 4); // Below the break-even hint.
-  for (const uint32_t D : {3u, 7u, 10u})
-    for (int Round = 0; Round < 2; ++Round) // Miss, then hit.
-      jit::JitBatchDivider<uint32_t>{D};
 }
 
 /// Checks divide and remainder of a u32, u64 or i32 entry against
@@ -1041,80 +871,6 @@ int runCommand(int Argc, char **Argv) {
     return 0;
   }
 
-  if (Command == "jit") {
-    if (Argc < 3)
-      return usage(Argv[0]);
-    const int64_t D = std::strtoll(Argv[2], nullptr, 0);
-    int Width = 32;
-    std::string Kind = "u";
-    size_t BatchN = 0;
-    for (int I = 3, Positional = 0; I < Argc; ++I) {
-      if (std::strcmp(Argv[I], "--batch") == 0) {
-        if (I + 1 >= Argc)
-          return usage(Argv[0]);
-        BatchN = std::strtoull(Argv[++I], nullptr, 0);
-        if (BatchN == 0)
-          return usage(Argv[0]);
-        continue;
-      }
-      if (Positional == 0)
-        Width = std::atoi(Argv[I]);
-      else if (Positional == 1)
-        Kind = Argv[I];
-      else
-        return usage(Argv[0]);
-      ++Positional;
-    }
-    if (D == 0 ||
-        (Width != 8 && Width != 16 && Width != 32 && Width != 64))
-      return usage(Argv[0]);
-    jit::SeqKind Seq;
-    if (Kind == "u" && D > 0)
-      Seq = jit::SeqKind::UDivRem;
-    else if (Kind == "s")
-      Seq = jit::SeqKind::SDivRem;
-    else if (Kind == "floor")
-      Seq = jit::SeqKind::FloorDivMod;
-    else
-      return usage(Argv[0]);
-
-    if (BatchN) {
-      if (Width != 32 && Width != 64) {
-        std::fprintf(stderr, "jit --batch: the vector emitter's lane "
-                             "containers are 32/64-bit\n");
-        return 1;
-      }
-      if (Seq == jit::SeqKind::FloorDivMod) {
-        std::fprintf(stderr, "jit --batch: floor stays on the static "
-                             "kernels; use u or s\n");
-        return 1;
-      }
-      if (Width == 32)
-        return Kind == "s" ? runJitBatch(static_cast<int32_t>(D), BatchN)
-                           : runJitBatch(static_cast<uint32_t>(D), BatchN);
-      return Kind == "s" ? runJitBatch(D, BatchN)
-                         : runJitBatch(static_cast<uint64_t>(D), BatchN);
-    }
-
-    const uint64_t Mask =
-        Width == 64 ? ~uint64_t{0} : (uint64_t{1} << Width) - 1;
-    const uint64_t DBits = static_cast<uint64_t>(D) & Mask;
-
-    const ir::Program Prepared =
-        jit::prepareForJit(jit::genSequence(Seq, Width, DBits));
-    std::printf("; %s d=%lld N=%d — scheduled IR:\n",
-                jit::seqKindName(Seq), static_cast<long long>(D), Width);
-    std::printf("%s\n", ir::formatProgram(Prepared).c_str());
-
-    jit::VectorIsa Isa = jit::VectorIsa::Avx2;
-    const bool Runs = jit::vectorJitIsa(Isa);
-    if (printVectorLoop(Prepared, Seq, D, Width, Isa) && !Runs)
-      std::printf("; listing only: the vector jit is off (%s), so arrays "
-                  "run on the static kernels\n",
-                  VectorJitOff);
-    return 0;
-  }
-
   if (Command == "service") {
     size_t Threads = 4, Keys = 1024, Ops = 200000, Batch = 16, Workers = 2;
     double Seconds = 0;
@@ -1194,8 +950,6 @@ int runCommand(int Argc, char **Argv) {
     // Skewed synthetic workload: seven of eight ops hit one of eight
     // hot divisors (geometrically skewed inside the hot set so the
     // ranks are distinct), the eighth spreads over the full key range.
-    // The JIT cache sees the same stream decimated 1-in-16 — its offer
-    // point is per-construction, not per-divide.
     service::DividerRegistry &Reg = service::DividerRegistry::global();
     uint64_t Rng = 0x5eed;
     for (size_t I = 0; I < Ops; ++I) {
@@ -1207,8 +961,6 @@ int runCommand(int Argc, char **Argv) {
           service::keyFor<uint32_t>(static_cast<uint32_t>(D));
       if (!Reg.withEntry(K, [](const service::DividerEntry &) {}))
         Reg.acquire(K);
-      if (I % 16 == 0)
-        jit::JitBatchDivider<uint32_t>{static_cast<uint32_t>(D)};
     }
 
     constexpr size_t MaxRows = 10;
@@ -1225,41 +977,13 @@ int runCommand(int Argc, char **Argv) {
                   static_cast<unsigned long long>(Hot[I].Heat));
     if (Hot.size() > HotRows)
       std::printf("  ... %zu more keys\n", Hot.size() - HotRows);
-    std::printf("  cross-reference: %llu cache evictions — %s\n\n",
+    std::printf("  cross-reference: %llu cache evictions — %s\n",
                 static_cast<unsigned long long>(RegEvictions),
                 RegEvictions == 0
                     ? "every key admitted once; heat covers its whole "
                       "traffic"
                     : "an evicted key leaves the list and restarts at "
                       "heat 1 when re-admitted");
-
-    const jit::CodeCache &Jit = jit::CodeCache::global();
-    const auto &Sketch = Jit.hotKeys();
-    const auto Items = Sketch.items();
-    std::printf("jit cache top-%zu (sketch capacity %zu, %llu offered, "
-                "sketch evictions %llu%s):\n",
-                Items.size(), Sketch.capacity(),
-                static_cast<unsigned long long>(Sketch.totalOffered()),
-                static_cast<unsigned long long>(Sketch.evictions()),
-                Sketch.evictions() == 0 ? " — counts exact" : "");
-    std::printf("  %4s  %-18s %12s %10s\n", "rank", "key", "est.count",
-                "max.err");
-    const size_t Rows = std::min(Items.size(), MaxRows);
-    for (size_t I = 0; I < Rows; ++I)
-      std::printf("  %4zu  %-18s %12llu %10llu\n", I,
-                  jit::describeCacheKey(Items[I].Key).c_str(),
-                  static_cast<unsigned long long>(Items[I].Count),
-                  static_cast<unsigned long long>(Items[I].Error));
-    if (Items.size() > Rows)
-      std::printf("  ... %zu more tracked keys\n", Items.size() - Rows);
-    const uint64_t JitEvictions = Jit.stats().Evictions;
-    std::printf("  cross-reference: %llu cache evictions — %s\n",
-                static_cast<unsigned long long>(JitEvictions),
-                JitEvictions == 0
-                    ? "every hot key admitted once and stayed resident"
-                    : "hot keys may have been re-admitted; compare "
-                      "ranks against the per-shard _evictions_total "
-                      "counters");
     return 0;
   }
 

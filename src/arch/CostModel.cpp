@@ -234,7 +234,7 @@ BatchCost arch::estimateBatchCost(int WordBits, const ArchProfile &Profile,
 BatchCost arch::estimateJitBatchCost(int WordBits, const ArchProfile &Profile,
                                      int VectorBits, uint64_t Divisor) {
   assert((WordBits == 32 || WordBits == 64) &&
-         "the vector JIT covers 32/64-bit lanes");
+         "the specialized loop covers 32/64-bit lanes");
   assert(VectorBits >= WordBits && "vector must hold at least one lane");
   assert(Divisor != 0 && "divisor must be nonzero");
 
@@ -244,13 +244,14 @@ BatchCost arch::estimateJitBatchCost(int WordBits, const ArchProfile &Profile,
       Profile.mulCycles() + 4 * Profile.SimpleOpCycles;
 
   // The MULUH emulation is the same even/odd widening-multiply dance
-  // the static kernels use; the jit win is everything *around* it.
+  // the static kernels use; the specialized win is everything *around*
+  // it.
   const int MulUHMuls = WordBits == 32 ? 2 : 4;
   const int MulUHFixups = WordBits == 32 ? 4 : 7;
 
-  // Resolve the Figure 4.2 case analysis for this divisor, the way the
-  // emitter does: the per-element cost is the branch actually taken,
-  // not the worst case the divisor-agnostic kernels must carry.
+  // Resolve the Figure 4.2 case analysis for this divisor: the
+  // per-element cost is the branch actually taken, not the worst case
+  // the divisor-agnostic kernels must carry.
   int VectorMuls = 0;
   int SimpleOps;
   const bool Pow2 = (Divisor & (Divisor - 1)) == 0;

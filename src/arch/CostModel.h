@@ -103,17 +103,15 @@ struct BatchCost {
 BatchCost estimateBatchCost(int WordBits, const ArchProfile &Profile,
                             int VectorBits);
 
-/// Divisor-specialized pricing for the *jitted* vector loop
-/// (jit::JitBatchDivider): unlike the static kernels, the emitted code
-/// has the Figure 4.2 case analysis resolved at compile time — a power
-/// of two is one vector shift, a word-sized multiplier skips the
-/// overflow fixup chain entirely — and no per-element state loads or
-/// dispatch indirection. SetupCycles covers only the per-call constant
-/// materialization and the scalar tail; the one-time compile is
-/// amortized through the code cache, like every family's precompute.
-/// Only valid for the jittable widths (32/64-bit lanes). Compare
-/// against estimateBatchCost for the same (WordBits, VectorBits) to
-/// decide when the jitted loop is the cheapest backend.
+/// Divisor-specialized pricing for a vector loop with the Figure 4.2
+/// case analysis resolved per divisor — a power of two is one vector
+/// shift, a word-sized multiplier skips the overflow fixup chain — and
+/// no per-element state loads or dispatch indirection. gmdiv has no
+/// such loop (its vector JIT was removed; the static kernels serve
+/// every array call); the model stays because the bench/e2e ledger
+/// still prices it (arch.jit_winner_agree). SetupCycles covers the
+/// per-call constant materialization and the scalar tail. Only valid
+/// for 32/64-bit lanes.
 BatchCost estimateJitBatchCost(int WordBits, const ArchProfile &Profile,
                                int VectorBits, uint64_t Divisor);
 

@@ -12,7 +12,7 @@
 /// Figure 4.2/5.2 sequence on every bench/e2e workload. The name stays
 /// only because the bench/e2e ledger constructs it; the CodeCache
 /// argument is ignored, usesJit() is always false, and backend() names
-/// "core". Array division JIT-compiles through JitBatchDivider.
+/// "core". JitBatchDivider is the same kind of shim for arrays.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,7 +10,7 @@
 /// dump() call) it writes one JSON crash report combining the last-N
 /// trace spans from the per-thread rings with a full metrics snapshot —
 /// the "what was the process doing" record the service layer needs when
-/// a JIT'd sequence or a batch kernel goes down in production.
+/// a batch kernel or a registry entry goes down in production.
 ///
 /// Report schema v2 (docs/OBSERVABILITY.md):
 ///   {"gmdiv_flight_record":2,"reason":"sigsegv|sigabrt|explicit|...",
@@ -27,7 +27,7 @@
 /// The signal path is best effort by design: report construction
 /// allocates, which is not async-signal-safe, so a crash inside the
 /// allocator itself may lose the report — acceptable for a diagnostic
-/// artifact, and the common crashes (bad JIT'd code, logic errors)
+/// artifact, and the common crashes (bad pointers, logic errors)
 /// happen outside the allocator. A re-entry guard prevents handler
 /// recursion, and handlers are installed with SA_RESETHAND so the
 /// original crash semantics (core dump, abort) are preserved by

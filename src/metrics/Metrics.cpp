@@ -414,7 +414,7 @@ Snapshot Registry::snapshot() const {
     Cs = Collectors;
   }
   // Collectors run unlocked: they may create instruments or take locks
-  // of their own (e.g. the JIT cache shard mutexes).
+  // of their own (e.g. the registry's epoch guard).
   for (const auto &[Handle, C] : Cs)
     C(B);
   bridgeTrace(B);

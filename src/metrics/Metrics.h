@@ -25,8 +25,8 @@
 /// stripe is updated by a load and a store, Counter::add must not be
 /// called from a signal handler.
 ///
-/// Sources that already keep their own accounting (the JIT code cache,
-/// the service registry, the trace rings, remark dispatch) plug in as
+/// Sources that already keep their own accounting (the service
+/// registry, the trace rings, remark dispatch) plug in as
 /// *collectors*: callbacks the Registry runs at snapshot time to append
 /// samples. Every series has exactly one writer.
 ///

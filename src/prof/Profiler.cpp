@@ -97,7 +97,7 @@ void profSignalHandler(int, siginfo_t *, void *Context) {
   int First = SkipFrames;
   if (N <= First) {
     // The unwinder could not step past the signal frame (e.g. the
-    // interrupted PC is JIT'd code with no unwind info). Keep at least
+    // interrupted PC is code with no unwind info). Keep at least
     // the interrupted PC so the sample is attributed, not lost.
     First = 0;
     N = 0;
@@ -212,7 +212,8 @@ std::string symbolizePc(uintptr_t Pc) {
     }
   }
 #endif
-  // Raw addresses (typically JIT'd code) still show up honestly.
+  // Raw addresses (code outside any loaded module) still show up
+  // honestly.
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "0x%zx", static_cast<size_t>(Pc));
   return Buf;

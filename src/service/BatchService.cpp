@@ -10,20 +10,11 @@
 #include "trace/Trace.h"
 
 #include <chrono>
-#include <cstdlib>
 
 namespace gmdiv {
 namespace service {
 
 namespace {
-
-size_t envSize(const char *Name, size_t Default) {
-  const char *V = std::getenv(Name);
-  if (!V || !*V)
-    return Default;
-  const long long Parsed = std::atoll(V);
-  return Parsed > 0 ? static_cast<size_t>(Parsed) : Default;
-}
 
 uint64_t steadyNs() {
   return static_cast<uint64_t>(
@@ -76,8 +67,9 @@ bool runsInline(size_t Queued, size_t Running, size_t Workers, size_t Count,
 
 BatchService::Options BatchService::Options::fromEnv() {
   Options O;
-  O.Workers = envSize("GMDIV_SERVICE_WORKERS", O.Workers);
-  O.QueueCapacity = envSize("GMDIV_SERVICE_QUEUE", O.QueueCapacity);
+  O.Workers = envKnob("GMDIV_SERVICE_WORKERS", O.Workers, MaxWorkers);
+  O.QueueCapacity =
+      envKnob("GMDIV_SERVICE_QUEUE", O.QueueCapacity, MaxQueueCapacity);
   return O;
 }
 

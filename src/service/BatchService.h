@@ -28,6 +28,10 @@
 ///    enqueue: the returned future holds std::invalid_argument.
 ///  - The caller owns the spans and must keep them alive until the
 ///    future resolves; the service never copies lane data.
+///  - Jobs may run in place: Out may be the same span as In for
+///    submitDivide/submitRemainder, and Quot the same span as In for
+///    submitDivRem (BatchDivider's exact-aliasing contract). Spans that
+///    partially overlap are not supported.
 ///  - submit() applies backpressure: it blocks while the queue is at
 ///    QueueCapacity. A job that waited for room is always queued.
 ///  - The destructor drains every accepted job before joining, so a
@@ -122,7 +126,12 @@ public:
     /// Accepted-but-unstarted jobs before submit() blocks.
     size_t QueueCapacity = 1024;
 
-    /// Reads GMDIV_SERVICE_WORKERS and GMDIV_SERVICE_QUEUE.
+    /// Upper ends of the environment knobs' ranges (each starts at 1).
+    static constexpr size_t MaxWorkers = 256;
+    static constexpr size_t MaxQueueCapacity = size_t{1} << 24;
+
+    /// Reads GMDIV_SERVICE_WORKERS and GMDIV_SERVICE_QUEUE, each
+    /// clamped to [1, Max...] (see envKnob).
     static Options fromEnv();
   };
 

@@ -7,8 +7,6 @@
 
 #include "service/Registry.h"
 
-#include "prof/TopK.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -16,26 +14,30 @@
 namespace gmdiv {
 namespace service {
 
-namespace {
-
-size_t envSize(const char *Name, size_t Default) {
+size_t envKnob(const char *Name, size_t Default, size_t Max) {
   const char *V = std::getenv(Name);
   if (!V || !*V)
     return Default;
-  const long long Parsed = std::atoll(V);
-  return Parsed > 0 ? static_cast<size_t>(Parsed) : Default;
+  char *End = nullptr;
+  const long long Parsed = std::strtoll(V, &End, 10);
+  if (End == V)
+    return Default;
+  if (Parsed < 1)
+    return 1;
+  // Out-of-range text saturates at LLONG_MAX and clamps like any other
+  // value past Max.
+  const auto Value = static_cast<unsigned long long>(Parsed);
+  return Value > Max ? Max : static_cast<size_t>(Value);
 }
-
-} // namespace
 
 DividerRegistry::Options DividerRegistry::Options::fromEnv() {
   Options O;
-  O.NumShards = envSize("GMDIV_SERVICE_SHARDS", O.NumShards);
-  O.ShardCapacity =
-      envSize("GMDIV_SERVICE_SHARD_CAPACITY", O.ShardCapacity);
+  O.NumShards = envKnob("GMDIV_SERVICE_SHARDS", O.NumShards, MaxShards);
+  O.ShardCapacity = envKnob("GMDIV_SERVICE_SHARD_CAPACITY", O.ShardCapacity,
+                            MaxShardCapacity);
   O.SampleEvery = static_cast<uint32_t>(
-      envSize("GMDIV_SERVICE_SAMPLE", O.SampleEvery));
-  O.TopKSlots = prof::topKCapacityFromEnv(O.TopKSlots);
+      envKnob("GMDIV_SERVICE_SAMPLE", O.SampleEvery, MaxSampleEvery));
+  O.TopKSlots = envKnob("GMDIV_TOPK", O.TopKSlots, MaxTopKSlots);
   return O;
 }
 

@@ -62,7 +62,6 @@
 #ifndef GMDIV_SERVICE_REGISTRY_H
 #define GMDIV_SERVICE_REGISTRY_H
 
-#include "jit/CachePolicy.h"
 #include "metrics/Metrics.h"
 #include "service/DividerEntry.h"
 #include "service/Epoch.h"
@@ -79,6 +78,13 @@
 
 namespace gmdiv {
 namespace service {
+
+/// The integer environment knob \p Name clamped to [1, \p Max]:
+/// \p Default when unset, empty or not a number, 1 when below the
+/// range, \p Max when above it. Every service knob reads through this,
+/// so no value can wrap a narrower field, overflow a table size or
+/// start an unbounded number of threads.
+size_t envKnob(const char *Name, size_t Default, size_t Max);
 
 class DividerRegistry {
 public:
@@ -100,8 +106,18 @@ public:
     /// (gmdiv_service_registry_topk, `gmdiv_tool top`).
     size_t TopKSlots = 32;
 
+    /// Upper ends of the environment knobs' ranges (each starts at 1).
+    /// Shards x capacity at both maxima is 2^24 entries, whose tables
+    /// (two 48-byte buckets per entry) take 1.5 GiB; SampleEvery stays
+    /// a uint32_t power of two.
+    static constexpr size_t MaxShards = 256;
+    static constexpr size_t MaxShardCapacity = size_t{1} << 16;
+    static constexpr size_t MaxSampleEvery = size_t{1} << 31;
+    static constexpr size_t MaxTopKSlots = 4096;
+
     /// Reads GMDIV_SERVICE_SHARDS, GMDIV_SERVICE_SHARD_CAPACITY,
-    /// GMDIV_SERVICE_SAMPLE, GMDIV_TOPK.
+    /// GMDIV_SERVICE_SAMPLE and GMDIV_TOPK, each clamped to
+    /// [1, Max...] (see envKnob).
     static Options fromEnv();
   };
 
@@ -339,8 +355,7 @@ private:
   uint32_t TimedMask;
   size_t HotKeySlots;
   metrics::Counter InvalidKeys;
-  /// Timed lookup latency: per shard + aggregate (mirrors the JIT
-  /// cache's per-shard compile histograms).
+  /// Timed lookup latency: per shard + aggregate.
   std::vector<std::unique_ptr<metrics::Histogram>> LookupNs;
   metrics::Histogram LookupNsAll;
   metrics::Histogram AdmitNsAll;

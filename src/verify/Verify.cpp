@@ -10,8 +10,8 @@
 // mismatches into repro strings, statistics and telemetry remarks); and
 // one DivisorChecker<UWord> template that owns every divider and
 // generated program for a single (width, d) and checks them in three
-// generic shapes: scalar dividers, generated programs and array kernels
-// (static and JIT-compiled). verifyWidth, the fuzzer and checkOne all
+// generic shapes: scalar dividers, generated programs and array kernels.
+// verifyWidth, the fuzzer and checkOne all
 // run the checker's passes, so they cannot drift apart.
 //
 //===----------------------------------------------------------------------===//
@@ -32,7 +32,6 @@
 #include "core/MultiPrecision.h"
 #include "core/RemModSemantics.h"
 #include "ir/Interp.h"
-#include "jit/JitBatchDivider.h"
 #include "metrics/Metrics.h"
 #include "ops/Bits.h"
 #include "ops/SmallWord.h"
@@ -129,9 +128,6 @@ constexpr PropertyRow Table[] = {
     {"batch-signed", true, Pass::Array},
     {"fastmod-signed", true, Pass::Dividend, "fastmod"},
     {"narrow32-signed", true, Pass::Dividend, "narrow32"},
-    {"jit-batch-unsigned", false, Pass::Array},
-    {"jit-batch-signed", true, Pass::Array},
-    {"jit-batch-divisible", false, Pass::Array},
     {"roundup-signed", true, Pass::Dividend, "roundup"},
 };
 
@@ -331,7 +327,7 @@ enum class Guard : uint8_t { Always, Divisible, NoOverflow };
 
 /// Everything the harness knows how to check for one (width, divisor):
 /// scalar dividers, generated sequences through the IR interpreter, and
-/// the array kernels (static and jitted) — all against the Oracle.
+/// the batch kernels — all against the Oracle.
 template <typename UWordT> class DivisorChecker {
 public:
   using UWord = UWordT;
@@ -606,8 +602,7 @@ private:
   }
 
   /// The array kernels over \p Ns: every compiled-in batch backend at
-  /// native widths (scalar fallback and SIMD paths meet the same oracle)
-  /// and the runtime-emitted vector loops behind jit::JitBatchDivider.
+  /// native widths (scalar fallback and SIMD paths meet the same oracle).
   void checkArrays(const std::vector<uint64_t> &Ns) {
     using F = Field;
     if constexpr (Native) {
@@ -619,40 +614,22 @@ private:
           continue;
         const batch::BatchDivider<UWord> BU(DU, B);
         const batch::BatchDivider<SInt> BS(static_cast<SInt>(DSigned), B);
-        checkLanes<UWord, UWord>(BatchU, Ns, 1, F::TruncQ, F::TruncR,
+        checkLanes<UWord, UWord>(BatchU, Ns, F::TruncQ, F::TruncR,
                                  [&](auto... A) { BU.divRem(A...); });
         checkLanes<UWord, uint8_t>(
-            BatchU, Ns, 1, F::Divisible, F::None,
+            BatchU, Ns, F::Divisible, F::None,
             [&](auto *In, auto *Out, auto *, size_t C) {
               BU.divisible(In, Out, C);
             });
-        checkLanes<SInt, SInt>(BatchS, Ns, 1, F::TruncQ, F::TruncR,
+        checkLanes<SInt, SInt>(BatchS, Ns, F::TruncQ, F::TruncR,
                                [&](auto... A) { BS.divRem(A...); });
-        checkLanes<SInt, SInt>(BatchS, Ns, 1, F::FloorQ, F::CeilQ,
+        checkLanes<SInt, SInt>(BatchS, Ns, F::FloorQ, F::CeilQ,
                                [&](auto *In, auto *Fl, auto *Ce, size_t C) {
                                  BS.floorDivide(In, Fl, C);
                                  BS.ceilDivide(In, Ce, C);
                                });
       }
     }
-
-    // The vector loops run at *every* emittable width (N <= 32 on 32-bit
-    // lanes, N = 64 on 64-bit lanes), so the exhaustive N = 4..12 sweeps
-    // drive the real AVX2/AVX-512 recipes over every (n, d) pair. Zero
-    // checks when the host lacks the ISA or GMDIV_JIT_VECTOR=0.
-    jit::VectorIsa Isa;
-    if (Ns.empty() || !jit::vectorJitIsa(Isa))
-      return;
-    using Elem = std::conditional_t<W == 64, uint64_t, uint32_t>;
-    checkVectorLoop<Elem, Elem>(Isa, row("jit-batch-unsigned"),
-                                jit::SeqKind::UDivRem, Ns, F::TruncQ,
-                                F::TruncR);
-    checkVectorLoop<Elem, Elem>(Isa, row("jit-batch-signed"),
-                                jit::SeqKind::SDivRem, Ns, F::TruncQ,
-                                F::TruncR);
-    checkVectorLoop<Elem, uint8_t>(Isa, row("jit-batch-divisible"),
-                                   jit::SeqKind::UDivisible, Ns,
-                                   F::Divisible, F::None);
   }
 
   /// A generated program, judged by Oracle fields of its row's signedness
@@ -780,20 +757,19 @@ private:
   }
 
   /// Runs one array kernel over \p Ns and compares every lane's outputs
-  /// with Oracle fields \p F0 and \p F1 (None skips the second). Inputs
-  /// are padded to a whole number of \p Lanes so a vector loop, not its
-  /// fallback tail, covers every real element; outputs are pre-poisoned
-  /// so a lane the kernel never writes shows up as a mismatch.
+  /// with Oracle fields \p F0 and \p F1 (None skips the second). Outputs
+  /// are pre-poisoned so a lane the kernel never writes shows up as a
+  /// mismatch.
   template <typename InT, typename OutT, typename Kernel>
-  void checkLanes(int Row, const std::vector<uint64_t> &Ns, size_t Lanes,
-                  Field F0, Field F1, Kernel &&Run) {
+  void checkLanes(int Row, const std::vector<uint64_t> &Ns, Field F0,
+                  Field F1, Kernel &&Run) {
     const size_t Count = Ns.size();
-    std::vector<InT> In((Count + Lanes - 1) / Lanes * Lanes);
+    std::vector<InT> In(Count);
     for (size_t I = 0; I < Count; ++I)
       In[I] = static_cast<InT>(Ns[I] & Mask);
-    std::vector<OutT> Out0(In.size(), static_cast<OutT>(~OutT{0}));
+    std::vector<OutT> Out0(Count, static_cast<OutT>(~OutT{0}));
     std::vector<OutT> Out1 = Out0;
-    Run(In.data(), Out0.data(), Out1.data(), In.size());
+    Run(In.data(), Out0.data(), Out1.data(), Count);
     for (size_t I = 0; I < Count; ++I) {
       const uint64_t N = Ns[I] & Mask;
       const DivRef Ref = Table[Row].IsSigned ? OS.ref(N) : OU.ref(N);
@@ -801,27 +777,6 @@ private:
       if (F1 != Field::None)
         R.check(Row, expected(F1, Ref), bits(Out1[I]), DBits, N);
     }
-  }
-
-  /// The runtime-emitted vector loop of \p Kind (byte output when
-  /// \p Out0T is uint8_t) over \p Ns; nothing when the emitter bails.
-  template <typename Elem, typename Out0T>
-  void checkVectorLoop(jit::VectorIsa Isa, int Row, jit::SeqKind Kind,
-                       const std::vector<uint64_t> &Ns, Field F0, Field F1) {
-    jit::VectorEmitOptions Opts;
-    Opts.Isa = Isa;
-    Opts.ByteResult0 = std::is_same_v<Out0T, uint8_t>;
-    const auto Loop = jit::compileVectorLoop(
-        jit::prepareForJit(jit::genSequence(Kind, W, DBits)), Opts,
-        {"verify-vec-" + std::string(jit::seqKindName(Kind)), DBits,
-         Table[Row].IsSigned, /*HasDivisor=*/true});
-    if (Loop)
-      checkLanes<Elem, Out0T>(
-          Row, Ns, Loop->vectorShape().Lanes, F0, F1,
-          [&](const Elem *In, Out0T *Out0, Out0T *Out1, size_t Count) {
-            Loop->batchFn()(In, Out0, F1 == Field::None ? nullptr : Out1,
-                            Count);
-          });
   }
 
   template <typename T> uint64_t bits(T Value) const {

@@ -21,8 +21,6 @@
 #include "codegen/DivCodeGen.h"
 #include "codegen/DivisionLowering.h"
 #include "ir/Parser.h"
-#include "jit/JitBatchDivider.h"
-#include "jit/JitDivider.h"
 #include "metrics/Exporter.h"
 #include "metrics/Exposition.h"
 #include "service/BatchService.h"
@@ -336,18 +334,11 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
       ir::parseProgram("t1 = const 10\nt2 = divu n0, t1\n=> q: t2", 32, 1);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
   codegen::lowerDivisions(*Parsed.Parsed);
-  // The scalar shim, the vector JIT and the static batch kernels.
-  const jit::JitDivider<uint32_t> Scalar(7);
-  EXPECT_EQ(Scalar.divide(700), 100u);
+  // The static batch kernels.
   std::vector<uint32_t> In(100, 700), Out(100);
-  const jit::JitBatchDivider<uint32_t> Vector(7);
-  Vector.divide(In.data(), Out.data(), In.size());
+  const batch::BatchDivider<uint32_t> Batch(7);
+  Batch.divide(In.data(), Out.data(), In.size());
   EXPECT_EQ(Out[99], 100u);
-  // A global-cache lookup whatever GMDIV_JIT_VECTOR says (the divider
-  // above skips the cache when the vector jit is off).
-  jit::compileVectorCached(jit::CodeCache::global(),
-                           {jit::SeqKind::UDivRem, 32, 7},
-                           jit::VectorEmitOptions());
   // The verify harness, the registry and the batch front door.
   EXPECT_EQ(verify::verifyWidth(4).mismatches(), 0u);
   service::DividerRegistry &Reg = service::DividerRegistry::global();
@@ -376,7 +367,7 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
         << Error;
     for (const char *Name :
          {"gmdiv_verify_checks_total", "gmdiv_batch_backend_selected_total",
-          "gmdiv_batch_calls_total", "gmdiv_jit_cache_shard_misses_total",
+          "gmdiv_batch_calls_total",
           "gmdiv_service_registry_shard_misses_total",
           "gmdiv_test_metrics_batch_submitted_total",
           "gmdiv_test_metrics_batch_handoff_ns_estimate",
@@ -401,13 +392,11 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
             "gmdiv_batch_dividers_constructed_total"})
         EXPECT_GT(familyTotal(S, Name), 0.0) << Name;
     }
-    // The duplicates of native families are gone for good.
-    for (const char *Name :
-         {"gmdiv_jit_cache_hits_total", "gmdiv_jit_cache_misses_total",
-          "gmdiv_jit_cache_evictions_total",
-          "gmdiv_jit_vector_compile_bytes_total",
-          "gmdiv_batch_backend_selections_total"})
-      EXPECT_EQ(S.find(Name), nullptr) << Name;
+    // The duplicate of a native family is gone for good, and nothing
+    // generates code, so no gmdiv_jit_* family exists.
+    EXPECT_EQ(S.find("gmdiv_batch_backend_selections_total"), nullptr);
+    for (const Family &F : S.Families)
+      EXPECT_NE(F.Name.rfind("gmdiv_jit_", 0), 0u) << F.Name;
   }
 
   // One event moves its family by exactly one.
@@ -416,15 +405,6 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
     Event();
     return familyTotal(R.snapshot(), Name) - Before;
   };
-  // A 48-bit program always bails the vector emitter (33..63-bit lanes
-  // are unsupported), and so does a vetoed or AVX2-less host.
-  EXPECT_EQ(Delta("gmdiv_jit_vector_bails_total", [] {
-              EXPECT_EQ(jit::compileVectorLoop(
-                            codegen::genUnsignedDiv(48, 7),
-                            jit::VectorEmitOptions()),
-                        nullptr);
-            }),
-            1.0);
   EXPECT_EQ(Delta("gmdiv_batch_backend_selected_total",
                   [] { batch::BatchDivider<uint32_t> B(7); }),
             1.0);
@@ -444,18 +424,6 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
                     [] { batch::BatchDivider<int16_t> B(-3); }),
               1.0);
   }
-  // A direct vector compile either succeeds or bails to the static
-  // kernels: exactly one of the two families moves.
-  const Snapshot Before = R.snapshot();
-  jit::compileVectorLoop(
-      jit::prepareForJit(codegen::genUnsignedDiv(32, 1000003)),
-      jit::VectorEmitOptions());
-  const Snapshot After = R.snapshot();
-  EXPECT_EQ(familyTotal(After, "gmdiv_jit_vector_compiles_total") -
-                familyTotal(Before, "gmdiv_jit_vector_compiles_total") +
-                familyTotal(After, "gmdiv_jit_vector_bails_total") -
-                familyTotal(Before, "gmdiv_jit_vector_bails_total"),
-            1.0);
 }
 
 TEST(MetricsExporter, WriteSnapshotFileEmitsBothFormats) {

@@ -1,4 +1,4 @@
-//===- tests/ProfTest.cpp - Sampling profiler + top-K sketch --------------===//
+//===- tests/ProfTest.cpp - Sampling profiler -----------------------------===//
 //
 // Part of the gmdiv project, a reproduction of Granlund & Montgomery,
 // "Division by Invariant Integers using Multiplication", PLDI 1994.
@@ -6,17 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The TopK sketch is checked against a counted std::map reference:
-/// exact when capacity covers the distinct keys, and on a skewed stream
-/// the identified heavy-hitter set must equal the true top-K with the
-/// space-saving bound Count - Error <= true <= Count holding for every
-/// slot. The profiler tests arm SIGPROF for real, burn CPU, and require
+/// The profiler tests arm SIGPROF for real, burn CPU, and require
 /// non-empty collapsed stacks plus a valid embedded JSON profile.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "prof/Profiler.h"
-#include "prof/TopK.h"
 
 #include "telemetry/Json.h"
 
@@ -25,8 +20,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,108 +30,6 @@ using namespace gmdiv::prof;
 namespace json = gmdiv::telemetry::json;
 
 namespace {
-
-// A deterministic skewed stream: key k is emitted Reps[k] times, in
-// round-robin order so heavy keys are interleaved with light ones (the
-// adversarial order for a sketch, not a sorted run).
-std::vector<int> skewedStream(const std::vector<uint64_t> &Reps) {
-  std::vector<int> Stream;
-  bool Emitted = true;
-  for (uint64_t Round = 0; Emitted; ++Round) {
-    Emitted = false;
-    for (size_t K = 0; K < Reps.size(); ++K) {
-      if (Round < Reps[K]) {
-        Stream.push_back(static_cast<int>(K));
-        Emitted = true;
-      }
-    }
-  }
-  return Stream;
-}
-
-TEST(TopK, ExactWhenCapacityCoversDistinctKeys) {
-  TopK<int> Sketch(16);
-  std::map<int, uint64_t> Reference;
-  // 10 distinct keys < 16 slots: no evictions can happen.
-  const std::vector<uint64_t> Reps = {1, 3, 9, 2, 7, 50, 4, 6, 8, 5};
-  for (int Key : skewedStream(Reps)) {
-    Sketch.offer(Key);
-    ++Reference[Key];
-  }
-  EXPECT_EQ(Sketch.evictions(), 0u);
-
-  const auto Items = Sketch.items();
-  ASSERT_EQ(Items.size(), Reference.size());
-  uint64_t Total = 0;
-  for (const auto &Item : Items) {
-    EXPECT_EQ(Item.Count, Reference.at(Item.Key))
-        << "key " << Item.Key;
-    EXPECT_EQ(Item.Error, 0u);
-    Total += Item.Count;
-  }
-  EXPECT_EQ(Sketch.totalOffered(), Total);
-  // items() sorts by descending count; the heaviest key (5, 50 hits)
-  // leads.
-  EXPECT_EQ(Items.front().Key, 5);
-  EXPECT_EQ(Items.front().Count, 50u);
-}
-
-TEST(TopK, SkewedStreamIdentifiesTrueTopK) {
-  // 40 distinct keys into 8 slots. Keys 0-7 are heavy (400-1100 hits),
-  // the rest are light noise (1-8 hits) — skewed enough that the
-  // space-saving guarantee pins the exact top-8 set.
-  std::vector<uint64_t> Reps(40);
-  for (size_t K = 0; K < 8; ++K)
-    Reps[K] = 400 + 100 * K;
-  for (size_t K = 8; K < Reps.size(); ++K)
-    Reps[K] = 1 + (K % 8);
-
-  TopK<int> Sketch(8);
-  std::map<int, uint64_t> Reference;
-  for (int Key : skewedStream(Reps)) {
-    Sketch.offer(Key);
-    ++Reference[Key];
-  }
-  EXPECT_GT(Sketch.evictions(), 0u);
-
-  const auto Items = Sketch.items();
-  ASSERT_EQ(Items.size(), 8u);
-  std::set<int> Identified;
-  for (const auto &Item : Items) {
-    Identified.insert(Item.Key);
-    // The space-saving invariant, for every surviving slot.
-    const uint64_t True = Reference.at(Item.Key);
-    EXPECT_LE(True, Item.Count) << "key " << Item.Key;
-    EXPECT_GE(True, Item.Count - Item.Error) << "key " << Item.Key;
-  }
-  EXPECT_EQ(Identified, (std::set<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(TopK, WeightedOffersScaleSampledStreams) {
-  // A caller sampling 1-in-64 offers weight 64 per observed hit; the
-  // estimate should read in unsampled units.
-  TopK<int> Sketch(4);
-  for (int I = 0; I < 10; ++I)
-    Sketch.offer(7, 64);
-  Sketch.offer(9, 64);
-  const auto Items = Sketch.items();
-  ASSERT_EQ(Items.size(), 2u);
-  EXPECT_EQ(Items[0].Key, 7);
-  EXPECT_EQ(Items[0].Count, 640u);
-  EXPECT_EQ(Sketch.totalOffered(), 704u);
-}
-
-TEST(TopK, CapacityFromEnvClampsToRange) {
-  unsetenv("GMDIV_TOPK");
-  EXPECT_EQ(topKCapacityFromEnv(32), 32u);
-  setenv("GMDIV_TOPK", "16", 1);
-  EXPECT_EQ(topKCapacityFromEnv(32), 16u);
-  setenv("GMDIV_TOPK", "0", 1);
-  EXPECT_EQ(topKCapacityFromEnv(32), 1u);
-  setenv("GMDIV_TOPK", "100000", 1);
-  EXPECT_EQ(topKCapacityFromEnv(32), 4096u);
-  unsetenv("GMDIV_TOPK");
-}
 
 // Burn process CPU until the profiler has banked at least \p Want
 // samples or \p DeadlineSec of wall time passes. ITIMER_PROF counts CPU

@@ -5,11 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Contracts of the service tier (src/service): key validation,
-// compile-once admission under contention, lock-free lookup counters,
-// LRU eviction liveness, bit-for-bit agreement with the core dividers,
-// the async batch front door's ordering and error paths, its inline
-// guard and the paths it chooses between, and the metrics-plane export.
+// Contracts of the service tier (src/service): key validation, the
+// environment knobs' ranges, compile-once admission under contention,
+// lock-free lookup counters, LRU eviction liveness, bit-for-bit
+// agreement with the core dividers, the async batch front door's
+// ordering and error paths, its inline guard and the paths it chooses
+// between (in place too), and the metrics-plane export.
 // The TSan CI leg runs this whole file; MixedContentionStress,
 // ConcurrentSubmittersMixInlineAndQueued and
 // ReadersNeverSeeAWrongEntryDuringEviction at the bottom are the
@@ -24,14 +25,13 @@
 #include "service/Registry.h"
 
 #include "core/Divider.h"
-#include "jit/JitBatchDivider.h"
-#include "jit/JitCache.h"
 #include "metrics/Metrics.h"
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -118,6 +118,82 @@ TEST(ServiceRegistry, InvalidKeysAreRejectedNotCached) {
   EXPECT_EQ(R.size(), 0u);
   const cache::CacheStats St = R.stats();
   EXPECT_EQ(St.Hits + St.Misses, 0u); // rejected before counting
+}
+
+//===----------------------------------------------------------------------===//
+// Environment knobs
+//===----------------------------------------------------------------------===//
+
+TEST(ServiceOptions, FromEnvClampsEveryKnobToItsRange) {
+  // Only Options are built from these values, never a registry or a
+  // service: unclamped, the shard capacity would hang the registry's
+  // constructor, the shard count would allocate 2^62 shards and the
+  // worker count would start a million threads.
+  using RO = DividerRegistry::Options;
+  using SO = BatchService::Options;
+  const char *const Knobs[] = {
+      "GMDIV_SERVICE_SHARDS", "GMDIV_SERVICE_SHARD_CAPACITY",
+      "GMDIV_SERVICE_SAMPLE", "GMDIV_TOPK",
+      "GMDIV_SERVICE_WORKERS", "GMDIV_SERVICE_QUEUE"};
+  const auto SetAll = [&](const char *Value) {
+    for (const char *K : Knobs)
+      setenv(K, Value, 1);
+  };
+  for (const char *K : Knobs)
+    unsetenv(K);
+
+  // Unset, empty or not a number: the defaults.
+  for (const char *Value : {static_cast<const char *>(nullptr), "", "many"}) {
+    if (Value)
+      SetAll(Value);
+    const RO R = RO::fromEnv();
+    const SO S = SO::fromEnv();
+    EXPECT_EQ(R.NumShards, RO{}.NumShards);
+    EXPECT_EQ(R.ShardCapacity, RO{}.ShardCapacity);
+    EXPECT_EQ(R.SampleEvery, RO{}.SampleEvery);
+    EXPECT_EQ(R.TopKSlots, 32u);
+    EXPECT_EQ(S.Workers, SO{}.Workers);
+    EXPECT_EQ(S.QueueCapacity, SO{}.QueueCapacity);
+  }
+
+  // In range: passed through.
+  setenv("GMDIV_TOPK", "16", 1);
+  setenv("GMDIV_SERVICE_SAMPLE", "7", 1);
+  EXPECT_EQ(RO::fromEnv().TopKSlots, 16u);
+  EXPECT_EQ(RO::fromEnv().SampleEvery, 7u);
+
+  // Below the range: 1.
+  for (const char *Value : {"0", "-5"}) {
+    SetAll(Value);
+    const RO R = RO::fromEnv();
+    const SO S = SO::fromEnv();
+    EXPECT_EQ(R.NumShards, 1u);
+    EXPECT_EQ(R.ShardCapacity, 1u);
+    EXPECT_EQ(R.SampleEvery, 1u);
+    EXPECT_EQ(R.TopKSlots, 1u);
+    EXPECT_EQ(S.Workers, 1u);
+    EXPECT_EQ(S.QueueCapacity, 1u);
+  }
+
+  // Above the range, including values that used to wrap or overflow
+  // and text past LLONG_MAX: the top of the range.
+  setenv("GMDIV_SERVICE_SHARDS", "4611686018427387904", 1);
+  setenv("GMDIV_SERVICE_SHARD_CAPACITY", "4611686018427387905", 1);
+  setenv("GMDIV_SERVICE_SAMPLE", "4294967296", 1);
+  setenv("GMDIV_TOPK", "100000", 1);
+  setenv("GMDIV_SERVICE_WORKERS", "1000000", 1);
+  setenv("GMDIV_SERVICE_QUEUE", "99999999999999999999999", 1);
+  const RO R = RO::fromEnv();
+  const SO S = SO::fromEnv();
+  EXPECT_EQ(R.NumShards, RO::MaxShards);
+  EXPECT_EQ(R.ShardCapacity, RO::MaxShardCapacity);
+  EXPECT_EQ(R.SampleEvery, RO::MaxSampleEvery);
+  EXPECT_EQ(R.TopKSlots, 4096u);
+  EXPECT_EQ(S.Workers, SO::MaxWorkers);
+  EXPECT_EQ(S.QueueCapacity, SO::MaxQueueCapacity);
+
+  for (const char *K : Knobs)
+    unsetenv(K);
 }
 
 //===----------------------------------------------------------------------===//
@@ -351,61 +427,6 @@ TEST(ServiceRegistry, ArrayOpsMatchScalarLoops) {
   expectArraysMatchHardware<int16_t>(R);
   expectArraysMatchHardware<int32_t>(R);
   expectArraysMatchHardware<int64_t>(R);
-}
-
-/// Admission is precompute only: building entries and calling them,
-/// scalar and array, must never reach the JIT's code cache. Runs with
-/// default Options, so the ignored UseJit flag is on.
-TEST(ServiceRegistry, AdmissionCompilesNoCode) {
-  // The compile counter is registered at load, so it is present (at 0)
-  // before anything compiles; an absent family would make the check
-  // below pass vacuously.
-  const auto CompilesTotal = [] {
-    const metrics::Snapshot S = metrics::Registry::global().snapshot();
-    const metrics::Sample *C = S.find("gmdiv_jit_vector_compiles_total");
-    EXPECT_NE(C, nullptr) << "gmdiv_jit_vector_compiles_total not exported";
-    return C ? C->Value : -1.0;
-  };
-  const cache::CacheStats Before = jit::CodeCache::global().stats();
-  const double CompilesBefore = CompilesTotal();
-
-  DividerRegistry R(DividerRegistry::Options{});
-  std::vector<uint8_t> In(64 * 8, 0x5b), Out(64 * 8), Out2(64 * 8);
-  uint64_t Sink = 0;
-  for (uint64_t I = 0; I < 64; ++I) {
-    // Large odd divisors no other test in this binary uses.
-    const uint64_t D = 1000003 + 2 * I;
-    for (const Key K :
-         {keyFor<uint32_t>(static_cast<uint32_t>(D)), keyFor<uint64_t>(D),
-          keyFor<int32_t>(-static_cast<int32_t>(D)),
-          keyFor<int64_t>(static_cast<int64_t>(D))}) {
-      const auto E = R.acquire(K);
-      ASSERT_NE(E, nullptr) << K.describe();
-      Sink += E->divideBits(~I) + E->remainderBits(I * 977);
-      Sink += E->divRemBits(I).first;
-      const size_t Lanes = In.size() / (K.WordBits / 8);
-      E->divideArray(In.data(), Out.data(), Lanes);
-      E->remainderArray(In.data(), Out.data(), Lanes);
-      E->divRemArray(In.data(), Out.data(), Out2.data(), Lanes);
-    }
-  }
-  EXPECT_EQ(R.size(), 256u);
-  EXPECT_NE(Sink, 0u);
-
-  const cache::CacheStats After = jit::CodeCache::global().stats();
-  EXPECT_EQ(After.Hits, Before.Hits);
-  EXPECT_EQ(After.Misses, Before.Misses);
-  EXPECT_EQ(After.NegativeHits, Before.NegativeHits);
-  EXPECT_EQ(After.Inserts, Before.Inserts);
-  EXPECT_EQ(After.Entries, Before.Entries);
-  EXPECT_EQ(CompilesTotal(), CompilesBefore);
-
-  // Positive control: a jitted batch divider on a private cache does
-  // move the counter wherever the vector jit runs.
-  jit::CodeCache Private(1, 8);
-  if (jit::JitBatchDivider<uint32_t>(999983, Private).usesJit()) {
-    EXPECT_GT(CompilesTotal(), CompilesBefore);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -943,8 +964,9 @@ std::future<BatchResult> submitOp(BatchService &Svc, int OpIdx, T D,
 /// Every op at every length 0..67, once queued on a fresh service (no
 /// estimates yet, so its first job always queues) and once on \p Warm,
 /// whose estimates exist: outputs equal hardware / and % and each
-/// other bit for bit, and the BatchResults agree. Adds the jobs \p Warm
-/// ran on the caller to \p InlineRuns.
+/// other bit for bit, and the BatchResults agree. Both paths then run
+/// the same job in place. Adds the jobs \p Warm ran on the caller to
+/// \p InlineRuns.
 template <typename T>
 void expectPathsAgree(DividerRegistry &R, BatchService &Warm,
                       const std::string &WarmPrefix, uint64_t &InlineRuns) {
@@ -995,6 +1017,29 @@ void expectPathsAgree(DividerRegistry &R, BatchService &Warm,
       ASSERT_EQ(QA[Len], T(0x5a));
       ASSERT_EQ(IA[Len], T(0x5a));
       ASSERT_EQ(QB, IB);
+
+      // In place: a copy of the input is also Out (Quot for divRem).
+      // Each path must leave in it, bit for bit, what the queued path
+      // wrote out of place.
+      const auto ExpectInPlace = [&](BatchService &Svc, const char *Path) {
+        std::vector<T> Buf(In.begin(), In.begin() + Len);
+        Buf.push_back(T(0x5a));
+        std::vector<T> Rem(Len + 1, T(0x5a));
+        ASSERT_EQ(submitOp<T>(Svc, OpIdx, D, Buf.data(), Buf.data(),
+                              Rem.data(), Len)
+                      .get()
+                      .Elements,
+                  Len);
+        ASSERT_EQ(Buf, QA) << Path << " in place " << int(sizeof(T) * 8)
+                           << "-bit op=" << OpIdx << " len=" << Len;
+        ASSERT_EQ(Rem, QB) << Path << " in place " << int(sizeof(T) * 8)
+                           << "-bit op=" << OpIdx << " len=" << Len;
+      };
+      {
+        BatchService Fresh(R, workerOptions(1));
+        ExpectInPlace(Fresh, "queued");
+      }
+      ExpectInPlace(Warm, "warm");
     }
   }
   InlineRuns += inlineRuns(WarmPrefix) - Before;

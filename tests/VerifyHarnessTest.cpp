@@ -18,7 +18,6 @@
 #include "verify/Fuzzer.h"
 #include "verify/Verify.h"
 
-#include "jit/Jit.h"
 #include "metrics/Metrics.h"
 #include "telemetry/Remarks.h"
 
@@ -53,17 +52,9 @@ TEST(VerifyHarness, EveryPropertyRunsAtNativeWidth) {
   // N = 8 is a native width: the scalar dividers, the generated
   // sequences, the doubleword path AND the batch backends all run, so
   // every property family must report checks.
-  // The jit-batch-* properties record zero checks where the vector
-  // loops cannot run (no AVX2, GMDIV_JIT_VECTOR=0) instead of vacuously
-  // passing on the static kernels.
-  jit::VectorIsa Isa;
-  const bool VectorJit = jit::vectorJitIsa(Isa);
   const VerifyReport Report = verifyWidth(8);
-  for (const PropertyCount &P : Report.Properties) {
-    if (!VectorJit && P.Name.rfind("jit-batch-", 0) == 0)
-      continue;
+  for (const PropertyCount &P : Report.Properties)
     EXPECT_GT(P.Checks, 0u) << "property never exercised: " << P.Name;
-  }
 }
 
 TEST(VerifyHarness, NonNativeWidthSkipsNativeOnlyProperties) {
@@ -133,21 +124,14 @@ TEST(VerifyHarness, PropertyCheckCountsPinnedAtWidth6) {
       {"batch-signed", 0},
       {"fastmod-signed", 20160},
       {"narrow32-signed", 16128},
-      {"jit-batch-unsigned", 8064},
-      {"jit-batch-signed", 8064},
-      {"jit-batch-divisible", 4032},
       {"roundup-signed", 16128},
   };
-  // The vector loops run only where an emittable vector ISA is enabled.
-  jit::VectorIsa Isa;
-  const bool VectorJit = jit::vectorJitIsa(Isa);
   const VerifyReport Report = verifyWidth(6);
   ASSERT_EQ(Report.Properties.size(), Pinned.size());
   for (const PropertyCount &P : Report.Properties) {
     const auto It = Pinned.find(P.Name);
     ASSERT_NE(It, Pinned.end()) << "no pinned count for " << P.Name;
-    const bool Runs = P.Name.rfind("jit-batch-", 0) != 0 || VectorJit;
-    EXPECT_EQ(P.Checks, Runs ? It->second : 0u) << P.Name;
+    EXPECT_EQ(P.Checks, It->second) << P.Name;
   }
 }
 
