@@ -107,7 +107,4 @@ BENCHMARK(BM_AlversonDivider64);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  printComparison();
-  return gmdiv_bench::runReported("bench_alverson", argc, argv);
-}
+GMDIV_BENCH_MAIN(alverson, printComparison)

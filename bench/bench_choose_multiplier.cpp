@@ -122,7 +122,4 @@ BENCHMARK(BM_ChooseMultiplierSigned32);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  printAblationCensus();
-  return gmdiv_bench::runReported("bench_choose_multiplier", argc, argv);
-}
+GMDIV_BENCH_MAIN(choose_multiplier, printAblationCensus)

@@ -126,4 +126,4 @@ BENCHMARK(BM_Divisible128_LongDivision);
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_divider128)
+GMDIV_BENCH_MAIN(divider128)

@@ -156,4 +156,4 @@ BENCHMARK(BM_MultiPrecisionDecimal_LongDivision);
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_dword_div)
+GMDIV_BENCH_MAIN(dword_div)

@@ -119,4 +119,4 @@ BENCHMARK(BM_Loop100_StrengthReduced);
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_exact_div)
+GMDIV_BENCH_MAIN(exact_div)

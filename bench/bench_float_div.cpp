@@ -93,4 +93,4 @@ BENCHMARK(BM_SignedIntegerHardware);
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_float_div)
+GMDIV_BENCH_MAIN(float_div)

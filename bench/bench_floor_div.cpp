@@ -91,4 +91,4 @@ BENCHMARK(BM_CeilDivider32);
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_floor_div)
+GMDIV_BENCH_MAIN(floor_div)

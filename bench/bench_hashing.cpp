@@ -118,4 +118,4 @@ BENCHMARK(BM_BareReduction_Divider);
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_hashing)
+GMDIV_BENCH_MAIN(hashing)

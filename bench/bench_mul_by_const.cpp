@@ -112,7 +112,4 @@ BENCHMARK(BM_MulBy10_ShiftAdd);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  printDecisionTable();
-  return gmdiv_bench::runReported("bench_mul_by_const", argc, argv);
-}
+GMDIV_BENCH_MAIN(mul_by_const, printDecisionTable)

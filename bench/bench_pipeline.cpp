@@ -140,7 +140,4 @@ BENCHMARK(BM_HardwareThroughputStream);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  printModelTable();
-  return gmdiv_bench::runReported("bench_pipeline", argc, argv);
-}
+GMDIV_BENCH_MAIN(pipeline, printModelTable)

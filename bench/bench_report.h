@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Every bench binary funnels through runReported(), which wraps Google
-/// Benchmark in the repo's measurement methodology (docs/BENCHMARKING.md):
+/// Every bench binary's GMDIV_BENCH_MAIN funnels through runReported(),
+/// which wraps Google Benchmark in the repo's measurement methodology
+/// (docs/BENCHMARKING.md):
 ///
 ///   * warmup + K timing repetitions per benchmark (calibrated once),
 ///   * robust per-benchmark summary — median / MAD / robust CV over the
@@ -302,10 +303,13 @@ inline int runReported(const char *Name, int argc, char **argv) {
 
 } // namespace gmdiv_bench
 
-/// Drop-in replacement for BENCHMARK_MAIN() that routes through
-/// runReported(). NAME becomes the BENCH_<NAME>.json report filename.
-#define GMDIV_BENCH_MAIN(NAME)                                               \
+/// The main() of every bench binary, in place of BENCHMARK_MAIN():
+/// GMDIV_BENCH_MAIN(NAME[, PRINT]) calls PRINT(), a function printing
+/// the table the bench reproduces, when given, then runReported(). NAME
+/// becomes the BENCH_<NAME>.json report filename.
+#define GMDIV_BENCH_MAIN(NAME, ...)                                          \
   int main(int argc, char **argv) {                                          \
+    __VA_OPT__(__VA_ARGS__();)                                               \
     return ::gmdiv_bench::runReported(#NAME, argc, argv);                    \
   }
 

@@ -86,4 +86,4 @@ BENCHMARK(BM_SignedDividerXlSet)
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_signed_div)
+GMDIV_BENCH_MAIN(signed_div)

@@ -130,4 +130,4 @@ BENCHMARK(BM_DivisionRich_Divider);
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_spec_proxy)
+GMDIV_BENCH_MAIN(spec_proxy)

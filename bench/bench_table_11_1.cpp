@@ -87,9 +87,7 @@ void printFor(const char *ArchName, const ir::Program &P,
               2 * Profile.divCycles() / Cost.Cycles);
 }
 
-} // namespace
-
-int main(int argc, char **argv) {
+void printTable() {
   std::printf("=== Table 11.1: generated code for the radix-conversion "
               "loop body ===\n");
   std::printf("(q = x / 10, r = x %% 10, unsigned 32-bit x; verified over "
@@ -122,5 +120,8 @@ int main(int argc, char **argv) {
               "Table 11.1 columns do; POWER, whose multiply is signed-"
               "only,\nsynthesizes MULUH with the §3 identity "
               "corrections.\n");
-  return gmdiv_bench::runReported("bench_table_11_1", argc, argv);
 }
+
+} // namespace
+
+GMDIV_BENCH_MAIN(table_11_1, printTable)

@@ -169,7 +169,4 @@ void printSimulatedTable() {
 
 } // namespace
 
-int main(int argc, char **argv) {
-  printSimulatedTable();
-  return gmdiv_bench::runReported("bench_table_11_2", argc, argv);
-}
+GMDIV_BENCH_MAIN(table_11_2, printSimulatedTable)

@@ -95,7 +95,4 @@ BENCHMARK(BM_HostDiv64);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  printPaperTable();
-  return gmdiv_bench::runReported("bench_table_1_1", argc, argv);
-}
+GMDIV_BENCH_MAIN(table_1_1, printPaperTable)

@@ -134,4 +134,4 @@ BENCHMARK(BM_DividerSetup32);
 
 } // namespace
 
-GMDIV_BENCH_MAIN(bench_unsigned_div)
+GMDIV_BENCH_MAIN(unsigned_div)

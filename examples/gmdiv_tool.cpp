@@ -85,8 +85,9 @@
 //   --metrics=FILE        write a metrics snapshot on exit (format by
 //                         extension: .json = JSON, else Prometheus).
 //   --profile=FILE        arm the SIGPROF sampling profiler for the
-//                         whole command (GMDIV_PROF_HZ, default 97 Hz)
-//                         and write collapsed stacks on exit.
+//                         whole command (rate from GMDIV_PROF=<hz>,
+//                         default 97 Hz) and write collapsed stacks on
+//                         exit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -1029,15 +1030,7 @@ int main(int Argc, char **Argv) {
   // GMDIV_PROF arms the sampling profiler without a dump file.
   metrics::Exporter::global().startFromEnv();
   metrics::FlightRecorder::global().configureFromEnv();
-  if (!ProfileFile.empty()) {
-    int Hz = prof::Profiler::DefaultHz;
-    if (const char *HzEnv = std::getenv("GMDIV_PROF_HZ"))
-      if (const long Value = std::strtol(HzEnv, nullptr, 10); Value > 0)
-        Hz = static_cast<int>(Value);
-    prof::Profiler::global().start(Hz);
-  } else {
-    prof::Profiler::global().startFromEnv();
-  }
+  prof::Profiler::global().startFromEnv(!ProfileFile.empty());
 
   std::unique_ptr<telemetry::RemarkSink> Sink;
   if (RemarksMode == "json")

@@ -9,10 +9,8 @@
 // backends are probed via the null/non-null kernel-table pointers, and
 // AVX2 additionally requires a CPUID check (__builtin_cpu_supports,
 // which also verifies OS XSAVE state). Backend::NEON has no kernels and
-// is never available. The GMDIV_BATCH_BACKEND environment variable
-// overrides the choice when it names an available backend. Every
-// selection is reported through one "batch.backend" telemetry remark
-// (see docs/OBSERVABILITY.md).
+// is never available. Every selection is reported through one
+// "batch.backend" telemetry remark (see docs/OBSERVABILITY.md).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +20,6 @@
 #include "telemetry/Remarks.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace gmdiv {
 namespace batch {
@@ -97,8 +93,6 @@ const char *selectionSourceName(SelectionSource S) {
   switch (S) {
   case SelectionSource::Divider:
     return "divider";
-  case SelectionSource::EnvOverride:
-    return "env-override";
   case SelectionSource::Autodetect:
     return "autodetect";
   case SelectionSource::Fallback:
@@ -110,14 +104,13 @@ const char *selectionSourceName(SelectionSource S) {
 /// Internal: counts every selection event — the process-wide default
 /// resolution and every BatchDivider construction — and emits one
 /// "batch.backend" remark per event. The remark is guarded by
-/// remarksEnabled(), so the default (no sink) costs nothing and
-/// GMDIV_NO_TELEMETRY compiles it out.
+/// remarksEnabled(), so the default (no sink) costs nothing.
 void noteBackendSelected(Backend B, SelectionSource Source) {
   // Each (backend, source) series is resolved once: construction runs on
   // every registry admission, and the registry lookup takes the global
   // metrics mutex and builds a series key. Racing first uses resolve to
   // the same instrument, so a plain atomic publish suffices.
-  static std::atomic<metrics::Counter *> Selected[4][4]; // [B][Source]
+  static std::atomic<metrics::Counter *> Selected[4][3]; // [B][Source]
   std::atomic<metrics::Counter *> &Slot =
       Selected[static_cast<size_t>(B)][static_cast<size_t>(Source)];
   metrics::Counter *C = Slot.load(std::memory_order_acquire);
@@ -167,17 +160,6 @@ void noteBatchCall(size_t Count) {
 
 Backend activeBackend() {
   static const Backend Resolved = [] {
-    if (const char *Env = std::getenv("GMDIV_BATCH_BACKEND")) {
-      for (Backend B : {Backend::Scalar, Backend::SSE2, Backend::AVX2}) {
-        if (std::strcmp(Env, backendName(B)) == 0) {
-          if (backendAvailable(B)) {
-            noteBackendSelected(B, SelectionSource::EnvOverride);
-            return B;
-          }
-          break; // Named but unavailable: fall through to autodetect.
-        }
-      }
-    }
     for (Backend B : {Backend::AVX2, Backend::SSE2}) {
       if (backendAvailable(B)) {
         noteBackendSelected(B, SelectionSource::Autodetect);

@@ -26,10 +26,9 @@
 /// The per-lane MULUH uses widening multiplies: even/odd
 /// _mm*_mul_epu32 splits for 32/64-bit lanes, mulhi instructions for
 /// 16-bit, a promote-multiply-narrow for 8-bit. All backends agree
-/// bit-for-bit with UnsignedDivider / SignedDivider; the dispatch
-/// (CPUID plus the GMDIV_BATCH_BACKEND environment override) emits one
-/// telemetry remark per backend selection (kind "batch.backend", see
-/// docs/OBSERVABILITY.md).
+/// bit-for-bit with UnsignedDivider / SignedDivider; the CPUID dispatch
+/// emits one telemetry remark per backend selection (kind
+/// "batch.backend", see docs/OBSERVABILITY.md).
 ///
 /// Break-even guidance — the batch size at which a vector backend
 /// overtakes the scalar loop on a given architecture profile — comes
@@ -68,10 +67,9 @@ std::vector<Backend> compiledBackends();
 /// True when \p B is compiled in and the running CPU supports it.
 bool backendAvailable(Backend B);
 
-/// The backend batch dividers use by default: the widest available one,
-/// unless the GMDIV_BATCH_BACKEND environment variable (scalar | sse2 |
-/// avx2) overrides it. Resolved once per process; the resolution
-/// emits one "batch.backend" telemetry remark.
+/// The backend batch dividers use by default: the widest one the CPU
+/// supports. Resolved once per process; the resolution emits one
+/// "batch.backend" telemetry remark.
 Backend activeBackend();
 
 /// Internal: records one kernel call (call count, element count, and
@@ -82,7 +80,7 @@ void noteBatchCall(size_t Count);
 
 /// Internal: why a backend was selected — the "source" label of
 /// gmdiv_batch_backend_selected_total.
-enum class SelectionSource { Divider, EnvOverride, Autodetect, Fallback };
+enum class SelectionSource { Divider, Autodetect, Fallback };
 
 /// Internal: counts one selection event and emits its "batch.backend"
 /// remark (BatchDispatch.cpp).

@@ -326,12 +326,7 @@ std::string seriesKey(const std::string &Name, const LabelSet &Labels);
 /// bumps the metrics counter gmdiv_<GROUP>_<NAME>_total, resolved once
 /// per expansion site into a function-local static reference; the same
 /// pair expanded at several sites (or template instantiations) shares
-/// one counter. GROUP and NAME are identifiers, not strings. Defining
-/// GMDIV_NO_TELEMETRY (CMake option of the same name) compiles them
-/// out; instruments that must keep counting then use Registry directly.
-#ifdef GMDIV_NO_TELEMETRY
-#define GMDIV_STAT_ADD(GROUP, NAME, BY) ((void)(BY))
-#else
+/// one counter. GROUP and NAME are identifiers, not strings.
 #define GMDIV_STAT_ADD(GROUP, NAME, BY)                                    \
   do {                                                                     \
     static ::gmdiv::metrics::Counter &GmdivStat_##GROUP##_##NAME =         \
@@ -340,7 +335,6 @@ std::string seriesKey(const std::string &Name, const LabelSet &Labels);
             "Case counter " #GROUP "." #NAME);                             \
     GmdivStat_##GROUP##_##NAME.add(BY);                                    \
   } while (false)
-#endif
 
 #define GMDIV_STAT(GROUP, NAME) GMDIV_STAT_ADD(GROUP, NAME, 1)
 

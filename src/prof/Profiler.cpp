@@ -323,24 +323,17 @@ void Profiler::stop() {
 #endif
 }
 
-bool Profiler::startFromEnv() {
+bool Profiler::startFromEnv(bool Force) {
   const char *Env = std::getenv("GMDIV_PROF");
-  if (!Env || !*Env || std::strcmp(Env, "0") == 0)
+  const bool Requested = Env && *Env && std::strcmp(Env, "0") != 0;
+  if (!Requested && !Force)
     return false;
   if (running())
     return true;
-  long Hz = std::strtol(Env, nullptr, 10);
-  if (Hz <= 1) {
-    // GMDIV_PROF=1 (or any truthy non-number) means "on at the default
-    // rate"; GMDIV_PROF_HZ overrides that default.
-    Hz = DefaultHz;
-    if (const char *HzEnv = std::getenv("GMDIV_PROF_HZ")) {
-      const long V = std::strtol(HzEnv, nullptr, 10);
-      if (V > 0)
-        Hz = V;
-    }
-  }
-  return start(static_cast<int>(Hz));
+  // GMDIV_PROF=1 (or any truthy non-number) means "on at the default
+  // rate".
+  const long Hz = Requested ? std::strtol(Env, nullptr, 10) : 0;
+  return start(Hz > 1 ? static_cast<int>(Hz) : DefaultHz);
 }
 
 bool Profiler::running() const {

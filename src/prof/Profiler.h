@@ -21,9 +21,10 @@
 /// Arming:
 ///   - Profiler::global().start(Hz) / stop() programmatically.
 ///   - startFromEnv(): GMDIV_PROF=<hz> (or any non-numeric truthy value
-///     for the 97 Hz default; GMDIV_PROF_HZ overrides the default rate).
-///   - gmdiv_tool / soak / fuzz accept --profile=<file> and write the
-///     collapsed form at exit.
+///     for the 97 Hz default).
+///   - gmdiv_tool / soak / fuzz accept --profile=<file>, which arms the
+///     profiler through startFromEnv(true), and write the collapsed form
+///     at exit.
 ///
 /// Metrics: gmdiv_prof_samples_total, gmdiv_prof_dropped_total and
 /// gmdiv_prof_rate_hz are registered with the global metrics registry
@@ -65,9 +66,12 @@ public:
   /// Captured samples are retained for collapsed()/profileJson().
   void stop();
 
-  /// Arm from GMDIV_PROF / GMDIV_PROF_HZ. Returns true if the profiler
-  /// was started (or was already running).
-  bool startFromEnv();
+  /// Arm from GMDIV_PROF: its number is the rate, and 1 or a non-number
+  /// means DefaultHz. \p Force (a --profile flag) arms the profiler even
+  /// when GMDIV_PROF is unset or 0, at DefaultHz unless GMDIV_PROF names
+  /// a rate. Returns true if the profiler was started (or was already
+  /// running).
+  bool startFromEnv(bool Force = false);
 
   bool running() const;
   int rateHz() const;

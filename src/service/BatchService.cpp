@@ -9,6 +9,7 @@
 
 #include "trace/Trace.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace gmdiv {
@@ -65,19 +66,26 @@ bool runsInline(size_t Queued, size_t Running, size_t Workers, size_t Count,
   return HandoffNs != 0 && Cost.ready() && Cost.predictNs(Count) < HandoffNs;
 }
 
-BatchService::Options BatchService::Options::fromEnv() {
-  Options O;
-  O.Workers = envKnob("GMDIV_SERVICE_WORKERS", O.Workers, MaxWorkers);
-  O.QueueCapacity =
-      envKnob("GMDIV_SERVICE_QUEUE", O.QueueCapacity, MaxQueueCapacity);
+BatchService::Options BatchService::Options::clamped() const {
+  Options O = *this;
+  O.Workers = std::clamp<size_t>(Workers, 1, MaxWorkers);
+  O.QueueCapacity = std::clamp<size_t>(QueueCapacity, 1, MaxQueueCapacity);
   return O;
 }
 
+BatchService::Options BatchService::Options::fromEnv() {
+  Options O;
+  O.Workers = envKnob("GMDIV_SERVICE_WORKERS", O.Workers);
+  O.QueueCapacity = envKnob("GMDIV_SERVICE_QUEUE", O.QueueCapacity);
+  return O.clamped();
+}
+
 BatchService::BatchService(DividerRegistry &Registry, Options Opts)
-    : Reg(Registry), QueueCapacity(std::max<size_t>(1, Opts.QueueCapacity)) {
-  const size_t N = std::max<size_t>(1, Opts.Workers);
-  Pool.reserve(N);
-  for (size_t I = 0; I < N; ++I)
+    : Reg(Registry) {
+  Opts = Opts.clamped();
+  QueueCapacity = Opts.QueueCapacity;
+  Pool.reserve(Opts.Workers);
+  for (size_t I = 0; I < Opts.Workers; ++I)
     Pool.emplace_back([this] { workerLoop(); });
 }
 

@@ -121,17 +121,22 @@ bool runsInline(size_t Queued, size_t Running, size_t Workers, size_t Count,
 class BatchService {
 public:
   struct Options {
-    /// Worker threads. 0 is clamped to 1.
+    /// Worker threads.
     size_t Workers = 2;
     /// Accepted-but-unstarted jobs before submit() blocks.
     size_t QueueCapacity = 1024;
 
-    /// Upper ends of the environment knobs' ranges (each starts at 1).
+    /// Upper ends of the fields' ranges (each starts at 1).
     static constexpr size_t MaxWorkers = 256;
     static constexpr size_t MaxQueueCapacity = size_t{1} << 24;
 
-    /// Reads GMDIV_SERVICE_WORKERS and GMDIV_SERVICE_QUEUE, each
-    /// clamped to [1, Max...] (see envKnob).
+    /// These options with every field clamped to [1, Max...], so no
+    /// value can start an unbounded number of threads. The constructor
+    /// applies it.
+    Options clamped() const;
+
+    /// Reads GMDIV_SERVICE_WORKERS and GMDIV_SERVICE_QUEUE (see
+    /// envKnob), clamped().
     static Options fromEnv();
   };
 
@@ -178,6 +183,7 @@ public:
   size_t pending() const;
 
   size_t workers() const { return Pool.size(); }
+  size_t queueCapacity() const { return QueueCapacity; }
 
   /// Submitted/completed/failed/inline counters, queue-depth gauge, the
   /// two inline estimates and the job and queue-wait histograms under

@@ -21,6 +21,7 @@
 #ifndef GMDIV_SERVICE_KEY_H
 #define GMDIV_SERVICE_KEY_H
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -44,6 +45,7 @@ constexpr uint64_t mixBits(uint64_t X) {
 /// Smallest power of two >= \p X (and >= 1). Tables size their bucket
 /// arrays with this so index = hash & (buckets - 1).
 constexpr size_t ceilPow2(size_t X) {
+  assert(X <= (size_t{1} << 63) && "no power of two above X fits");
   size_t P = 1;
   while (P < X)
     P <<= 1;

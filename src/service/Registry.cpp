@@ -14,7 +14,7 @@
 namespace gmdiv {
 namespace service {
 
-size_t envKnob(const char *Name, size_t Default, size_t Max) {
+size_t envKnob(const char *Name, size_t Default) {
   const char *V = std::getenv(Name);
   if (!V || !*V)
     return Default;
@@ -22,35 +22,40 @@ size_t envKnob(const char *Name, size_t Default, size_t Max) {
   const long long Parsed = std::strtoll(V, &End, 10);
   if (End == V)
     return Default;
-  if (Parsed < 1)
-    return 1;
-  // Out-of-range text saturates at LLONG_MAX and clamps like any other
-  // value past Max.
-  const auto Value = static_cast<unsigned long long>(Parsed);
-  return Value > Max ? Max : static_cast<size_t>(Value);
+  return Parsed < 0 ? 0 : static_cast<size_t>(Parsed);
+}
+
+DividerRegistry::Options DividerRegistry::Options::clamped() const {
+  Options O = *this;
+  O.NumShards = std::clamp<size_t>(NumShards, 1, MaxShards);
+  O.ShardCapacity = std::clamp<size_t>(ShardCapacity, 1, MaxShardCapacity);
+  O.SampleEvery = static_cast<uint32_t>(
+      std::clamp<size_t>(SampleEvery, 1, MaxSampleEvery));
+  O.TopKSlots = std::clamp<size_t>(TopKSlots, 1, MaxTopKSlots);
+  return O;
 }
 
 DividerRegistry::Options DividerRegistry::Options::fromEnv() {
   Options O;
-  O.NumShards = envKnob("GMDIV_SERVICE_SHARDS", O.NumShards, MaxShards);
-  O.ShardCapacity = envKnob("GMDIV_SERVICE_SHARD_CAPACITY", O.ShardCapacity,
-                            MaxShardCapacity);
-  O.SampleEvery = static_cast<uint32_t>(
-      envKnob("GMDIV_SERVICE_SAMPLE", O.SampleEvery, MaxSampleEvery));
-  O.TopKSlots = envKnob("GMDIV_TOPK", O.TopKSlots, MaxTopKSlots);
-  return O;
+  O.NumShards = envKnob("GMDIV_SERVICE_SHARDS", O.NumShards);
+  O.ShardCapacity = envKnob("GMDIV_SERVICE_SHARD_CAPACITY", O.ShardCapacity);
+  // Saturate, not wrap, into the narrower field; clamped() does the rest.
+  O.SampleEvery = static_cast<uint32_t>(std::min<size_t>(
+      envKnob("GMDIV_SERVICE_SAMPLE", O.SampleEvery), UINT32_MAX));
+  O.TopKSlots = envKnob("GMDIV_TOPK", O.TopKSlots);
+  return O.clamped();
 }
 
-DividerRegistry::DividerRegistry(Options Opts)
-    : Shards(cache::ceilPow2(std::max<size_t>(1, Opts.NumShards))),
-      ShardCapacity(std::max<size_t>(1, Opts.ShardCapacity)),
-      BucketsPerShard(cache::ceilPow2(std::max<size_t>(8, ShardCapacity * 2))),
-      SampleMask(static_cast<uint32_t>(
-          cache::ceilPow2(std::max<uint32_t>(1, Opts.SampleEvery)) - 1)),
-      TimedMask(static_cast<uint32_t>(std::min<uint64_t>(
-          (SampleMask + uint64_t{1}) * (SampleMask + uint64_t{1}) - 1,
-          UINT32_MAX))),
-      HotKeySlots(std::max<size_t>(1, Opts.TopKSlots)) {
+DividerRegistry::DividerRegistry(Options Opts) {
+  Opts = Opts.clamped();
+  Shards = std::vector<Shard>(cache::ceilPow2(Opts.NumShards));
+  ShardCapacity = Opts.ShardCapacity;
+  BucketsPerShard = cache::ceilPow2(std::max<size_t>(8, ShardCapacity * 2));
+  SampleMask = static_cast<uint32_t>(cache::ceilPow2(Opts.SampleEvery) - 1);
+  TimedMask = static_cast<uint32_t>(std::min<uint64_t>(
+      (SampleMask + uint64_t{1}) * (SampleMask + uint64_t{1}) - 1,
+      UINT32_MAX));
+  HotKeySlots = Opts.TopKSlots;
   LookupNs.reserve(Shards.size());
   for (Shard &S : Shards) {
     S.Current.store(new Table(BucketsPerShard), std::memory_order_release);

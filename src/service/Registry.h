@@ -79,12 +79,11 @@
 namespace gmdiv {
 namespace service {
 
-/// The integer environment knob \p Name clamped to [1, \p Max]:
-/// \p Default when unset, empty or not a number, 1 when below the
-/// range, \p Max when above it. Every service knob reads through this,
-/// so no value can wrap a narrower field, overflow a table size or
-/// start an unbounded number of threads.
-size_t envKnob(const char *Name, size_t Default, size_t Max);
+/// The integer environment knob \p Name: \p Default when unset, empty
+/// or not a number, 0 when negative, LLONG_MAX when past it. Every
+/// service knob reads through this; the Options' clamped() brings the
+/// value into its range.
+size_t envKnob(const char *Name, size_t Default);
 
 class DividerRegistry {
 public:
@@ -106,18 +105,21 @@ public:
     /// (gmdiv_service_registry_topk, `gmdiv_tool top`).
     size_t TopKSlots = 32;
 
-    /// Upper ends of the environment knobs' ranges (each starts at 1).
-    /// Shards x capacity at both maxima is 2^24 entries, whose tables
-    /// (two 48-byte buckets per entry) take 1.5 GiB; SampleEvery stays
-    /// a uint32_t power of two.
+    /// Upper ends of the fields' ranges (each starts at 1). Shards x
+    /// capacity at both maxima is 2^24 entries, whose tables (two
+    /// 48-byte buckets per entry) take 1.5 GiB; SampleEvery stays a
+    /// uint32_t power of two.
     static constexpr size_t MaxShards = 256;
     static constexpr size_t MaxShardCapacity = size_t{1} << 16;
     static constexpr size_t MaxSampleEvery = size_t{1} << 31;
     static constexpr size_t MaxTopKSlots = 4096;
 
+    /// These options with every field clamped to [1, Max...], so no
+    /// value can overflow a table size. The constructor applies it.
+    Options clamped() const;
+
     /// Reads GMDIV_SERVICE_SHARDS, GMDIV_SERVICE_SHARD_CAPACITY,
-    /// GMDIV_SERVICE_SAMPLE and GMDIV_TOPK, each clamped to
-    /// [1, Max...] (see envKnob).
+    /// GMDIV_SERVICE_SAMPLE and GMDIV_TOPK (see envKnob), clamped().
     static Options fromEnv();
   };
 
@@ -167,6 +169,9 @@ public:
   std::vector<cache::CacheStats> shardStats() const;
   size_t numShards() const { return Shards.size(); }
   size_t shardCapacity() const { return ShardCapacity; }
+  /// Options::SampleEvery rounded up to a power of two.
+  uint32_t sampleEvery() const { return SampleMask + 1; }
+  size_t topKSlots() const { return HotKeySlots; }
   /// Entries resident right now (sums the published tables).
   size_t size() const;
   /// Invalid-key rejections (d = 0, unsupported width); never cached.

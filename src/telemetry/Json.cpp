@@ -1,4 +1,4 @@
-//===- telemetry/Json.cpp - Minimal JSON emission and validation ----------===//
+//===- telemetry/Json.cpp - Minimal JSON emission and parsing -------------===//
 //
 // Part of the gmdiv project, a reproduction of Granlund & Montgomery,
 // "Division by Invariant Integers using Multiplication", PLDI 1994.
@@ -173,214 +173,6 @@ std::string json::Writer::str() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Validating parser
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Containers nested deeper than this fail the parse: both parsers are
-/// recursive-descent, so the bound turns a potential stack overflow on
-/// adversarial input ("[[[[...") into a clean rejection. 256 is far
-/// beyond any document the project emits.
-constexpr int MaxParseDepth = 256;
-
-/// Recursive-descent JSON validator over a character range.
-class Parser {
-public:
-  Parser(const char *Begin, const char *End) : Cur(Begin), End(End) {}
-
-  bool parseDocument() {
-    skipWs();
-    if (!parseValue())
-      return false;
-    skipWs();
-    return Cur == End;
-  }
-
-private:
-  void skipWs() {
-    while (Cur != End &&
-           (*Cur == ' ' || *Cur == '\t' || *Cur == '\n' || *Cur == '\r'))
-      ++Cur;
-  }
-
-  bool eat(char C) {
-    if (Cur == End || *Cur != C)
-      return false;
-    ++Cur;
-    return true;
-  }
-
-  bool parseLiteral(const char *Word) {
-    for (; *Word; ++Word)
-      if (!eat(*Word))
-        return false;
-    return true;
-  }
-
-  bool parseValue() {
-    if (Cur == End)
-      return false;
-    switch (*Cur) {
-    case '{':
-      return parseObject();
-    case '[':
-      return parseArray();
-    case '"':
-      return parseString();
-    case 't':
-      return parseLiteral("true");
-    case 'f':
-      return parseLiteral("false");
-    case 'n':
-      return parseLiteral("null");
-    default:
-      return parseNumber();
-    }
-  }
-
-  bool parseObject() {
-    if (!eat('{') || ++Depth > MaxParseDepth)
-      return false;
-    skipWs();
-    if (eat('}')) {
-      --Depth;
-      return true;
-    }
-    while (true) {
-      skipWs();
-      if (!parseString())
-        return false;
-      skipWs();
-      if (!eat(':'))
-        return false;
-      skipWs();
-      if (!parseValue())
-        return false;
-      skipWs();
-      if (eat('}')) {
-        --Depth;
-        return true;
-      }
-      if (!eat(','))
-        return false;
-    }
-  }
-
-  bool parseArray() {
-    if (!eat('[') || ++Depth > MaxParseDepth)
-      return false;
-    skipWs();
-    if (eat(']')) {
-      --Depth;
-      return true;
-    }
-    while (true) {
-      skipWs();
-      if (!parseValue())
-        return false;
-      skipWs();
-      if (eat(']')) {
-        --Depth;
-        return true;
-      }
-      if (!eat(','))
-        return false;
-    }
-  }
-
-  static bool isHex(char C) {
-    return (C >= '0' && C <= '9') || (C >= 'a' && C <= 'f') ||
-           (C >= 'A' && C <= 'F');
-  }
-
-  bool parseString() {
-    if (!eat('"'))
-      return false;
-    while (Cur != End) {
-      const unsigned char C = static_cast<unsigned char>(*Cur);
-      if (C == '"') {
-        ++Cur;
-        return true;
-      }
-      if (C < 0x20)
-        return false; // Raw control characters are illegal.
-      if (C == '\\') {
-        ++Cur;
-        if (Cur == End)
-          return false;
-        switch (*Cur) {
-        case '"':
-        case '\\':
-        case '/':
-        case 'b':
-        case 'f':
-        case 'n':
-        case 'r':
-        case 't':
-          ++Cur;
-          break;
-        case 'u':
-          ++Cur;
-          for (int I = 0; I < 4; ++I, ++Cur)
-            if (Cur == End || !isHex(*Cur))
-              return false;
-          break;
-        default:
-          return false;
-        }
-      } else {
-        ++Cur;
-      }
-    }
-    return false; // Unterminated.
-  }
-
-  bool parseDigits() {
-    if (Cur == End || *Cur < '0' || *Cur > '9')
-      return false;
-    while (Cur != End && *Cur >= '0' && *Cur <= '9')
-      ++Cur;
-    return true;
-  }
-
-  bool parseNumber() {
-    eat('-');
-    if (Cur == End)
-      return false;
-    if (*Cur == '0') {
-      ++Cur; // No leading zeros.
-    } else if (!parseDigits()) {
-      return false;
-    }
-    if (Cur != End && *Cur == '.') {
-      ++Cur;
-      if (!parseDigits())
-        return false;
-    }
-    if (Cur != End && (*Cur == 'e' || *Cur == 'E')) {
-      ++Cur;
-      if (Cur != End && (*Cur == '+' || *Cur == '-'))
-        ++Cur;
-      if (!parseDigits())
-        return false;
-    }
-    return true;
-  }
-
-  const char *Cur;
-  const char *End;
-  int Depth = 0;
-};
-
-} // namespace
-
-bool json::isValid(const std::string &Text) {
-  Parser P(Text.data(), Text.data() + Text.size());
-  return P.parseDocument();
-}
-
-//===----------------------------------------------------------------------===//
 // Value tree
 //===----------------------------------------------------------------------===//
 
@@ -442,14 +234,24 @@ json::Value::makeObject(std::vector<std::pair<std::string, Value>> O) {
   return V;
 }
 
+//===----------------------------------------------------------------------===//
+// Parser
+//===----------------------------------------------------------------------===//
+
 namespace {
 
-/// Recursive-descent parser building a Value tree. Same grammar as the
-/// validator above, plus string unescaping (with UTF-16 surrogate
-/// pairing) and number conversion.
-class TreeParser {
+/// Containers nested deeper than this fail the parse: the parser is
+/// recursive-descent, so the bound turns a potential stack overflow on
+/// adversarial input ("[[[[...") into a clean rejection. 256 is far
+/// beyond any document the project emits.
+constexpr int MaxParseDepth = 256;
+
+/// Recursive-descent parser building a Value tree: RFC 8259 grammar,
+/// string unescaping (with UTF-16 surrogate pairing) and number
+/// conversion.
+class Parser {
 public:
-  TreeParser(const char *Begin, const char *End) : Cur(Begin), End(End) {}
+  Parser(const char *Begin, const char *End) : Cur(Begin), End(End) {}
 
   bool parseDocument(json::Value &Out) {
     skipWs();
@@ -733,6 +535,11 @@ private:
 } // namespace
 
 bool json::parse(const std::string &Text, Value &Out) {
-  TreeParser P(Text.data(), Text.data() + Text.size());
+  Parser P(Text.data(), Text.data() + Text.size());
   return P.parseDocument(Out);
+}
+
+bool json::isValid(const std::string &Text) {
+  Value Discarded;
+  return parse(Text, Discarded);
 }

@@ -1,4 +1,4 @@
-//===- telemetry/Json.h - Minimal JSON emission and validation --*- C++ -*-===//
+//===- telemetry/Json.h - Minimal JSON emission and parsing -----*- C++ -*-===//
 //
 // Part of the gmdiv project, a reproduction of Granlund & Montgomery,
 // "Division by Invariant Integers using Multiplication", PLDI 1994.
@@ -8,7 +8,7 @@
 /// \file
 /// Dependency-free JSON helpers for the telemetry layer: string escaping
 /// per RFC 8259, a small single-line writer that produces well-formed
-/// documents by construction, and a strict validating parser so tests
+/// documents by construction, and a strict parser so tests
 /// can round-trip every emitted remark, stats dump and bench report
 /// without an external JSON library.
 ///
@@ -68,13 +68,6 @@ private:
   bool PendingKey = false;
 };
 
-/// Strict validating parse of one JSON document (object, array, or any
-/// other value) with nothing but whitespace around it. Returns true iff
-/// \p Text is well-formed per RFC 8259. Containers nested deeper than
-/// 256 levels are rejected: the parser is recursive-descent, and the
-/// bound keeps adversarial "[[[[..." inputs from overflowing the stack.
-bool isValid(const std::string &Text);
-
 /// A parsed JSON value. The tree is plain data: objects keep insertion
 /// order (bench reports are diffed in order), numbers are doubles
 /// (every value the telemetry layer emits fits), strings are unescaped
@@ -130,10 +123,17 @@ private:
   std::vector<std::pair<std::string, Value>> Obj;
 };
 
-/// Parses one document into a Value tree. Exactly as strict as
-/// isValid(): parse() succeeds iff isValid() accepts the text, plus the
-/// \u escapes must form valid UTF-16 (surrogates correctly paired).
+/// Strict parse of one JSON document (object, array, or any other
+/// value) with nothing but whitespace around it into a Value tree.
+/// Returns true iff \p Text is well-formed per RFC 8259 and its \u
+/// escapes form valid UTF-16 (surrogates correctly paired). Containers
+/// nested deeper than 256 levels are rejected: the parser is
+/// recursive-descent, and the bound keeps adversarial "[[[[..." inputs
+/// from overflowing the stack.
 bool parse(const std::string &Text, Value &Out);
+
+/// True iff parse() accepts \p Text.
+bool isValid(const std::string &Text);
 
 } // namespace json
 } // namespace telemetry

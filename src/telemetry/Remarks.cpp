@@ -112,11 +112,9 @@ void telemetry::removeRemarkSink(RemarkSink *Sink) {
                   std::memory_order_release);
 }
 
-#ifndef GMDIV_NO_TELEMETRY
 bool telemetry::remarksEnabled() {
   return SinkCount.load(std::memory_order_acquire) != 0;
 }
-#endif
 
 void telemetry::emitRemark(const Remark &R) {
   if (SinkCount.load(std::memory_order_acquire) == 0) {

@@ -15,9 +15,7 @@
 ///
 /// The dispatch fast path when no sink is installed is one relaxed
 /// atomic load; emitters guard remark construction behind
-/// remarksEnabled() so the default costs no allocation. Defining
-/// GMDIV_NO_TELEMETRY turns remarksEnabled() into a constant false and
-/// compiles the guarded blocks out.
+/// remarksEnabled() so the default costs no allocation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,14 +112,9 @@ void emitRemark(const Remark &R);
 /// metrics plane as gmdiv_remarks_{emitted,dropped}_total.
 void remarkCounts(uint64_t &Emitted, uint64_t &Dropped);
 
-#ifdef GMDIV_NO_TELEMETRY
-/// Telemetry compiled out: guards become if(false) and dead-strip.
-constexpr bool remarksEnabled() { return false; }
-#else
 /// True iff at least one sink is installed — emitters check this before
 /// building a Remark, so the default (no sinks) allocates nothing.
 bool remarksEnabled();
-#endif
 
 /// RAII sink installation:
 ///   CollectingRemarkSink Sink;

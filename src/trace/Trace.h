@@ -28,9 +28,6 @@
 /// nesting depth in args. Tracing is off by default; with no spans the
 /// cost of an instrumented region is the one atomic load.
 ///
-/// GMDIV_NO_TELEMETRY compiles the GMDIV_TRACE_SPAN macro out entirely
-/// (the library itself stays available for explicit use).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef GMDIV_TRACE_TRACE_H
@@ -180,9 +177,6 @@ bool writeChromeTrace(const std::string &Path, std::string *Error = nullptr);
 } // namespace trace
 } // namespace gmdiv
 
-#ifdef GMDIV_NO_TELEMETRY
-#define GMDIV_TRACE_SPAN(...) do { } while (false)
-#else
 #define GMDIV_TRACE_SPAN_CONCAT2(A, B) A##B
 #define GMDIV_TRACE_SPAN_CONCAT(A, B) GMDIV_TRACE_SPAN_CONCAT2(A, B)
 /// Scoped span: GMDIV_TRACE_SPAN("category", "name"[, arg]). Category
@@ -190,6 +184,5 @@ bool writeChromeTrace(const std::string &Path, std::string *Error = nullptr);
 #define GMDIV_TRACE_SPAN(...)                                              \
   ::gmdiv::trace::Span GMDIV_TRACE_SPAN_CONCAT(GmdivTraceSpan,             \
                                                __LINE__)(__VA_ARGS__)
-#endif
 
 #endif // GMDIV_TRACE_TRACE_H

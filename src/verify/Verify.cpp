@@ -241,8 +241,6 @@ public:
     const uint64_t Total = Report.checks();
     Report.Failures = std::move(Failures);
     Failures.clear();
-    // Registered directly rather than via GMDIV_STAT so the exposition
-    // keeps counting under GMDIV_NO_TELEMETRY.
     static metrics::Counter &ChecksMetric = metrics::Registry::global().counter(
         "gmdiv_verify_checks_total", "Differential properties checked");
     ChecksMetric.add(Total - Flushed);

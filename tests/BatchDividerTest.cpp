@@ -387,7 +387,6 @@ TEST(BatchDivider, DescribeMentionsBackendAndDivisor) {
 // Telemetry: one "batch.backend" remark per selection
 //===----------------------------------------------------------------------===//
 
-#ifndef GMDIV_NO_TELEMETRY
 TEST(BatchDispatch, SelectionEmitsBackendRemark) {
   telemetry::CollectingRemarkSink Sink;
   telemetry::ScopedRemarkSink Guard(&Sink);
@@ -406,7 +405,6 @@ TEST(BatchDispatch, SelectionEmitsBackendRemark) {
     }
   EXPECT_TRUE(SawBackend);
 }
-#endif // GMDIV_NO_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // Cost model: scalar-vs-vector break-even

@@ -443,10 +443,7 @@ TEST(DivCodeGen, DivisibilityTestRandom64) {
 
 //===----------------------------------------------------------------------===//
 // Telemetry remarks: each generator names the paper case it selected.
-// (Compiled out with the telemetry layer under GMDIV_NO_TELEMETRY.)
 //===----------------------------------------------------------------------===//
-
-#ifndef GMDIV_NO_TELEMETRY
 
 template <typename Fn>
 std::vector<telemetry::Remark> collectRemarks(Fn &&Generate) {
@@ -523,7 +520,5 @@ TEST(DivCodeGen, EveryEntryPointEmitsExactlyOneRemark) {
     }
   }
 }
-
-#endif // GMDIV_NO_TELEMETRY
 
 } // namespace

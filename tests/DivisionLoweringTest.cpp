@@ -253,7 +253,6 @@ TEST(DivisionLowering, HonorsCapabilityOption) {
 }
 
 
-#ifndef GMDIV_NO_TELEMETRY
 TEST(DivisionLowering, EmitsPerSiteAndSummaryRemarks) {
   Builder B(32, 2);
   const int N = B.arg(0);
@@ -297,6 +296,5 @@ TEST(DivisionLowering, EmitsPerSiteAndSummaryRemarks) {
   }
   EXPECT_TRUE(SawRuntimeKept);
 }
-#endif // GMDIV_NO_TELEMETRY
 
 } // namespace

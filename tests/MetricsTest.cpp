@@ -260,9 +260,6 @@ double familyValue(const std::string &Name) {
 }
 
 TEST(Stats, RegisterIncrementSnapshot) {
-#ifdef GMDIV_NO_TELEMETRY
-  GTEST_SKIP() << "GMDIV_STAT compiled out";
-#endif
   // GMDIV_STAT(group, name) bumps gmdiv_<group>_<name>_total.
   const std::string Name = "gmdiv_metricstest_register_increment_total";
   const double Before = familyValue(Name);
@@ -276,9 +273,6 @@ template <typename T> void bumpDuplicate(uint64_t By) {
 }
 
 TEST(Stats, DuplicateCountersAggregate) {
-#ifdef GMDIV_NO_TELEMETRY
-  GTEST_SKIP() << "GMDIV_STAT compiled out";
-#endif
   // The same GMDIV_STAT expanded in several template instantiations
   // resolves to one registry counter: one series carrying the sum.
   const std::string Name = "gmdiv_metricstest_dup_total";
@@ -312,12 +306,6 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
   Registry &R = Registry::global();
   telemetry::Remark Rm;
   Rm.Kind = "metricstest";
-  constexpr bool Stats =
-#ifdef GMDIV_NO_TELEMETRY
-      false;
-#else
-      true;
-#endif
 
   // Codegen: every Figure 4.2 case (power of two, long form, pre-shift,
   // short) and every Figure 5.2 case (unit, power of two, short, add),
@@ -378,20 +366,18 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
     // the series is there, once, at zero.
     ASSERT_NE(S.find("gmdiv_test_metrics_batch_inline_total"), nullptr);
     EXPECT_EQ(familyTotal(S, "gmdiv_test_metrics_batch_inline_total"), 0.0);
-    if (Stats) {
-      for (const char *Name :
-           {"gmdiv_codegen_unsigned_div_pow2_total",
-            "gmdiv_codegen_unsigned_div_long_form_total",
-            "gmdiv_codegen_unsigned_div_pre_shift_total",
-            "gmdiv_codegen_unsigned_div_short_total",
-            "gmdiv_codegen_signed_div_unit_total",
-            "gmdiv_codegen_signed_div_pow2_total",
-            "gmdiv_codegen_signed_div_short_total",
-            "gmdiv_codegen_signed_div_add_total",
-            "gmdiv_lowering_unsigned_div_total",
-            "gmdiv_batch_dividers_constructed_total"})
-        EXPECT_GT(familyTotal(S, Name), 0.0) << Name;
-    }
+    for (const char *Name :
+         {"gmdiv_codegen_unsigned_div_pow2_total",
+          "gmdiv_codegen_unsigned_div_long_form_total",
+          "gmdiv_codegen_unsigned_div_pre_shift_total",
+          "gmdiv_codegen_unsigned_div_short_total",
+          "gmdiv_codegen_signed_div_unit_total",
+          "gmdiv_codegen_signed_div_pow2_total",
+          "gmdiv_codegen_signed_div_short_total",
+          "gmdiv_codegen_signed_div_add_total",
+          "gmdiv_lowering_unsigned_div_total",
+          "gmdiv_batch_dividers_constructed_total"})
+      EXPECT_GT(familyTotal(S, Name), 0.0) << Name;
     // The duplicate of a native family is gone for good, and nothing
     // generates code, so no gmdiv_jit_* family exists.
     EXPECT_EQ(S.find("gmdiv_batch_backend_selections_total"), nullptr);
@@ -416,14 +402,12 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
       Delta("gmdiv_verify_checks_total",
             [&Checks] { Checks = verify::verifyWidth(4).checks(); });
   EXPECT_EQ(ChecksDelta, static_cast<double>(Checks));
-  if (Stats) {
-    EXPECT_EQ(Delta("gmdiv_codegen_unsigned_div_long_form_total",
-                    [] { codegen::genUnsignedDiv(32, 7); }),
-              1.0);
-    EXPECT_EQ(Delta("gmdiv_batch_dividers_constructed_total",
-                    [] { batch::BatchDivider<int16_t> B(-3); }),
-              1.0);
-  }
+  EXPECT_EQ(Delta("gmdiv_codegen_unsigned_div_long_form_total",
+                  [] { codegen::genUnsignedDiv(32, 7); }),
+            1.0);
+  EXPECT_EQ(Delta("gmdiv_batch_dividers_constructed_total",
+                  [] { batch::BatchDivider<int16_t> B(-3); }),
+            1.0);
 }
 
 TEST(MetricsExporter, WriteSnapshotFileEmitsBothFormats) {

@@ -224,10 +224,12 @@ TEST(Peephole, SignedDivBy3CarriesNoDeadShift) {
   // d = 3 at 32 bits has sh_post == 0: the generated sequence must not
   // carry an SRA-by-zero, and re-optimizing must find nothing left.
   const Program P = codegen::genSignedDiv(32, 3);
-  for (const Instr &I : P.instrs())
+  for (const Instr &I : P.instrs()) {
     if (I.Op == Opcode::Srl || I.Op == Opcode::Sra ||
-        I.Op == Opcode::Sll)
+        I.Op == Opcode::Sll) {
       EXPECT_NE(I.Imm, 0u) << "dead shift in generated code";
+    }
+  }
   PeepholeStats Stats;
   const Program Optimized = optimize(P, &Stats);
   EXPECT_EQ(Optimized.operationCount(), P.operationCount());

@@ -132,14 +132,26 @@ TEST(Profiler, StartFromEnvHonorsProfKnobs) {
   EXPECT_TRUE(P.startFromEnv());
   P.stop();
 
-  // GMDIV_PROF=1 means "on at the default"; GMDIV_PROF_HZ overrides it.
+  // GMDIV_PROF=1 means "on at the default".
   setenv("GMDIV_PROF", "1", 1);
-  setenv("GMDIV_PROF_HZ", "103", 1);
   ASSERT_TRUE(P.startFromEnv());
+  EXPECT_EQ(P.rateHz(), Profiler::DefaultHz);
+  P.stop();
+
+  // A --profile flag forces the profiler on; GMDIV_PROF still names the
+  // rate, and unset or 0 means the default.
+  ASSERT_TRUE(P.startFromEnv(/*Force=*/true));
+  EXPECT_EQ(P.rateHz(), Profiler::DefaultHz);
+  P.stop();
+  setenv("GMDIV_PROF", "0", 1);
+  ASSERT_TRUE(P.startFromEnv(/*Force=*/true));
+  EXPECT_EQ(P.rateHz(), Profiler::DefaultHz);
+  P.stop();
+  setenv("GMDIV_PROF", "103", 1);
+  ASSERT_TRUE(P.startFromEnv(/*Force=*/true));
   EXPECT_EQ(P.rateHz(), 103);
   P.stop();
   unsetenv("GMDIV_PROF");
-  unsetenv("GMDIV_PROF_HZ");
 }
 
 TEST(Profiler, ResetClearsSamples) {

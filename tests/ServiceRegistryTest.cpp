@@ -196,6 +196,33 @@ TEST(ServiceOptions, FromEnvClampsEveryKnobToItsRange) {
     unsetenv(K);
 }
 
+TEST(ServiceOptions, CodeSetOptionsAreClampedToTheSameRanges) {
+  // Options set in code go through the same clamp as the environment.
+  // Unclamped, this shard capacity hangs the registry's constructor
+  // (ceilPow2 of 2^63 + 2), and the service starts MaxWorkers + 1
+  // threads. Workers is never set near SIZE_MAX: unclamped, that would
+  // try to start as many threads.
+  using RO = DividerRegistry::Options;
+  using SO = BatchService::Options;
+  RO ROpts;
+  ROpts.NumShards = 1;
+  ROpts.ShardCapacity = (size_t{1} << 62) + 1;
+  ROpts.SampleEvery = UINT32_MAX;
+  ROpts.TopKSlots = SIZE_MAX;
+  DividerRegistry R(ROpts);
+  EXPECT_EQ(R.numShards(), 1u);
+  EXPECT_EQ(R.shardCapacity(), RO::MaxShardCapacity);
+  EXPECT_EQ(R.sampleEvery(), RO::MaxSampleEvery);
+  EXPECT_EQ(R.topKSlots(), RO::MaxTopKSlots);
+
+  SO SOpts;
+  SOpts.Workers = SO::MaxWorkers + 1;
+  SOpts.QueueCapacity = SIZE_MAX;
+  BatchService Svc(R, SOpts);
+  EXPECT_EQ(Svc.workers(), SO::MaxWorkers);
+  EXPECT_EQ(Svc.queueCapacity(), SO::MaxQueueCapacity);
+}
+
 //===----------------------------------------------------------------------===//
 // Admission and the lock-free hit path
 //===----------------------------------------------------------------------===//
@@ -534,6 +561,101 @@ TEST(ServiceRegistry, CountersExactUnderContention) {
 // Eviction
 //===----------------------------------------------------------------------===//
 
+/// Evicts the entry for \p D from a one-shard registry of 4 while a
+/// handle to it is held, then checks that the held entry answers every
+/// scalar call, and every array call on lengths 0..67, bit for bit like
+/// a fresh makeDividerEntry of the same key and like hardware / and %
+/// (INT_MIN / -1 is left out of the hardware check: it traps).
+template <typename T> void expectEvictedHandleMatchesFresh(T D) {
+  using U = std::make_unsigned_t<T>;
+  constexpr size_t MaxLen = 67;
+  constexpr T Min = std::numeric_limits<T>::min();
+  constexpr T Max = std::numeric_limits<T>::max();
+  const Key K = keyFor<T>(D);
+  const std::string What =
+      K.describe() + " (" + std::to_string(sizeof(T) * 8) + "-bit lanes)";
+  DividerRegistry R(smallOptions(1, 4)); // SampleEvery = 1: strict LRU
+  const auto Held = R.acquire(K);
+  ASSERT_NE(Held, nullptr) << What;
+  size_t Others = 0;
+  for (const T Other : {T(11), T(13), T(17), T(19), T(23)})
+    if (Other != D && Others < 4) {
+      ASSERT_NE(R.acquireFor<T>(Other), nullptr) << What;
+      ++Others;
+    }
+  ASSERT_EQ(R.stats().Evictions, 1u) << What;
+  ASSERT_EQ(R.lookup(K), nullptr) << What; // evicted from the table
+  ASSERT_EQ(Held.use_count(), 1) << What; // registry dropped its reference
+  const auto Fresh = makeDividerEntry(K);
+  const auto hardwareDefined = [&](T N) {
+    return !(std::is_signed_v<T> && N == Min && D == T(-1));
+  };
+
+  uint64_t Rng = 0xe71c + sizeof(T) * 2 + std::is_signed_v<T>;
+  alignas(64) std::array<T, MaxLen> In;
+  for (T &V : In)
+    V = static_cast<T>(static_cast<U>(splitmix(Rng)));
+  In[0] = Min;
+  In[1] = Max;
+  In[2] = 0;
+  In[3] = T(Min + 1);
+  In[4] = T(1);
+
+  for (const T N : In) {
+    const uint64_t Bits = static_cast<U>(N);
+    ASSERT_EQ(Held->divideBits(Bits), Fresh->divideBits(Bits)) << What;
+    ASSERT_EQ(Held->remainderBits(Bits), Fresh->remainderBits(Bits))
+        << What;
+    ASSERT_EQ(Held->divRemBits(Bits), Fresh->divRemBits(Bits)) << What;
+    if (!hardwareDefined(N))
+      continue;
+    const auto [QB, RB] = Held->divRemBits(Bits);
+    ASSERT_EQ(static_cast<T>(static_cast<U>(QB)), static_cast<T>(N / D))
+        << What << " n=" << int64_t(N);
+    ASSERT_EQ(static_cast<T>(static_cast<U>(RB)), static_cast<T>(N % D))
+        << What << " n=" << int64_t(N);
+    ASSERT_EQ(Held->divideBits(Bits), QB) << What;
+    ASSERT_EQ(Held->remainderBits(Bits), RB) << What;
+  }
+
+  for (size_t Len = 0; Len <= MaxLen; ++Len) {
+    // One canary lane past the end: nothing may be written there.
+    std::vector<T> Q(Len + 1, T(0x5a)), Rem(Len + 1, T(0x5a)),
+        Q2(Len + 1, T(0x5a)), Rem2(Len + 1, T(0x5a));
+    std::vector<T> FQ(Q), FRem(Rem), FQ2(Q), FRem2(Rem);
+    Held->divideArray(In.data(), Q.data(), Len);
+    Held->remainderArray(In.data(), Rem.data(), Len);
+    Held->divRemArray(In.data(), Q2.data(), Rem2.data(), Len);
+    Fresh->divideArray(In.data(), FQ.data(), Len);
+    Fresh->remainderArray(In.data(), FRem.data(), Len);
+    Fresh->divRemArray(In.data(), FQ2.data(), FRem2.data(), Len);
+    ASSERT_EQ(Q, FQ) << What << " len=" << Len;
+    ASSERT_EQ(Rem, FRem) << What << " len=" << Len;
+    ASSERT_EQ(Q2, FQ2) << What << " len=" << Len;
+    ASSERT_EQ(Rem2, FRem2) << What << " len=" << Len;
+    for (const std::vector<T> *Out : {&Q, &Rem, &Q2, &Rem2})
+      ASSERT_EQ(Out->back(), T(0x5a)) << What << " len=" << Len;
+    for (size_t I = 0; I < Len; ++I) {
+      if (!hardwareDefined(In[I]))
+        continue;
+      ASSERT_EQ(Q[I], static_cast<T>(In[I] / D)) << What << " lane=" << I;
+      ASSERT_EQ(Rem[I], static_cast<T>(In[I] % D)) << What << " lane=" << I;
+      ASSERT_EQ(Q2[I], Q[I]) << What << " lane=" << I;
+      ASSERT_EQ(Rem2[I], Rem[I]) << What << " lane=" << I;
+    }
+  }
+}
+
+template <typename T> void expectEvictedHandlesMatchFresh() {
+  constexpr T Max = std::numeric_limits<T>::max();
+  std::vector<T> Divisors = {1, 7, 10, 64, Max};
+  if constexpr (std::is_signed_v<T>)
+    for (const T D : {T(-1), T(-3), std::numeric_limits<T>::min()})
+      Divisors.push_back(D);
+  for (const T D : Divisors)
+    expectEvictedHandleMatchesFresh<T>(D);
+}
+
 TEST(ServiceRegistry, EvictionKeepsHeldHandlesAlive) {
   DividerRegistry R(smallOptions(1, 4));
   const Key First = keyFor<uint32_t>(101);
@@ -553,6 +675,17 @@ TEST(ServiceRegistry, EvictionKeepsHeldHandlesAlive) {
   const auto Fresh = R.acquire(First);
   ASSERT_NE(Fresh, nullptr);
   EXPECT_NE(Fresh.get(), Held.get());
+
+  // Every lane type and every scalar and array operation on an evicted
+  // entry still matches the normal path.
+  expectEvictedHandlesMatchFresh<uint8_t>();
+  expectEvictedHandlesMatchFresh<uint16_t>();
+  expectEvictedHandlesMatchFresh<uint32_t>();
+  expectEvictedHandlesMatchFresh<uint64_t>();
+  expectEvictedHandlesMatchFresh<int8_t>();
+  expectEvictedHandlesMatchFresh<int16_t>();
+  expectEvictedHandlesMatchFresh<int32_t>();
+  expectEvictedHandlesMatchFresh<int64_t>();
 }
 
 TEST(ServiceRegistry, EvictionPicksTheStalestEntry) {
@@ -625,9 +758,11 @@ TEST(ServiceRegistry, EvictionKeepsEveryResidentKeyReachable) {
       }));
       ASSERT_TRUE(Ok) << Pool[J].describe();
     }
-    for (size_t J = 0; J < Pool.size(); ++J)
-      if (!resident(J))
+    for (size_t J = 0; J < Pool.size(); ++J) {
+      if (!resident(J)) {
         ASSERT_EQ(R.lookup(Pool[J]), nullptr) << Pool[J].describe();
+      }
+    }
     const cache::CacheStats St = R.stats();
     ASSERT_EQ(R.size(), Lru.size());
     ASSERT_EQ(St.Inserts, Inserts);

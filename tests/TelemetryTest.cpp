@@ -12,6 +12,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 using namespace gmdiv;
 using namespace gmdiv::telemetry;
@@ -120,13 +122,42 @@ TEST(Json, ParserDecodesEscapesAndSurrogatePairs) {
   EXPECT_FALSE(json::parse("\"\\ud83dx\"", V));
 }
 
+std::string nestedArray(int Depth) {
+  return std::string(static_cast<size_t>(Depth), '[') + "1" +
+         std::string(static_cast<size_t>(Depth), ']');
+}
+
+std::string nestedObject(int Depth) {
+  std::string Doc;
+  for (int I = 0; I < Depth; ++I)
+    Doc += "{\"k\":";
+  return Doc + "0" + std::string(static_cast<size_t>(Depth), '}');
+}
+
 TEST(Json, ParserMatchesValidatorOnMalformedInput) {
-  for (const char *Bad :
-       {"", "{", "{\"a\":1,}", "[1 2]", "\"unterminated", "01",
-        "{} extra", "nul", "{\"a\"}", "[,]"}) {
+  // isValid() and parse() accept exactly the same documents, over the
+  // valid and invalid corpora of the tests below: the depth bound at
+  // 256/257, lone surrogates and malformed syntax alike.
+  const std::vector<std::string> Valid = {
+      "{\"a\":[1,2,{\"b\":null}]}", "{\"a\":1,\"b\":2,\"a\":3}",
+      "\"a\\u0041\\n\\u00e9\"", "\"\\ud83d\\ude00\"",
+      "18446744073709551615", "-9223372036854775808", "1.7976931348623157e308",
+      "5e-324", "1e999", " [true, false, null] ", nestedArray(200),
+      nestedArray(256), nestedObject(256)};
+  const std::vector<std::string> Invalid = {
+      "", "{", "{\"a\":1,}", "{\"a\" 1}", "[1 2]", "\"unterminated", "01",
+      "{} extra", "nul", "{\"a\"}", "[,]", "\"\\ud800\"", "\"\\udbff\"",
+      "\"\\udc00\"", "\"\\udfff\"", "\"\\ud83d \\ude00\"", "\"\\ud83dx\"",
+      nestedArray(257), nestedArray(100000), nestedObject(257)};
+  for (const std::string &Doc : Valid) {
     json::Value V;
-    EXPECT_FALSE(json::parse(Bad, V)) << Bad;
-    EXPECT_FALSE(json::isValid(Bad)) << Bad;
+    EXPECT_TRUE(json::parse(Doc, V)) << Doc.substr(0, 40);
+    EXPECT_TRUE(json::isValid(Doc)) << Doc.substr(0, 40);
+  }
+  for (const std::string &Doc : Invalid) {
+    json::Value V;
+    EXPECT_FALSE(json::parse(Doc, V)) << Doc.substr(0, 40);
+    EXPECT_FALSE(json::isValid(Doc)) << Doc.substr(0, 40);
   }
 }
 
@@ -143,13 +174,9 @@ TEST(Json, ValidatorRejectsMalformedDocuments) {
 }
 
 TEST(Json, DeepNestingIsBoundedNotFatal) {
-  // Both parsers are recursive-descent with a 256-level container
-  // bound: comfortably deep documents parse, adversarial "[[[[..."
-  // input is rejected cleanly instead of overflowing the stack.
-  const auto nestedArray = [](int Depth) {
-    return std::string(static_cast<size_t>(Depth), '[') + "1" +
-           std::string(static_cast<size_t>(Depth), ']');
-  };
+  // The parser is recursive-descent with a 256-level container bound:
+  // comfortably deep documents parse, adversarial "[[[[..." input is
+  // rejected cleanly instead of overflowing the stack.
   json::Value V;
   EXPECT_TRUE(json::isValid(nestedArray(200)));
   EXPECT_TRUE(json::parse(nestedArray(200), V));
@@ -160,14 +187,8 @@ TEST(Json, DeepNestingIsBoundedNotFatal) {
   EXPECT_FALSE(json::parse(nestedArray(100000), V));
 
   // Same bound for objects.
-  std::string DeepObject;
-  for (int I = 0; I < 300; ++I)
-    DeepObject += "{\"k\":";
-  DeepObject += "0";
-  for (int I = 0; I < 300; ++I)
-    DeepObject += '}';
-  EXPECT_FALSE(json::isValid(DeepObject));
-  EXPECT_FALSE(json::parse(DeepObject, V));
+  EXPECT_FALSE(json::isValid(nestedObject(300)));
+  EXPECT_FALSE(json::parse(nestedObject(300), V));
 }
 
 TEST(Json, DuplicateKeysKeepInsertionOrderAndFindReturnsFirst) {
@@ -210,13 +231,12 @@ TEST(Json, NumbersAtIntegerAndDoubleBoundaries) {
 }
 
 TEST(Json, LoneSurrogateSplitsValidatorAndTreeParser) {
-  // Documented contract (telemetry/Json.h): the validator checks only
-  // that \u escapes are four hex digits, while the tree parser must
-  // decode UTF-16 and so rejects unpaired surrogates. A lone surrogate
-  // is the one class of input where isValid() and parse() disagree.
+  // Documented contract (telemetry/Json.h): \u escapes must form valid
+  // UTF-16, so both entry points reject an unpaired surrogate; isValid()
+  // is parse() with the tree discarded.
   for (const char *Doc : {"\"\\ud800\"", "\"\\udbff\"", "\"\\udc00\"",
                           "\"\\udfff\"", "\"\\ud83d \\ude00\""}) {
-    EXPECT_TRUE(json::isValid(Doc)) << Doc;
+    EXPECT_FALSE(json::isValid(Doc)) << Doc;
     json::Value V;
     EXPECT_FALSE(json::parse(Doc, V)) << Doc;
   }
@@ -224,14 +244,10 @@ TEST(Json, LoneSurrogateSplitsValidatorAndTreeParser) {
 
 TEST(Remarks, CollectingSinkReceivesStructuredRemark) {
   CollectingRemarkSink Sink;
-#ifndef GMDIV_NO_TELEMETRY
   EXPECT_FALSE(remarksEnabled());
-#endif
   {
     ScopedRemarkSink Guard(&Sink);
-#ifndef GMDIV_NO_TELEMETRY
     EXPECT_TRUE(remarksEnabled());
-#endif
     Remark R;
     R.Kind = "unsigned-long-form";
     R.Figure = "Figure 4.2";

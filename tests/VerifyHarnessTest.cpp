@@ -327,7 +327,6 @@ TEST(VerifyInjection, MismatchesSurfaceInReportAndRemarks) {
   for (const std::string &Text : Report.Failures)
     EXPECT_EQ(Text.rfind("gmdiv:v1:", 0), 0u) << Text;
 
-#ifndef GMDIV_NO_TELEMETRY
   // One verify.mismatch remark per recorded failure — replay and
   // minimization must not add more (they run remark-suppressed). The
   // sink also hears the codegen lowering remarks emitted while the
@@ -346,7 +345,6 @@ TEST(VerifyInjection, MismatchesSurfaceInReportAndRemarks) {
         HasRepro = Value.rfind("gmdiv:v1:", 0) == 0;
     EXPECT_TRUE(HasRepro) << R.message();
   }
-#endif
 
   // With injection off, every recorded failure replays clean — and the
   // replay emits no remarks even with a sink installed.
@@ -396,8 +394,7 @@ TEST(VerifyInjection, SuccessorFamilyPropertiesOwnTheirMismatches) {
 }
 
 TEST(VerifyTelemetry, ChecksFlowIntoStatsRegistry) {
-  // The counter --stats and the exposition read; registered directly,
-  // so it counts under GMDIV_NO_TELEMETRY too.
+  // The counter --stats and the exposition read.
   const auto Checks = [] {
     return metrics::Registry::global().snapshot().valueOr(
         "gmdiv_verify_checks_total", {}, 0);

@@ -23,8 +23,8 @@
 // file on exit. --metrics=FILE writes a metrics snapshot on exit
 // (.json = JSON document, anything else the Prometheus text format)
 // with the campaign's properties-checked / mismatch / round counters.
-// --profile=FILE arms the sampling profiler (GMDIV_PROF_HZ, default
-// 97 Hz) and writes collapsed stacks (flamegraph.pl format) on exit.
+// --profile=FILE arms the sampling profiler (rate from GMDIV_PROF=<hz>,
+// default 97 Hz) and writes collapsed stacks (flamegraph.pl format) on exit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,15 +64,7 @@ int main(int ArgcIn, char **ArgvIn) {
   char **Argv = Args.data();
   if (TraceFile)
     trace::setEnabled(true);
-  if (ProfileFile) {
-    int Hz = prof::Profiler::DefaultHz;
-    if (const char *HzEnv = std::getenv("GMDIV_PROF_HZ"))
-      if (const long Value = std::strtol(HzEnv, nullptr, 10); Value > 0)
-        Hz = static_cast<int>(Value);
-    prof::Profiler::global().start(Hz);
-  } else {
-    prof::Profiler::global().startFromEnv();
-  }
+  prof::Profiler::global().startFromEnv(ProfileFile != nullptr);
 
   if (Argc >= 2 && std::strcmp(Argv[1], "--replay") == 0) {
     if (Argc < 3) {

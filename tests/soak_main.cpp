@@ -20,8 +20,8 @@
 // histogram reported in the end-of-run summary. --metrics=FILE writes a
 // metrics snapshot on exit (.json = JSON document, anything else the
 // Prometheus text format) — CI's TSan leg scrapes it as an artifact.
-// --profile=FILE arms the sampling profiler (GMDIV_PROF_HZ, default
-// 97 Hz) and writes collapsed stacks (flamegraph.pl format) on exit.
+// --profile=FILE arms the sampling profiler (rate from GMDIV_PROF=<hz>,
+// default 97 Hz) and writes collapsed stacks (flamegraph.pl format) on exit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -255,17 +255,9 @@ int main(int Argc, char **Argv) {
   // wiring (GMDIV_METRICS_OUT, GMDIV_FLIGHT_RECORDER) like the tool.
   metrics::Exporter::global().startFromEnv();
   metrics::FlightRecorder::global().configureFromEnv();
-  if (ProfileFile) {
-    // --profile forces the profiler on; GMDIV_PROF_HZ still picks the
-    // rate. Without the flag, GMDIV_PROF alone can arm it (no dump).
-    int Hz = prof::Profiler::DefaultHz;
-    if (const char *HzEnv = std::getenv("GMDIV_PROF_HZ"))
-      if (const long Value = std::strtol(HzEnv, nullptr, 10); Value > 0)
-        Hz = static_cast<int>(Value);
-    prof::Profiler::global().start(Hz);
-  } else {
-    prof::Profiler::global().startFromEnv();
-  }
+  // --profile forces the profiler on; without the flag, GMDIV_PROF alone
+  // can arm it (no dump).
+  prof::Profiler::global().startFromEnv(ProfileFile != nullptr);
   Rng.seed(Seed);
   std::printf("soak: %.1f seconds, seed %llu\n", Seconds,
               static_cast<unsigned long long>(Seed));
