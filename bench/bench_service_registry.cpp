@@ -19,7 +19,9 @@
 //                                  build + copy-and-patch rebuild +
 //                                  eviction + epoch retirement.
 //   BatchSubmitPipeline            32 in-flight 4096-lane jobs through
-//                                  the async front door (2 workers).
+//                                  the async front door (2 workers);
+//                                  helped_share reports how many the
+//                                  submitter ran while both were busy.
 //   BatchSubmitShort               8 in-flight 1..64-lane u64
 //                                  remainder jobs (2 workers): hand-off
 //                                  bound, so short jobs run on the
@@ -44,12 +46,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <mutex>
 #include <span>
-#include <thread>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -203,6 +204,13 @@ BENCHMARK(BM_RegistryAdmitChurn);
 // Async batch front door
 //===----------------------------------------------------------------------===//
 
+/// <Prefix>_<Counter>_total over <Prefix>_submitted_total.
+double submittedShare(const metrics::Snapshot &Snap, const std::string &Prefix,
+                      const char *Counter) {
+  return Snap.valueOr(Prefix + "_" + Counter + "_total", {}, 0) /
+         std::max(1.0, Snap.valueOr(Prefix + "_submitted_total", {}, 0));
+}
+
 void BM_BatchSubmitPipeline(benchmark::State &State) {
   constexpr size_t Jobs = 32;
   constexpr size_t Lanes = 4096;
@@ -210,6 +218,7 @@ void BM_BatchSubmitPipeline(benchmark::State &State) {
   service::BatchService::Options BOpts;
   BOpts.Workers = 2;
   service::BatchService Svc(R, BOpts);
+  Svc.exportMetrics("gmdiv_bench_batch_pipeline");
 
   std::vector<uint64_t> In(Lanes);
   for (size_t I = 0; I < Lanes; ++I)
@@ -230,6 +239,9 @@ void BM_BatchSubmitPipeline(benchmark::State &State) {
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Jobs * Lanes));
+  State.counters["helped_share"] = submittedShare(
+      metrics::Registry::global().snapshot(), "gmdiv_bench_batch_pipeline",
+      "helped");
 }
 BENCHMARK(BM_BatchSubmitPipeline)->UseRealTime();
 
@@ -241,14 +253,10 @@ void BM_BatchSubmitShort(benchmark::State &State) {
   BOpts.Workers = 2;
   service::BatchService Svc(R, BOpts);
   Svc.exportMetrics("gmdiv_bench_batch_short");
-  // Start from a warmed-up service: every divisor admitted (admission
-  // is RegistryAdmitChurn's cost) and both workers parked. Cold runs in
-  // the first jobs, or a first hand-off sample taken while a worker is
-  // still starting (that notify wakes nobody and costs nothing), can
-  // settle the service in its all-queued state (see ROADMAP).
+  // Every divisor admitted up front: admission is RegistryAdmitChurn's
+  // cost, not the submit path's.
   for (size_t D = 3; D < 3 + 61; ++D)
     R.acquire(service::keyFor<uint64_t>(D));
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
 
   std::vector<uint64_t> In(MaxLanes);
   for (size_t I = 0; I < MaxLanes; ++I)
@@ -272,11 +280,9 @@ void BM_BatchSubmitShort(benchmark::State &State) {
     if (F.valid())
       F.get();
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()));
-  const metrics::Snapshot Snap = metrics::Registry::global().snapshot();
-  State.counters["inline_share"] =
-      Snap.valueOr("gmdiv_bench_batch_short_inline_total", {}, 0) /
-      std::max(1.0, Snap.valueOr("gmdiv_bench_batch_short_submitted_total",
-                                 {}, 0));
+  State.counters["inline_share"] = submittedShare(
+      metrics::Registry::global().snapshot(), "gmdiv_bench_batch_short",
+      "inline");
 }
 BENCHMARK(BM_BatchSubmitShort)->UseRealTime();
 

@@ -41,7 +41,6 @@
 #include "ops/Ops.h"
 
 #include <cassert>
-#include <optional>
 #include <string>
 
 namespace gmdiv {
@@ -211,10 +210,8 @@ public:
   static constexpr int N = Traits::Bits;
 
   explicit RoundUpDivider(UWord Divisor)
-      : D(Divisor), C(chooseRoundUpMultiplier(Divisor)) {
-    if (C.Mode == Choice::Kind::Fixup)
-      Fallback.emplace(Divisor);
-    else if (C.Mode != Choice::Kind::Shift)
+      : D(Divisor), C(chooseRoundUpMultiplier(Divisor)), Fallback(Divisor) {
+    if (C.Mode != Choice::Kind::Shift && C.Mode != Choice::Kind::Fixup)
       Magic = Traits::udLow(C.Multiplier);
   }
 
@@ -240,7 +237,7 @@ public:
       return srl(mulUH(Magic, Bumped), C.TotalShift - N);
     }
     case Choice::Kind::Fixup:
-      return Fallback->divide(Numerator);
+      return Fallback.divide(Numerator);
     }
     return static_cast<UWord>(0); // unreachable
   }
@@ -273,7 +270,9 @@ private:
   UWord D;
   Choice C;
   UWord Magic{};
-  std::optional<UnsignedDivider<UWord>> Fallback;
+  /// Built for every divisor (a few ns) so it is never read
+  /// uninitialized; only the Fixup mode calls it.
+  UnsignedDivider<UWord> Fallback;
 };
 
 /// describe() of the signed form over |d| (core/SignMagnitude.h).

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 namespace gmdiv {
 namespace service {
@@ -25,46 +26,6 @@ uint64_t steadyNs() {
 }
 
 } // namespace
-
-void HandoffEstimate::record(uint64_t SampleNs) {
-  const uint64_t Sample = std::max<uint64_t>(SampleNs, 1);
-  const uint64_t Est = Ns.load(std::memory_order_relaxed);
-  if (Est == 0) {
-    Ns.store(Sample, std::memory_order_relaxed);
-    return;
-  }
-  const uint64_t Step = std::max<uint64_t>(Est / 16, 1);
-  if (Sample > Est)
-    Ns.store(Est + Step, std::memory_order_relaxed);
-  else if (Sample < Est)
-    Ns.store(Est - Step, std::memory_order_relaxed);
-}
-
-void RunCostEstimate::record(uint64_t JobNs, size_t Count) {
-  if (Count == 0)
-    return;
-  // Picoseconds, so a kernel-bound job's sub-ns lanes keep their cost.
-  const uint64_t Sample = std::max<uint64_t>(JobNs * 1000 / Count, 1);
-  uint64_t Cur = Ps.load(std::memory_order_relaxed);
-  while (Sample < Cur &&
-         !Ps.compare_exchange_weak(Cur, Sample, std::memory_order_relaxed))
-    ;
-}
-
-uint64_t RunCostEstimate::predictNs(size_t Count) const {
-  const uint64_t PerElem = psPerElem();
-  if (Count != 0 && PerElem > ~uint64_t{0} / Count)
-    return ~uint64_t{0};
-  return PerElem * Count / 1000;
-}
-
-bool runsInline(size_t Queued, size_t Running, size_t Workers, size_t Count,
-                const HandoffEstimate &Handoff, const RunCostEstimate &Cost) {
-  if (Queued != 0 || Running >= Workers)
-    return false;
-  const uint64_t HandoffNs = Handoff.ns();
-  return HandoffNs != 0 && Cost.ready() && Cost.predictNs(Count) < HandoffNs;
-}
 
 BatchService::Options BatchService::Options::clamped() const {
   Options O = *this;
@@ -123,32 +84,43 @@ std::future<BatchResult> BatchService::enqueue(const Key &K, Op O,
   J.Flow = trace::enabled() ? trace::nextFlowId() : 0;
   trace::FlowScope Scope(J.Flow);
   bool RunHere = false;
+  std::optional<Job> Front;
   {
     trace::Span Submit("service", "submit", static_cast<uint64_t>(Count));
     std::unique_lock<std::mutex> Lock(Mutex);
     // Decided once, before any backpressure wait: the job would start
     // next on an idle worker, so running it here keeps FIFO start order.
-    RunHere = runsInline(Queue.size(), Running, Pool.size(), Count, Handoff,
-                         RunCost);
+    RunHere = runsOnCaller(Queue.size(), Running, Pool.size(), Count,
+                           K.WordBits / 8);
     if (RunHere) {
       ++Running;
     } else {
       NotFull.wait(Lock, [this] { return Queue.size() < QueueCapacity; });
+      const bool Backlog = !Queue.empty();
       J.EnqueueSteadyNs = steadyNs();
       J.EnqueueTraceNs = J.Flow != 0 ? trace::nowNs() : 0;
       Queue.push_back(std::move(J));
+      // Every worker is busy, so this thread would only wait on a
+      // future: it runs the oldest job instead, as the next free worker
+      // would have.
+      if (submitterHelps(Backlog, BusyWorkers, Pool.size()))
+        Front.emplace(popFront(/*OnWorker=*/false));
     }
   }
-  if (!RunHere) {
-    const uint64_t T0 = steadyNs();
+  if (Front)
+    // One job in, one out, every worker busy: no worker waits for the
+    // push, but a submitter blocked on a full queue may wait for the pop.
+    NotFull.notify_one();
+  else if (!RunHere)
     NotEmpty.notify_one();
-    Handoff.record(steadyNs() - T0);
-  }
   Submitted.inc();
   Elements.add(Count);
   if (RunHere) {
     Inline.inc();
-    runJob(J);
+    runJob(J, /*OnWorker=*/false);
+  } else if (Front) {
+    Helped.inc();
+    runQueued(*Front, /*OnWorker=*/false);
   }
   return F;
 }
@@ -171,7 +143,27 @@ const char *BatchService::execute(const Job &J) {
   return E->batchBackend();
 }
 
-void BatchService::runJob(Job &J) {
+BatchService::Job BatchService::popFront(bool OnWorker) {
+  Job J = std::move(Queue.front());
+  Queue.pop_front();
+  ++Running;
+  BusyWorkers += OnWorker;
+  return J;
+}
+
+void BatchService::runQueued(Job &J, bool OnWorker) {
+  const uint64_t T0 = steadyNs();
+  const uint64_t Wait = T0 >= J.EnqueueSteadyNs ? T0 - J.EnqueueSteadyNs : 0;
+  QueueWaitNs.record(Wait);
+  if (J.Flow != 0)
+    // Back-date the wait just observed so the trace shows queue time as
+    // its own span, not folded into execution.
+    trace::recordSpan("service", "queue_wait", J.EnqueueTraceNs, Wait, 0,
+                      J.Flow);
+  runJob(J, OnWorker);
+}
+
+void BatchService::runJob(Job &J, bool OnWorker) {
   {
     trace::FlowScope Scope(J.Flow);
     trace::Span Exec("service", "execute");
@@ -183,9 +175,6 @@ void BatchService::runJob(Job &J) {
       R.K = J.K;
       R.Elements = J.Count;
       JobNs.record(R.JobNs);
-      // Before the promise, so a caller holding this result already
-      // sees its sample.
-      RunCost.record(R.JobNs, J.Count);
       J.Done.set_value(R);
     } catch (...) {
       JobNs.record(steadyNs() - T0);
@@ -197,13 +186,16 @@ void BatchService::runJob(Job &J) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     --Running;
+    BusyWorkers -= OnWorker;
   }
   Idle.notify_all();
 }
 
 void BatchService::workerLoop() {
   for (;;) {
-    Job J;
+    // Filled by a move from the queue: a default-constructed Job would
+    // allocate a promise only to free it.
+    std::optional<Job> J;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       NotEmpty.wait(Lock, [this] { return Stopping || !Queue.empty(); });
@@ -212,22 +204,10 @@ void BatchService::workerLoop() {
         // so no future is ever abandoned.
         return;
       }
-      J = std::move(Queue.front());
-      Queue.pop_front();
-      ++Running;
+      J.emplace(popFront(/*OnWorker=*/true));
     }
     NotFull.notify_one();
-
-    const uint64_t T0 = steadyNs();
-    const uint64_t Wait =
-        T0 >= J.EnqueueSteadyNs ? T0 - J.EnqueueSteadyNs : 0;
-    QueueWaitNs.record(Wait);
-    if (J.Flow != 0)
-      // Back-date the wait the worker just observed so the trace shows
-      // queue time as its own span, not folded into execution.
-      trace::recordSpan("service", "queue_wait", J.EnqueueTraceNs, Wait, 0,
-                        J.Flow);
-    runJob(J);
+    runQueued(*J, /*OnWorker=*/true);
   }
 }
 
@@ -254,16 +234,13 @@ void BatchService::collect(metrics::SnapshotBuilder &B) const {
   B.counter(P + "_elements_total", "Lanes processed by batch jobs", {},
             static_cast<double>(Elements.value()));
   B.counter(P + "_inline_total",
-            "Batch jobs run on the submitting thread because their "
-            "predicted run time was below the hand-off cost",
+            "Batch jobs run on the submitting thread because a worker was "
+            "idle and their input span was at most 4 KiB",
             {}, static_cast<double>(Inline.value()));
-  B.gauge(P + "_handoff_ns_estimate",
-          "Streaming median of the submitter's queue hand-off cost (ns); "
-          "0 until a job has been queued",
-          {}, static_cast<double>(Handoff.ns()));
-  B.gauge(P + "_run_ns_per_elem_estimate",
-          "Lowest job run time per lane seen (ns); 0 until a job has run",
-          {}, RunCost.nsPerElem());
+  B.counter(P + "_helped_total",
+            "Queued batch jobs run by a submitter because every worker "
+            "was busy",
+            {}, static_cast<double>(Helped.value()));
   B.gauge(P + "_queue_depth", "Jobs accepted but not yet completed", {},
           static_cast<double>(pending()));
   B.gauge(P + "_workers", "Worker threads", {},
@@ -275,8 +252,9 @@ void BatchService::collect(metrics::SnapshotBuilder &B) const {
               {}, std::move(C.Bounds), C.Count, C.Sum);
   metrics::Histogram::Cumulative QW = QueueWaitNs.cumulative();
   B.histogram(P + "_queue_wait_ns",
-              "Time a job waited in the queue before a worker picked it "
-              "up (ns), separate from job execution time",
+              "Time a job waited in the queue before a worker or a "
+              "helping submitter picked it up (ns), separate from job "
+              "execution time",
               {}, std::move(QW.Bounds), QW.Count, QW.Sum);
 }
 

@@ -13,17 +13,21 @@
 /// Callers pipeline: submit a window of batches, then collect futures,
 /// overlapping precompute + kernels with their own work.
 ///
-/// A job whose predicted run time is below the measured cost of handing
-/// it to a worker runs on the submitting thread instead, when nothing
-/// is queued ahead of it and a worker is idle (runsInline()). Its
-/// future is ready when submit returns. Both estimates come from jobs
-/// this service has run; nothing is calibrated up front, and until both
-/// exist every job is queued.
+/// A job whose input span is at most InlineMaxSpanBytes runs on the
+/// submitting thread instead, when nothing is queued ahead of it and a
+/// worker is idle (runsOnCaller()); its future is ready when submit
+/// returns. A submitter whose push finds a backlog while every worker
+/// is running a job runs the oldest queued job itself before returning
+/// (submitterHelps()), so it works instead of waiting on its future.
+/// Neither rule learns from past jobs: a fresh service decides exactly
+/// as a warm one.
 ///
 /// Semantics:
 ///  - Jobs start in submission order: a job runs on the caller only when
-///    the queue is empty. With Workers == 1 the service is strictly FIFO
-///    (a job runs on the caller only when nothing is running).
+///    the queue is empty, and a helping submitter takes the queue's
+///    front. With Workers == 1 the service is strictly FIFO: a job runs
+///    on the caller only when nothing is running, and no submitter
+///    helps.
 ///  - Invalid requests (zero divisor, span length mismatch) never
 ///    enqueue: the returned future holds std::invalid_argument.
 ///  - The caller owns the spans and must keep them alive until the
@@ -45,7 +49,6 @@
 #include "metrics/Metrics.h"
 #include "service/Registry.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -71,52 +74,36 @@ struct BatchResult {
   uint64_t JobNs = 0;
 };
 
-/// Streaming median of the hand-off cost: the submitter's time from
-/// releasing the queue lock until notify_one returns, sampled on queued
-/// jobs. Each sample moves the estimate 1/16 of itself toward the
-/// sample, so one preempted notify moves it by at most 1/16 — a mean
-/// would let that one sample push every later job onto the caller, and
-/// jobs that never reach the queue measure nothing that could undo it.
-/// Concurrent submitters may lose one another's step; that only drops
-/// a sample.
-class HandoffEstimate {
-public:
-  void record(uint64_t SampleNs);
-  /// The estimate in ns; 0 until the first sample.
-  uint64_t ns() const { return Ns.load(std::memory_order_relaxed); }
+/// The inline cap: a job whose input span is at most this many bytes
+/// (512 u64 or 1024 u32 lanes) may run on the submitting thread. On a
+/// 4-vCPU Xeon KVM guest the slowest lanes are i64 at 0.83 ns (u64
+/// 0.65, i32 0.25, u32 0.22), so the largest job under the cap costs
+/// about 512 x 0.83 ns + 0.2 us of resolve and call, 0.6 us: below the
+/// cheapest wake of a parked worker there (2.5 us back to back, 12-27
+/// us after 2 ms idle), which the caller would otherwise pay. The
+/// smallest bulk job in bench/e2e (16384 u32 lanes, 64 KiB) takes at
+/// least 3.6 us and stays off the caller.
+inline constexpr size_t InlineMaxSpanBytes = 4096;
 
-private:
-  std::atomic<uint64_t> Ns{0};
-};
+/// The inline guard: true when a job of \p Count lanes of \p LaneBytes
+/// each should run on the submitting thread. It must be first in line
+/// (\p Queued == 0), a worker must be idle (\p Running < \p Workers;
+/// Running counts jobs on callers too), and its input span must be at
+/// most InlineMaxSpanBytes.
+constexpr bool runsOnCaller(size_t Queued, size_t Running, size_t Workers,
+                            size_t Count, size_t LaneBytes) {
+  return Queued == 0 && Running < Workers &&
+         Count <= InlineMaxSpanBytes / LaneBytes;
+}
 
-/// Run-time prediction: Count times the lowest JobNs / Count any job on
-/// the service has shown, on a worker or on the caller. The lowest, not
-/// the mean: a cold first run (registry admission, cache misses) is
-/// 1000x the steady per-element cost and would switch inline runs off,
-/// and worker runs carry cross-core misses a caller run does not.
-/// Count == 0 jobs are skipped: they say nothing per element.
-class RunCostEstimate {
-public:
-  void record(uint64_t JobNs, size_t Count);
-  bool ready() const { return psPerElem() != None; }
-  /// Count times the per-element estimate, in ns (saturating).
-  uint64_t predictNs(size_t Count) const;
-  /// The per-element estimate in ns; 0 until the first sample.
-  double nsPerElem() const { return ready() ? psPerElem() / 1000.0 : 0.0; }
-
-private:
-  static constexpr uint64_t None = ~uint64_t{0};
-  uint64_t psPerElem() const { return Ps.load(std::memory_order_relaxed); }
-  std::atomic<uint64_t> Ps{None};
-};
-
-/// The inline guard: true when a Count-lane job should run on the
-/// submitting thread. It must be first in line (\p Queued == 0), a
-/// worker must be idle (\p Running < \p Workers; Running counts jobs on
-/// callers too), both estimates must exist, and the predicted run time
-/// must be below the hand-off cost.
-bool runsInline(size_t Queued, size_t Running, size_t Workers, size_t Count,
-                const HandoffEstimate &Handoff, const RunCostEstimate &Cost);
+/// The helping guard: true when a submitter whose own push found
+/// \p Backlog (a job already queued) should run the queue's front job
+/// itself because all \p Workers are running one (\p BusyWorkers).
+/// Never with one worker, which keeps that service strictly FIFO.
+constexpr bool submitterHelps(bool Backlog, size_t BusyWorkers,
+                              size_t Workers) {
+  return Workers >= 2 && Backlog && BusyWorkers >= Workers;
+}
 
 class BatchService {
 public:
@@ -185,8 +172,8 @@ public:
   size_t workers() const { return Pool.size(); }
   size_t queueCapacity() const { return QueueCapacity; }
 
-  /// Submitted/completed/failed/inline counters, queue-depth gauge, the
-  /// two inline estimates and the job and queue-wait histograms under
+  /// Submitted/completed/failed/inline/helped counters, queue-depth and
+  /// worker gauges, and the job and queue-wait histograms under
   /// \p Prefix (e.g. "gmdiv_service_batch").
   /// Idempotent; the destructor unregisters.
   void exportMetrics(const std::string &Prefix);
@@ -216,9 +203,15 @@ private:
   std::future<BatchResult> enqueue(const Key &K, Op O, const void *In,
                                    void *OutA, void *OutB, size_t Count,
                                    bool SizesOk);
+  /// Pops the queue's front job and counts it running, on a worker
+  /// when \p OnWorker. The caller holds Mutex and, once it has released
+  /// it, notifies NotFull.
+  Job popFront(bool OnWorker);
+  /// Records \p J's queue wait, then runJob().
+  void runQueued(Job &J, bool OnWorker);
   /// Runs \p J on the calling thread (a worker or the submitter), fills
   /// its promise and does the completion accounting.
-  void runJob(Job &J);
+  void runJob(Job &J, bool OnWorker);
   /// Resolves \p J's key and runs its kernel; returns the backend name.
   const char *execute(const Job &J);
   void workerLoop();
@@ -232,7 +225,10 @@ private:
   std::condition_variable NotFull;
   std::condition_variable Idle;
   std::deque<Job> Queue;
+  /// Jobs running on workers and on callers.
   size_t Running = 0;
+  /// Worker threads running a job.
+  size_t BusyWorkers = 0;
   bool Stopping = false;
 
   std::vector<std::thread> Pool;
@@ -243,10 +239,10 @@ private:
   metrics::Counter Elements;
   /// Jobs run on the submitting thread.
   metrics::Counter Inline;
-  HandoffEstimate Handoff;
-  RunCostEstimate RunCost;
+  /// Queued jobs run by a submitter while every worker was busy.
+  metrics::Counter Helped;
   metrics::Histogram JobNs;
-  /// Time between enqueue and a worker picking the job up — the queue
+  /// Time between enqueue and a thread picking the job up — the queue
   /// component of tail latency, kept separate from JobNs on purpose.
   metrics::Histogram QueueWaitNs;
   std::string MetricsPrefix;

@@ -358,14 +358,13 @@ TEST(MetricsSnapshot, EveryLayerCountsEachEventOnceInUniqueSeries) {
           "gmdiv_batch_calls_total",
           "gmdiv_service_registry_shard_misses_total",
           "gmdiv_test_metrics_batch_submitted_total",
-          "gmdiv_test_metrics_batch_handoff_ns_estimate",
-          "gmdiv_test_metrics_batch_run_ns_per_elem_estimate",
+          "gmdiv_test_metrics_batch_inline_total",
           "gmdiv_trace_recorded_spans_total", "gmdiv_remarks_emitted_total"})
       EXPECT_GT(familyTotal(S, Name), 0.0) << Name;
-    // The service's first job always queues, so nothing ran inline yet;
-    // the series is there, once, at zero.
-    ASSERT_NE(S.find("gmdiv_test_metrics_batch_inline_total"), nullptr);
-    EXPECT_EQ(familyTotal(S, "gmdiv_test_metrics_batch_inline_total"), 0.0);
+    // The 100-lane job ran on the caller of an idle service, so no
+    // submitter helped; the series is there, once, at zero.
+    ASSERT_NE(S.find("gmdiv_test_metrics_batch_helped_total"), nullptr);
+    EXPECT_EQ(familyTotal(S, "gmdiv_test_metrics_batch_helped_total"), 0.0);
     for (const char *Name :
          {"gmdiv_codegen_unsigned_div_pow2_total",
           "gmdiv_codegen_unsigned_div_long_form_total",

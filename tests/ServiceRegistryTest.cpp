@@ -9,8 +9,9 @@
 // environment knobs' ranges, compile-once admission under contention,
 // lock-free lookup counters, LRU eviction liveness, bit-for-bit
 // agreement with the core dividers, the async batch front door's
-// ordering and error paths, its inline guard and the paths it chooses
-// between (in place too), and the metrics-plane export.
+// ordering and error paths, its inline and helping guards and the
+// paths they choose between (in place too), and the metrics-plane
+// export.
 // The TSan CI leg runs this whole file; MixedContentionStress,
 // ConcurrentSubmittersMixInlineAndQueued and
 // ReadersNeverSeeAWrongEntryDuringEviction at the bottom are the
@@ -979,91 +980,41 @@ TEST(BatchService, ManyJobsAcrossWorkersAllResolve) {
 }
 
 //===----------------------------------------------------------------------===//
-// Inline policy: the guard and its two estimators
+// Inline and helping policy: the two guards
 //===----------------------------------------------------------------------===//
-
-TEST(BatchInlinePolicy, OnePreemptedHandoffMovesTheMedianBySixteenth) {
-  HandoffEstimate H;
-  EXPECT_EQ(H.ns(), 0u);
-  for (int I = 0; I < 32; ++I)
-    H.record(3000);
-  ASSERT_EQ(H.ns(), 3000u);
-  // A notify preempted for 338 us: a mean over those 33 samples would be
-  // 13 us, above a 16384-lane job's predicted run time.
-  H.record(338000);
-  EXPECT_LE(H.ns(), 3000u + 3000u / 16);
-  EXPECT_GT(H.ns(), 3000u);
-  // The next ordinary sample walks it back.
-  H.record(3000);
-  EXPECT_LT(H.ns(), 3000u);
-  EXPECT_GE(H.ns(), 3000u - 3000u / 16);
-  // One step is 1/16 of the estimate, however far off the sample is.
-  const uint64_t Est = H.ns();
-  H.record(0);
-  EXPECT_EQ(H.ns(), Est - Est / 16);
-}
-
-TEST(BatchInlinePolicy, ColdFirstRunDoesNotBlockALaterInlineRun) {
-  HandoffEstimate H;
-  H.record(3000);
-  RunCostEstimate C;
-  EXPECT_FALSE(C.ready());
-  C.record(64 * 1400, 64); // cold first run: 1.4 us per element
-  ASSERT_TRUE(C.ready());
-  EXPECT_DOUBLE_EQ(C.nsPerElem(), 1400.0);
-  EXPECT_FALSE(runsInline(0, 0, 2, 64, H, C));
-  C.record(16, 10); // 1.6 ns per element
-  EXPECT_DOUBLE_EQ(C.nsPerElem(), 1.6);
-  EXPECT_EQ(C.predictNs(64), 102u);
-  EXPECT_TRUE(runsInline(0, 0, 2, 64, H, C));
-  // A slower later run does not raise the estimate.
-  C.record(64 * 22, 64);
-  EXPECT_DOUBLE_EQ(C.nsPerElem(), 1.6);
-}
 
 TEST(BatchInlinePolicy, GuardTruthTable) {
-  HandoffEstimate H;
-  H.record(1000);
-  RunCostEstimate C;
-  C.record(2 * 64, 64); // 2 ns per element
-  const HandoffEstimate NoHandoff;
-  const RunCostEstimate NoCost;
-  // First in line, a worker idle, both estimates, 128 ns < 1000 ns.
-  EXPECT_TRUE(runsInline(0, 0, 2, 64, H, C));
-  EXPECT_TRUE(runsInline(0, 1, 2, 64, H, C));
+  // First in line, a worker idle, 64 u64 lanes (512 bytes).
+  EXPECT_TRUE(runsOnCaller(0, 0, 2, 64, 8));
+  EXPECT_TRUE(runsOnCaller(0, 1, 2, 64, 8));
   // Each condition alone sends the job to the queue.
-  EXPECT_FALSE(runsInline(1, 0, 2, 64, H, C));         // queue non-empty
-  EXPECT_FALSE(runsInline(0, 2, 2, 64, H, C));         // no idle worker
-  EXPECT_FALSE(runsInline(0, 0, 2, 64, NoHandoff, C)); // no hand-off yet
-  EXPECT_FALSE(runsInline(0, 0, 2, 64, H, NoCost));    // no run cost yet
-  EXPECT_FALSE(runsInline(0, 0, 2, 500, H, C));        // 1000 ns: not below
-  EXPECT_FALSE(runsInline(0, 0, 2, 16384, H, C));
+  EXPECT_FALSE(runsOnCaller(1, 0, 2, 64, 8)); // queue non-empty
+  EXPECT_FALSE(runsOnCaller(0, 2, 2, 64, 8)); // no idle worker
+  EXPECT_FALSE(runsOnCaller(0, 0, 2, 16384, 4)); // a bulk job: 64 KiB
+  // The cap is the span in bytes, whatever the lane width.
+  EXPECT_TRUE(runsOnCaller(0, 0, 2, 512, 8));
+  EXPECT_FALSE(runsOnCaller(0, 0, 2, 513, 8));
+  EXPECT_TRUE(runsOnCaller(0, 0, 2, 1024, 4));
+  EXPECT_FALSE(runsOnCaller(0, 0, 2, 1025, 4));
+  EXPECT_TRUE(runsOnCaller(0, 0, 2, 4096, 1));
+  EXPECT_FALSE(runsOnCaller(0, 0, 2, 4097, 1));
+  EXPECT_TRUE(runsOnCaller(0, 0, 2, 0, 8));
+  // No overflow on absurd counts.
+  EXPECT_FALSE(runsOnCaller(0, 0, 2, std::numeric_limits<size_t>::max(), 8));
   // One worker: only when nothing at all is running.
-  EXPECT_TRUE(runsInline(0, 0, 1, 64, H, C));
-  EXPECT_FALSE(runsInline(0, 1, 1, 64, H, C));
-}
+  EXPECT_TRUE(runsOnCaller(0, 0, 1, 64, 8));
+  EXPECT_FALSE(runsOnCaller(0, 1, 1, 64, 8));
 
-TEST(BatchInlinePolicy, ZeroLaneJobsNeitherDivideByZeroNorPoisonTheCost) {
-  RunCostEstimate C;
-  C.record(500, 0);
-  C.record(0, 0);
-  EXPECT_FALSE(C.ready());
-  EXPECT_EQ(C.nsPerElem(), 0.0);
-  C.record(64, 64); // 1 ns per element
-  C.record(0, 0);
-  C.record(1, 0);
-  EXPECT_DOUBLE_EQ(C.nsPerElem(), 1.0);
-  EXPECT_EQ(C.predictNs(0), 0u);
-  // Saturates instead of wrapping on absurd counts.
-  EXPECT_EQ(C.predictNs(std::numeric_limits<size_t>::max()),
-            std::numeric_limits<uint64_t>::max());
-  HandoffEstimate H;
-  H.record(50);
-  EXPECT_TRUE(runsInline(0, 0, 2, 0, H, C));
+  // A push that found a backlog while every worker was busy helps.
+  EXPECT_TRUE(submitterHelps(true, 2, 2));
+  EXPECT_TRUE(submitterHelps(true, 4, 4));
+  EXPECT_FALSE(submitterHelps(false, 2, 2)); // its job is the front
+  EXPECT_FALSE(submitterHelps(true, 1, 2));  // a worker will take it
+  EXPECT_FALSE(submitterHelps(true, 1, 1));  // one worker: strict FIFO
 }
 
 //===----------------------------------------------------------------------===//
-// Inline and queued paths through the service
+// Inline, queued and helped paths through the service
 //===----------------------------------------------------------------------===//
 
 /// Jobs the service exported under \p Prefix has run on the caller.
@@ -1072,12 +1023,22 @@ uint64_t inlineRuns(const std::string &Prefix) {
       Prefix + "_inline_total", {}, -1));
 }
 
-/// Jobs a worker has taken off the queue of the service exported under
-/// \p Prefix.
+/// Queued jobs a submitter of the service exported under \p Prefix ran.
+uint64_t helpedRuns(const std::string &Prefix) {
+  return static_cast<uint64_t>(metrics::Registry::global().snapshot().valueOr(
+      Prefix + "_helped_total", {}, -1));
+}
+
+/// Jobs a worker or a helping submitter has taken off the queue of the
+/// service exported under \p Prefix.
 uint64_t queueWaits(const std::string &Prefix) {
   const metrics::Snapshot Snap = metrics::Registry::global().snapshot();
   const metrics::Sample *S = Snap.find(Prefix + "_queue_wait_ns");
   return S ? S->Count : 0;
+}
+
+bool isReady(const std::future<BatchResult> &F) {
+  return F.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
 /// Submits op \p OpIdx (0 divide, 1 remainder, 2 divRem) of \p Len lanes.
@@ -1096,15 +1057,16 @@ std::future<BatchResult> submitOp(BatchService &Svc, int OpIdx, T D,
   }
 }
 
-/// Every op at every length 0..67, once queued on a fresh service (no
-/// estimates yet, so its first job always queues) and once on \p Warm,
-/// whose estimates exist: outputs equal hardware / and % and each
-/// other bit for bit, and the BatchResults agree. Both paths then run
-/// the same job in place. Adds the jobs \p Warm ran on the caller to
-/// \p InlineRuns.
+/// Every op at every length 0..67, out of place and in place, once
+/// queued on a one-worker service whose worker a long job holds
+/// throughout (so each job provably waits in the queue, which
+/// `_queue_wait_ns` confirms) and once on \p Idle, where each job runs
+/// on the caller: outputs equal hardware / and % and each other bit
+/// for bit, and the BatchResults agree. Adds the jobs \p Idle ran on
+/// the caller to \p InlineRuns.
 template <typename T>
-void expectPathsAgree(DividerRegistry &R, BatchService &Warm,
-                      const std::string &WarmPrefix, uint64_t &InlineRuns) {
+void expectPathsAgree(DividerRegistry &R, BatchService &Idle,
+                      const std::string &IdlePrefix, uint64_t &InlineRuns) {
   using U = std::make_unsigned_t<T>;
   constexpr size_t MaxLen = 67;
   const T D = std::is_signed_v<T> ? T(-7) : T(7);
@@ -1116,92 +1078,256 @@ void expectPathsAgree(DividerRegistry &R, BatchService &Warm,
   In[1] = std::numeric_limits<T>::max();
   In[2] = 0;
 
-  const uint64_t Before = inlineRuns(WarmPrefix);
-  for (int OpIdx = 0; OpIdx < 3; ++OpIdx) {
+  // One case per (op, length): the queued path's outputs, out of place
+  // (QA, QB) and in place (PBuf over a copy of the input, PRem).
+  struct Case {
+    int OpIdx = 0;
+    size_t Len = 0;
+    std::vector<T> QA, QB, PBuf, PRem;
+    std::future<BatchResult> F, FP;
+    BatchResult Queued;
+  };
+  std::vector<Case> Cases;
+  for (int OpIdx = 0; OpIdx < 3; ++OpIdx)
     for (size_t Len = 0; Len <= MaxLen; ++Len) {
-      std::vector<T> QA(Len + 1, T(0x5a)), QB(Len + 1, T(0x5a));
-      std::vector<T> IA(Len + 1, T(0x5a)), IB(Len + 1, T(0x5a));
-      BatchResult Queued;
-      {
-        BatchService Fresh(R, workerOptions(1));
-        Queued = submitOp<T>(Fresh, OpIdx, D, In.data(), QA.data(),
-                             QB.data(), Len)
-                     .get();
-      }
-      const BatchResult OnWarm =
-          submitOp<T>(Warm, OpIdx, D, In.data(), IA.data(), IB.data(), Len)
-              .get();
-      ASSERT_EQ(Queued.K, keyFor<T>(D));
-      ASSERT_EQ(OnWarm.K, Queued.K);
-      ASSERT_EQ(OnWarm.Elements, Len);
-      ASSERT_EQ(Queued.Elements, Len);
-      ASSERT_STREQ(OnWarm.Backend, Queued.Backend);
-      const bool Quot = OpIdx != 1;
-      for (size_t I = 0; I < Len; ++I) {
-        const T WantA = static_cast<T>(Quot ? In[I] / D : In[I] % D);
-        ASSERT_EQ(QA[I], WantA) << int(sizeof(T) * 8) << "-bit op=" << OpIdx
-                                << " len=" << Len << " lane=" << I;
-        ASSERT_EQ(IA[I], WantA) << int(sizeof(T) * 8) << "-bit op=" << OpIdx
-                                << " len=" << Len << " lane=" << I;
-        if (OpIdx == 2) {
-          ASSERT_EQ(QB[I], static_cast<T>(In[I] % D)) << "lane " << I;
-          ASSERT_EQ(IB[I], static_cast<T>(In[I] % D)) << "lane " << I;
-        }
-      }
-      // Nothing is written past the last lane on either path.
-      ASSERT_EQ(QA[Len], T(0x5a));
-      ASSERT_EQ(IA[Len], T(0x5a));
-      ASSERT_EQ(QB, IB);
-
-      // In place: a copy of the input is also Out (Quot for divRem).
-      // Each path must leave in it, bit for bit, what the queued path
-      // wrote out of place.
-      const auto ExpectInPlace = [&](BatchService &Svc, const char *Path) {
-        std::vector<T> Buf(In.begin(), In.begin() + Len);
-        Buf.push_back(T(0x5a));
-        std::vector<T> Rem(Len + 1, T(0x5a));
-        ASSERT_EQ(submitOp<T>(Svc, OpIdx, D, Buf.data(), Buf.data(),
-                              Rem.data(), Len)
-                      .get()
-                      .Elements,
-                  Len);
-        ASSERT_EQ(Buf, QA) << Path << " in place " << int(sizeof(T) * 8)
-                           << "-bit op=" << OpIdx << " len=" << Len;
-        ASSERT_EQ(Rem, QB) << Path << " in place " << int(sizeof(T) * 8)
-                           << "-bit op=" << OpIdx << " len=" << Len;
-      };
-      {
-        BatchService Fresh(R, workerOptions(1));
-        ExpectInPlace(Fresh, "queued");
-      }
-      ExpectInPlace(Warm, "warm");
+      Cases.emplace_back();
+      Cases.back().OpIdx = OpIdx;
+      Cases.back().Len = Len;
     }
+
+  const std::string QueuedPrefix = "gmdiv_test_batch_queued";
+  BatchService::Options HeldOpts = workerOptions(1);
+  HeldOpts.QueueCapacity = 2 * Cases.size();
+  for (int Attempt = 0;; ++Attempt) {
+    BatchService Held(R, HeldOpts);
+    Held.exportMetrics(QueuedPrefix);
+    std::vector<uint64_t> Hold(size_t{1} << 22, ~uint64_t{0});
+    auto FHold = Held.submitRemainder<uint64_t>(
+        7, std::span<const uint64_t>(Hold), std::span<uint64_t>(Hold));
+    while (queueWaits(QueuedPrefix) < 1)
+      std::this_thread::yield();
+    for (Case &C : Cases) {
+      C.QA.assign(C.Len + 1, T(0x5a));
+      C.QB.assign(C.Len + 1, T(0x5a));
+      C.PBuf.assign(In.begin(), In.begin() + C.Len);
+      C.PBuf.push_back(T(0x5a));
+      C.PRem.assign(C.Len + 1, T(0x5a));
+    }
+    for (Case &C : Cases) {
+      C.F = submitOp<T>(Held, C.OpIdx, D, In.data(), C.QA.data(),
+                        C.QB.data(), C.Len);
+      C.FP = submitOp<T>(Held, C.OpIdx, D, C.PBuf.data(), C.PBuf.data(),
+                         C.PRem.data(), C.Len);
+    }
+    // With the worker still on the long job, nothing could run inline.
+    const bool HeldThroughout = !isReady(FHold);
+    for (Case &C : Cases) {
+      C.Queued = C.F.get();
+      ASSERT_EQ(C.FP.get().Elements, C.Len);
+    }
+    FHold.get();
+    Held.drain();
+    if (HeldThroughout) {
+      ASSERT_EQ(queueWaits(QueuedPrefix), 1 + 2 * Cases.size());
+      ASSERT_EQ(inlineRuns(QueuedPrefix), 0u);
+      break;
+    }
+    ASSERT_LT(Attempt, 4) << "the long job kept finishing before the "
+                             "submissions behind it";
   }
-  InlineRuns += inlineRuns(WarmPrefix) - Before;
+
+  const uint64_t Before = inlineRuns(IdlePrefix);
+  for (const Case &C : Cases) {
+    const int OpIdx = C.OpIdx;
+    const size_t Len = C.Len;
+    std::vector<T> IA(Len + 1, T(0x5a)), IB(Len + 1, T(0x5a));
+    const BatchResult OnIdle =
+        submitOp<T>(Idle, OpIdx, D, In.data(), IA.data(), IB.data(), Len)
+            .get();
+    ASSERT_EQ(C.Queued.K, keyFor<T>(D));
+    ASSERT_EQ(OnIdle.K, C.Queued.K);
+    ASSERT_EQ(OnIdle.Elements, Len);
+    ASSERT_EQ(C.Queued.Elements, Len);
+    ASSERT_STREQ(OnIdle.Backend, C.Queued.Backend);
+    const bool Quot = OpIdx != 1;
+    for (size_t I = 0; I < Len; ++I) {
+      const T WantA = static_cast<T>(Quot ? In[I] / D : In[I] % D);
+      ASSERT_EQ(C.QA[I], WantA) << int(sizeof(T) * 8) << "-bit op=" << OpIdx
+                                << " len=" << Len << " lane=" << I;
+      ASSERT_EQ(IA[I], WantA) << int(sizeof(T) * 8) << "-bit op=" << OpIdx
+                              << " len=" << Len << " lane=" << I;
+      if (OpIdx == 2) {
+        ASSERT_EQ(C.QB[I], static_cast<T>(In[I] % D)) << "lane " << I;
+        ASSERT_EQ(IB[I], static_cast<T>(In[I] % D)) << "lane " << I;
+      }
+    }
+    // Nothing is written past the last lane on either path.
+    ASSERT_EQ(C.QA[Len], T(0x5a));
+    ASSERT_EQ(IA[Len], T(0x5a));
+    ASSERT_EQ(C.QB, IB);
+
+    // In place: a copy of the input is also Out (Quot for divRem).
+    // Each path must leave in it, bit for bit, what the queued path
+    // wrote out of place.
+    ASSERT_EQ(C.PBuf, C.QA) << "queued in place " << int(sizeof(T) * 8)
+                            << "-bit op=" << OpIdx << " len=" << Len;
+    ASSERT_EQ(C.PRem, C.QB) << "queued in place " << int(sizeof(T) * 8)
+                            << "-bit op=" << OpIdx << " len=" << Len;
+    std::vector<T> Buf(In.begin(), In.begin() + Len);
+    Buf.push_back(T(0x5a));
+    std::vector<T> Rem(Len + 1, T(0x5a));
+    ASSERT_EQ(
+        submitOp<T>(Idle, OpIdx, D, Buf.data(), Buf.data(), Rem.data(), Len)
+            .get()
+            .Elements,
+        Len);
+    ASSERT_EQ(Buf, C.QA) << "idle in place " << int(sizeof(T) * 8)
+                         << "-bit op=" << OpIdx << " len=" << Len;
+    ASSERT_EQ(Rem, C.QB) << "idle in place " << int(sizeof(T) * 8)
+                         << "-bit op=" << OpIdx << " len=" << Len;
+  }
+  InlineRuns += inlineRuns(IdlePrefix) - Before;
 }
 
 TEST(BatchService, InlineAndQueuedPathsAgreeBitForBit) {
   DividerRegistry R(smallOptions(4, 64));
-  // Two workers: a worker still finishing its bookkeeping after filling
-  // a promise leaves the other idle, so a later job can run inline.
-  BatchService Warm(R, workerOptions(2));
-  Warm.exportMetrics("gmdiv_test_batch_paths");
-  // One queued job gives both estimates.
-  std::vector<uint32_t> In(4096, 1000), Out(4096);
-  Warm.submitRemainder<uint32_t>(7, In, Out).get();
-  Warm.drain();
+  BatchService Idle(R, workerOptions(2));
+  Idle.exportMetrics("gmdiv_test_batch_paths");
 
   uint64_t Inline = 0;
-  expectPathsAgree<uint8_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
-  expectPathsAgree<uint16_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
-  expectPathsAgree<uint32_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
-  expectPathsAgree<uint64_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
-  expectPathsAgree<int8_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
-  expectPathsAgree<int16_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
-  expectPathsAgree<int32_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
-  expectPathsAgree<int64_t>(R, Warm, "gmdiv_test_batch_paths", Inline);
-  // At least every zero-lane job (predicted 0 ns) ran on the caller.
-  EXPECT_GE(Inline, 8u * 3u);
+  expectPathsAgree<uint8_t>(R, Idle, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<uint16_t>(R, Idle, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<uint32_t>(R, Idle, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<uint64_t>(R, Idle, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<int8_t>(R, Idle, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<int16_t>(R, Idle, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<int32_t>(R, Idle, "gmdiv_test_batch_paths", Inline);
+  expectPathsAgree<int64_t>(R, Idle, "gmdiv_test_batch_paths", Inline);
+  // Every span is at most 67 x 8 bytes and nothing else runs on the
+  // idle service, so every one of its jobs ran on the caller.
+  EXPECT_EQ(Inline, 8u * 3u * 68u * 2u);
+}
+
+TEST(BatchService, ColdFirstJobRunsInline) {
+  // No warm-up job: the guard reads no estimate, so a fresh service
+  // runs a 1-lane job on the caller, as it does every later one.
+  DividerRegistry R(smallOptions(2, 16));
+  BatchService Svc(R, workerOptions(2));
+  Svc.exportMetrics("gmdiv_test_batch_cold");
+  std::vector<uint32_t> One{13}, OneOut(1);
+  auto F = Svc.submitRemainder<uint32_t>(7, One, OneOut);
+  EXPECT_TRUE(isReady(F));
+  EXPECT_EQ(inlineRuns("gmdiv_test_batch_cold"), 1u);
+  EXPECT_EQ(F.get().Elements, 1u);
+  EXPECT_EQ(OneOut[0], 6u);
+  for (int I = 0; I < 16; ++I)
+    Svc.submitRemainder<uint32_t>(7, One, OneOut).get();
+  EXPECT_EQ(inlineRuns("gmdiv_test_batch_cold"), 17u);
+  EXPECT_EQ(queueWaits("gmdiv_test_batch_cold"), 0u);
+}
+
+TEST(BatchService, ParkedWorkersDoNotPullBulkJobsInline) {
+  // Workers parked long enough for the first wake to be slow, then 8
+  // 16384-lane u64 jobs in flight (128 KiB each, far above the cap):
+  // none may run on the caller, however slow that first hand-off was.
+  DividerRegistry R(smallOptions(2, 16));
+  BatchService Svc(R, workerOptions(2));
+  Svc.exportMetrics("gmdiv_test_batch_parked");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  constexpr size_t InFlight = 8;
+  constexpr size_t Lanes = 16384;
+  std::vector<uint64_t> In(Lanes);
+  uint64_t Rng = 0x9a4c;
+  for (uint64_t &V : In)
+    V = splitmix(Rng);
+  std::vector<std::vector<uint64_t>> Outs(InFlight,
+                                          std::vector<uint64_t>(Lanes));
+  std::vector<std::future<BatchResult>> Futures(InFlight);
+  constexpr size_t Jobs = 8 * InFlight;
+  for (size_t J = 0; J < Jobs; ++J) {
+    const size_t Slot = J % InFlight;
+    if (Futures[Slot].valid())
+      Futures[Slot].get();
+    Futures[Slot] = Svc.submitDivide<uint64_t>(
+        3 + J, std::span<const uint64_t>(In), std::span<uint64_t>(Outs[Slot]));
+  }
+  for (size_t Slot = 0; Slot < InFlight; ++Slot) {
+    Futures[Slot].get();
+    const uint64_t D = 3 + (Jobs - InFlight + Slot);
+    for (size_t I = 0; I < Lanes; ++I)
+      ASSERT_EQ(Outs[Slot][I], In[I] / D) << "slot " << Slot << " lane " << I;
+  }
+  Svc.drain();
+  EXPECT_EQ(inlineRuns("gmdiv_test_batch_parked"), 0u);
+  // Every job went through the queue, to a worker or a helping caller.
+  EXPECT_EQ(queueWaits("gmdiv_test_batch_parked"), Jobs);
+}
+
+TEST(BatchService, SubmitterRunsTheOldestJobWhenEveryWorkerIsBusy) {
+  // Both workers hold a long job; job 3 queues behind them; submitting
+  // job 4 finds that backlog and every worker busy, so the submitter
+  // runs job 3 (the front) before returning, and job 4 stays queued.
+  // The precondition (both long jobs still running when job 4's submit
+  // returns) rests on timing, so an attempt where a long job finished
+  // early is retried.
+  DividerRegistry R(smallOptions(2, 16));
+  const std::string Prefix = "gmdiv_test_batch_helped";
+  constexpr size_t LongLanes = size_t{1} << 22;
+  std::vector<uint64_t> Long1(LongLanes), Long2(LongLanes);
+  std::vector<uint32_t> In3(64), Out3(64), In4(64), Out4(64);
+  for (size_t I = 0; I < 64; ++I) {
+    In3[I] = static_cast<uint32_t>(I * 2654435761u);
+    In4[I] = static_cast<uint32_t>(I * 40503u + 1);
+  }
+  for (int Attempt = 0;; ++Attempt) {
+    BatchService Svc(R, workerOptions(2));
+    Svc.exportMetrics(Prefix);
+    std::fill(Long1.begin(), Long1.end(), ~uint64_t{0});
+    std::fill(Long2.begin(), Long2.end(), ~uint64_t{0} - 1);
+    auto F1 = Svc.submitRemainder<uint64_t>(
+        7, std::span<const uint64_t>(Long1), std::span<uint64_t>(Long1));
+    auto F2 = Svc.submitRemainder<uint64_t>(
+        9, std::span<const uint64_t>(Long2), std::span<uint64_t>(Long2));
+    while (queueWaits(Prefix) < 2)
+      std::this_thread::yield();
+
+    auto F3 = Svc.submitDivide<uint32_t>(7, In3, Out3);
+    const bool F3Queued = !isReady(F3) && queueWaits(Prefix) == 2;
+    auto F4 = Svc.submitDivide<uint32_t>(9, In4, Out4);
+    const bool F3Ready = isReady(F3);
+    const bool F4Ready = isReady(F4);
+    const uint64_t Waits = queueWaits(Prefix);
+    const uint64_t Helped = helpedRuns(Prefix);
+    const bool WorkersHeld = !isReady(F1) && !isReady(F2);
+
+    F1.get();
+    F2.get();
+    F3.get();
+    F4.get();
+    for (size_t I = 0; I < LongLanes; I += 4099) {
+      ASSERT_EQ(Long1[I], ~uint64_t{0} % 7);
+      ASSERT_EQ(Long2[I], (~uint64_t{0} - 1) % 9);
+    }
+    for (size_t I = 0; I < 64; ++I) {
+      ASSERT_EQ(Out3[I], In3[I] / 7) << I;
+      ASSERT_EQ(Out4[I], In4[I] / 9) << I;
+    }
+    Svc.drain();
+    EXPECT_EQ(inlineRuns(Prefix), 0u);
+    EXPECT_EQ(queueWaits(Prefix), 4u);
+    if (WorkersHeld) {
+      EXPECT_TRUE(F3Queued);
+      EXPECT_TRUE(F3Ready);
+      EXPECT_FALSE(F4Ready);
+      EXPECT_EQ(Helped, 1u);
+      // Job 3 recorded its queue wait like a worker-run job; job 4 has
+      // not been taken yet.
+      EXPECT_EQ(Waits, 3u);
+      EXPECT_EQ(helpedRuns(Prefix), 1u);
+      break;
+    }
+    ASSERT_LT(Attempt, 4) << "a long job kept finishing before job 4";
+  }
 }
 
 TEST(BatchService, SingleWorkerKeepsAShortJobBehindARunningOne) {
@@ -1389,8 +1515,9 @@ TEST(BatchService, ExportMetricsPublishesJobSeries) {
 
 TEST(BatchService, ConcurrentSubmittersMixInlineAndQueued) {
   // Four submitters on two workers: 1..64-lane jobs that may run on
-  // their caller, 16384-lane jobs that queue, and the Running count,
-  // the estimators and the counters shared between both paths.
+  // their caller, 16384-lane jobs that queue, submitters that run the
+  // queue's front while both workers are busy, and the Running and
+  // BusyWorkers counts and the counters shared between those paths.
   DividerRegistry R(smallOptions(4, 32));
   BatchService Svc(R, workerOptions(2));
   Svc.exportMetrics("gmdiv_test_batch_mix");
@@ -1455,9 +1582,11 @@ TEST(BatchService, ConcurrentSubmittersMixInlineAndQueued) {
             Submitted);
   const double Inline =
       Snap.valueOr("gmdiv_test_batch_mix_inline_total", {}, -1);
-  // Both paths ran: the first job always queues.
+  // Both paths ran: 16384-lane jobs never run inline.
   EXPECT_GT(Inline, 0.0);
   EXPECT_LT(Inline, Submitted);
+  // Every other job went through the queue.
+  EXPECT_EQ(double(queueWaits("gmdiv_test_batch_mix")), Submitted - Inline);
 }
 
 TEST(ServiceRegistry, MixedContentionStress) {
