@@ -15,10 +15,9 @@
 //     LKK) vs GM remainder-and-test vs hardware %. The committed
 //     baseline is the acceptance evidence that at least one successor
 //     family beats GM on at least one (op, width).
-//   * u64 quotient — only the full-word families are eligible on a
-//     64-bit host (fastmod/narrow would need 128-bit products; that is
-//     exactly what arch::selectFamily refuses), so the u64 rows are GM,
-//     roundup and hardware.
+//   * u64 quotient — only the full-word families run natively on a
+//     64-bit host (fastmod/narrow would need 128-bit products, LKK
+//     section 3), so the u64 rows are GM, roundup and hardware.
 //
 // Divisor 7 everywhere: odd, not a power of two, admits a word-sized
 // round-up multiplier — every family is on its general path.

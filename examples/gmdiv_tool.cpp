@@ -22,17 +22,6 @@
 //                                        dispatch report, self-check
 //                                        against Divider.h, throughput
 //                                        compare, break-even table.
-//   gmdiv_tool family <op> <width> <d> [target] [batch]
-//                                        cross-family auto-selection:
-//                                        price gm / fastmod / roundup /
-//                                        narrow / hwdiv for the op on a
-//                                        Table 1.1 target (default
-//                                        "MIPS R4000"), print each
-//                                        family's multiplier width and
-//                                        cycle estimate, the chosen
-//                                        family, and a live host
-//                                        cross-check of all families
-//                                        against hardware division.
 //   gmdiv_tool verify [--seconds S] [--seed X] [--full]
 //                                        differential verification: the
 //                                        exhaustive parameterized-N
@@ -93,11 +82,7 @@
 
 #include "arch/Arch.h"
 #include "arch/CostModel.h"
-#include "arch/FamilySelect.h"
 #include "arch/Target.h"
-#include "core/FastModDivider.h"
-#include "core/NarrowDivider.h"
-#include "core/RoundUpDivider.h"
 #include "batch/BatchDivider.h"
 #include "codegen/DivCodeGen.h"
 #include "core/Divider.h"
@@ -150,8 +135,6 @@ int usage(const char *Argv0) {
                "  %s asm <d> [32|64] [mips|sparc|alpha|power]\n"
                "  %s lower [width] [numargs]   (IR on stdin)\n"
                "  %s batch <d> [8|16|32|64] [u|s] [count]\n"
-               "  %s family <divide|rem|divrem|divisible> <8|16|32|64> <d> "
-               "[target-name] [batch-size]\n"
                "  %s verify [--seconds S] [--seed X] [--full]\n"
                "  %s verify --replay <repro-string>\n"
                "  %s bench-diff <old.json> <new.json> [--threshold F] "
@@ -170,7 +153,7 @@ int usage(const char *Argv0) {
                "  --profile=FILE        sampling profiler on; write "
                "collapsed stacks on exit\n",
                Argv0, Argv0, Argv0, Argv0, Argv0, Argv0, Argv0, Argv0,
-               Argv0, Argv0, Argv0, Argv0);
+               Argv0, Argv0, Argv0);
   return 1;
 }
 
@@ -439,109 +422,6 @@ uint64_t hammerService(size_t Threads, size_t KeyCount, size_t OpsPerThread,
   return Mismatches.load();
 }
 
-/// The `family` command body for one word type: print the cost-model
-/// scorecard selectFamily produced, then cross-check every family's
-/// actual divider against hardware division on a boundary-biased input
-/// set. Returns nonzero on any disagreement.
-template <typename UWord>
-int runFamily(arch::DivOp Op, UWord D, const arch::ArchProfile &Target,
-              uint64_t BatchSize) {
-  constexpr int N = WordTraits<UWord>::Bits;
-  const arch::FamilyChoice Choice =
-      arch::selectFamily(Op, N, static_cast<uint64_t>(D), Target, BatchSize);
-
-  std::printf("op=%s width=%d d=%llu target=\"%s\" (word=%d, mul=%.1f, "
-              "div=%.1f) batch=%llu\n",
-              arch::divOpName(Op), N, static_cast<unsigned long long>(D),
-              Target.Name.c_str(), Target.WordBits, Target.mulCycles(),
-              Target.divCycles(),
-              static_cast<unsigned long long>(BatchSize));
-  std::printf("%-8s %-6s %9s %9s %9s %9s\n", "family", "m.bits", "cyc/op",
-              "setup", "effective", "eligible");
-  for (const arch::FamilyCandidate &C : Choice.Candidates) {
-    if (C.Eligible)
-      std::printf("%-8s %-6d %9.1f %9.1f %9.1f %9s\n",
-                  arch::familyName(C.Fam), C.MultiplierBits, C.CyclesPerOp,
-                  C.SetupCycles, C.EffectiveCycles, "yes");
-    else
-      std::printf("%-8s %-6d %9s %9s %9s   no (%s)\n",
-                  arch::familyName(C.Fam), C.MultiplierBits, "-", "-", "-",
-                  C.Reason.c_str());
-  }
-  std::printf("chosen: %s\n", arch::familyName(Choice.Chosen));
-
-  // Live cross-check on the host: the portable implementations of all
-  // four multiplicative families against the hardware divide, over the
-  // same boundary-biased dividends the fuzzer favors.
-  const UnsignedDivider<UWord> GM(D);
-  const FastModDivider<UWord> FM(D);
-  const RoundUpDivider<UWord> RU(D);
-  const NarrowDivider<UWord> Nar(D);
-  std::printf("  gm:      %s\n", GM.describe().c_str());
-  std::printf("  fastmod: %s\n", FM.describe().c_str());
-  std::printf("  roundup: %s\n", RU.describe().c_str());
-  std::printf("  narrow:  %s\n", Nar.describe().c_str());
-
-  std::vector<UWord> Inputs;
-  const UWord MaxN = static_cast<UWord>(~static_cast<UWord>(0));
-  for (uint64_t Base :
-       {uint64_t{0}, uint64_t{1}, uint64_t{2}, static_cast<uint64_t>(D) - 1,
-        static_cast<uint64_t>(D), static_cast<uint64_t>(D) + 1,
-        2 * static_cast<uint64_t>(D) - 1, 2 * static_cast<uint64_t>(D),
-        static_cast<uint64_t>(MaxN) / 2, static_cast<uint64_t>(MaxN) - 1,
-        static_cast<uint64_t>(MaxN)})
-    Inputs.push_back(static_cast<UWord>(Base));
-  uint64_t X = 0x9e3779b97f4a7c15ull; // deterministic splitmix-style walk
-  for (int I = 0; I < 245; ++I) {
-    X ^= X >> 30;
-    X *= 0xbf58476d1ce4e5b9ull;
-    X ^= X >> 27;
-    Inputs.push_back(static_cast<UWord>(X));
-  }
-
-  uint64_t Checks = 0, Mismatches = 0;
-  for (UWord Numerator : Inputs) {
-    const UWord Q = static_cast<UWord>(Numerator / D);
-    const UWord R = static_cast<UWord>(Numerator % D);
-    const struct {
-      const char *Name;
-      UWord Quot;
-      UWord Rem;
-    } Rows[] = {
-        {"gm", GM.divide(Numerator), GM.remainder(Numerator)},
-        {"fastmod", FM.divide(Numerator), FM.remainder(Numerator)},
-        {"roundup", RU.divide(Numerator), RU.remainder(Numerator)},
-        {"narrow", Nar.divide(Numerator), Nar.remainder(Numerator)},
-    };
-    for (const auto &Row : Rows) {
-      ++Checks;
-      if (Row.Quot != Q || Row.Rem != R) {
-        ++Mismatches;
-        std::printf("MISMATCH %s: n=%llu d=%llu got q=%llu r=%llu want "
-                    "q=%llu r=%llu\n",
-                    Row.Name, static_cast<unsigned long long>(Numerator),
-                    static_cast<unsigned long long>(D),
-                    static_cast<unsigned long long>(Row.Quot),
-                    static_cast<unsigned long long>(Row.Rem),
-                    static_cast<unsigned long long>(Q),
-                    static_cast<unsigned long long>(R));
-      }
-    }
-    ++Checks;
-    if (FM.isDivisible(Numerator) != (R == static_cast<UWord>(0))) {
-      ++Mismatches;
-      std::printf("MISMATCH fastmod.isDivisible: n=%llu d=%llu\n",
-                  static_cast<unsigned long long>(Numerator),
-                  static_cast<unsigned long long>(D));
-    }
-  }
-  std::printf("cross-check: %llu checks, %llu mismatches%s\n",
-              static_cast<unsigned long long>(Checks),
-              static_cast<unsigned long long>(Mismatches),
-              Mismatches == 0 ? " (all families agree with hardware)" : "");
-  return Mismatches == 0 ? 0 : 1;
-}
-
 /// Command dispatch, after the global telemetry flags are stripped.
 int runCommand(int Argc, char **Argv) {
   if (Argc < 2)
@@ -657,49 +537,6 @@ int runCommand(int Argc, char **Argv) {
       return Kind == "s"
                  ? runBatch<int64_t>(D, Count)
                  : runBatch<uint64_t>(static_cast<uint64_t>(D), Count);
-    default:
-      return usage(Argv[0]);
-    }
-  }
-
-  if (Command == "family") {
-    if (Argc < 5)
-      return usage(Argv[0]);
-    arch::DivOp Op;
-    if (!arch::parseDivOp(Argv[2], Op))
-      return usage(Argv[0]);
-    const int Width = std::atoi(Argv[3]);
-    const uint64_t D = std::strtoull(Argv[4], nullptr, 0);
-    const std::string TargetName = Argc > 5 ? Argv[5] : "MIPS R4000";
-    // Default batch of 1000: the paper's setting is an *invariant*
-    // divisor, so precompute is amortized over many divisions. Pass an
-    // explicit batch of 1 to price a one-shot division.
-    const uint64_t Batch =
-        Argc > 6 ? std::strtoull(Argv[6], nullptr, 0) : 1000;
-    if (D == 0 || Batch == 0)
-      return usage(Argv[0]);
-    bool Known = false;
-    for (const arch::ArchProfile &P : arch::table11Profiles())
-      Known = Known || P.Name == TargetName;
-    if (!Known) {
-      std::fprintf(stderr, "unknown target \"%s\"; Table 1.1 names:\n",
-                   TargetName.c_str());
-      for (const arch::ArchProfile &P : arch::table11Profiles())
-        std::fprintf(stderr, "  %s\n", P.Name.c_str());
-      return 1;
-    }
-    const arch::ArchProfile &Target = arch::profileByName(TargetName);
-    switch (Width) {
-    case 8:
-      return runFamily<uint8_t>(Op, static_cast<uint8_t>(D), Target, Batch);
-    case 16:
-      return runFamily<uint16_t>(Op, static_cast<uint16_t>(D), Target,
-                                 Batch);
-    case 32:
-      return runFamily<uint32_t>(Op, static_cast<uint32_t>(D), Target,
-                                 Batch);
-    case 64:
-      return runFamily<uint64_t>(Op, D, Target, Batch);
     default:
       return usage(Argv[0]);
     }

@@ -7,7 +7,6 @@
 
 #include "arch/CostModel.h"
 
-#include "core/ChooseMultiplier.h"
 #include "ir/Scheduler.h"
 
 #include <algorithm>
@@ -232,60 +231,6 @@ BatchCost arch::estimateBatchCost(int WordBits, const ArchProfile &Profile,
 }
 
 BatchCost arch::estimateJitBatchCost(int WordBits, const ArchProfile &Profile,
-                                     int VectorBits, uint64_t Divisor) {
-  assert((WordBits == 32 || WordBits == 64) &&
-         "the specialized loop covers 32/64-bit lanes");
-  assert(VectorBits >= WordBits && "vector must hold at least one lane");
-  assert(Divisor != 0 && "divisor must be nonzero");
-
-  BatchCost Cost;
-  Cost.Lanes = VectorBits / WordBits;
-  Cost.ScalarCyclesPerElement =
-      Profile.mulCycles() + 4 * Profile.SimpleOpCycles;
-
-  // The MULUH emulation is the same even/odd widening-multiply dance
-  // the static kernels use; the specialized win is everything *around*
-  // it.
-  const int MulUHMuls = WordBits == 32 ? 2 : 4;
-  const int MulUHFixups = WordBits == 32 ? 4 : 7;
-
-  // Resolve the Figure 4.2 case analysis for this divisor: the
-  // per-element cost is the branch actually taken, not the worst case
-  // the divisor-agnostic kernels must carry.
-  int VectorMuls = 0;
-  int SimpleOps;
-  const bool Pow2 = (Divisor & (Divisor - 1)) == 0;
-  if (Pow2) {
-    SimpleOps = 1; // one vector shift, no multiply at all
-  } else {
-    bool FitsWord;
-    if (WordBits == 32) {
-      const MultiplierInfo<uint32_t> Info =
-          chooseMultiplier<uint32_t>(static_cast<uint32_t>(Divisor), 32);
-      FitsWord = Info.fitsInWord();
-    } else {
-      const MultiplierInfo<uint64_t> Info =
-          chooseMultiplier<uint64_t>(Divisor, 64);
-      FitsWord = Info.fitsInWord();
-    }
-    VectorMuls = MulUHMuls;
-    // Word-sized m: MULUH + SRL. Otherwise the full t1/sub/shift/add
-    // chain — still cheaper than the static kernel, which also loads
-    // and tests the state per call.
-    SimpleOps = MulUHFixups + (FitsWord ? 1 : 4);
-  }
-
-  if (Cost.Lanes == 1) {
-    Cost.VectorCyclesPerElement = Cost.ScalarCyclesPerElement;
-    return Cost;
-  }
-  const double PerVector =
-      VectorMuls * Profile.mulCycles() + SimpleOps * Profile.SimpleOpCycles;
-  Cost.VectorCyclesPerElement = PerVector / Cost.Lanes;
-  // Per call: constant materialization in the prologue (broadcasts),
-  // loop entry, and up to one partial vector finished by the static
-  // tail. No dispatch indirection — the entry point *is* the kernel.
-  Cost.SetupCycles = 3 * Profile.SimpleOpCycles +
-                     (Cost.Lanes / 2.0) * Cost.ScalarCyclesPerElement;
-  return Cost;
+                                     int VectorBits, uint64_t) {
+  return estimateBatchCost(WordBits, Profile, VectorBits);
 }

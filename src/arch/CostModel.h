@@ -103,15 +103,9 @@ struct BatchCost {
 BatchCost estimateBatchCost(int WordBits, const ArchProfile &Profile,
                             int VectorBits);
 
-/// Divisor-specialized pricing for a vector loop with the Figure 4.2
-/// case analysis resolved per divisor — a power of two is one vector
-/// shift, a word-sized multiplier skips the overflow fixup chain — and
-/// no per-element state loads or dispatch indirection. gmdiv has no
-/// such loop (its vector JIT was removed; the static kernels serve
-/// every array call); the model stays because the bench/e2e ledger
-/// still prices it (arch.jit_winner_agree). SetupCycles covers the
-/// per-call constant materialization and the scalar tail. Only valid
-/// for 32/64-bit lanes.
+/// The static kernels' price, whatever the divisor: gmdiv has no
+/// divisor-specialized vector loop (its vector JIT was removed). Kept
+/// only because the bench/e2e ledger still names it.
 BatchCost estimateJitBatchCost(int WordBits, const ArchProfile &Profile,
                                int VectorBits, uint64_t Divisor);
 

@@ -13,8 +13,6 @@
 
 #include "batch/BatchDivider.h"
 
-#include "metrics/Metrics.h"
-
 #include <cinttypes>
 #include <cstdio>
 
@@ -46,7 +44,6 @@ BatchDivider<T>::BatchDivider(T Divisor, Backend B)
     Kernels = tablesForBackend(Selected).template signedFor<T>();
   else
     Kernels = tablesForBackend(Selected).template unsignedFor<T>();
-  GMDIV_STAT_ADD(batch, dividers_constructed, 1);
   noteBackendSelected(Selected, SelectionSource::Divider);
 }
 

@@ -77,7 +77,9 @@ void remarkRuntimeCase(const char *Kind, const char *Figure,
 }
 
 /// MULL by a constant, expanded into shifts/adds when the options say the
-/// synthesis is cheaper than the machine's multiply.
+/// synthesis is cheaper than the machine's multiply. A power of two
+/// (1 included) is a left shift, emitted without materializing C: the
+/// Builder would strength-reduce the MULL anyway and leave C unused.
 int emitMulLConst(Builder &B, int X, uint64_t C, const GenOptions &Options) {
   const int W = B.wordBits();
   // The Bernstein planner only models the native machine widths; at the
@@ -88,6 +90,9 @@ int emitMulLConst(Builder &B, int X, uint64_t C, const GenOptions &Options) {
     GMDIV_STAT(codegen, mull_bernstein_expanded);
     return emitMulByConst(B, X, C);
   }
+  C &= B.wordMask();
+  if (C != 0 && (C & (C - 1)) == 0)
+    return B.sll(X, countTrailingZeros64(C), "multiply by constant");
   return B.mulL(X, B.constant(C), "multiply by constant");
 }
 
@@ -676,23 +681,29 @@ void emitDWordDivRemT(Builder &B, UWord D) {
                          "n_adj (underflow impossible)");
 
   // q1 = n2 + HIGH(m' * (n2 + n1) + n_adj): expand the udword add into
-  // low/carry form since the IR is single-word.
+  // low/carry form since the IR is single-word. HIGH(1 * x) is 0: when
+  // the constant factor is 1 (m' at d = 2^N - 1 here, d at d = 1 below)
+  // the high product is left out, not folded to a zero nothing reads.
   const int T1 = B.sub(N2, N1Mask, "n2 + n1");
-  const int ProdHi = B.mulUH(MConst, T1, "HIGH(m' * (n2 + n1))");
+  const int ProdHi =
+      MPrime == 1 ? -1 : B.mulUH(MConst, T1, "HIGH(m' * (n2 + n1))");
   const int ProdLo = B.mulL(MConst, T1, "LOW(m' * (n2 + n1))");
   const int SumLo = B.add(ProdLo, NAdj);
   const int Carry = B.sltU(SumLo, ProdLo, "carry of the low add");
-  const int Q1 = B.add(N2, B.add(ProdHi, Carry), "q1 (Lemma 8.1)");
+  const int Q1 = B.add(N2, ProdHi < 0 ? Carry : B.add(ProdHi, Carry),
+                       "q1 (Lemma 8.1)");
 
   // dr = n - q1*d - d = n + NOT(q1)*d - (d << N); only its sign (high
   // word: 0 or all ones) and low word are needed.
   const int NotQ1 = B.not_(Q1);
   const int DrLo0 = B.mulL(NotQ1, DConst, "LOW(NOT(q1) * d)");
-  const int DrHi0 = B.mulUH(NotQ1, DConst, "HIGH(NOT(q1) * d)");
+  const int DrHi0 =
+      D == 1 ? -1 : B.mulUH(NotQ1, DConst, "HIGH(NOT(q1) * d)");
   const int DrLo = B.add(NLo, DrLo0, "LOW(dr)");
   const int DrCarry = B.sltU(DrLo, DrLo0, "carry into HIGH(dr)");
-  const int DrHi = B.sub(B.add(B.add(NHi, DrHi0), DrCarry), DConst,
-                         "HIGH(dr): 0 if dr >= 0, else all ones");
+  const int DrHi =
+      B.sub(B.add(DrHi0 < 0 ? NHi : B.add(NHi, DrHi0), DrCarry), DConst,
+            "HIGH(dr): 0 if dr >= 0, else all ones");
 
   const int Q = B.add(B.add(Q1, B.constant(1)), DrHi,
                       "q: add 1 unless dr < 0");

@@ -20,10 +20,11 @@
 // The divisibility test is the family's headline: one multiply and one
 // compare, versus GM's multiply + shifts + multiply + compare. The
 // precondition is that 2N-bit products must be cheap — i.e. the operand
-// width is at most half the host word (LKK section 3). arch/FamilySelect.h
-// encodes that restriction; here the wide arithmetic is exact at every
-// width via the doubleword traits, so the verify harness can sweep the
-// family at N = 4..12 and 16/32/64 regardless of host.
+// width is at most half the host word (LKK section 3). Nothing here
+// enforces that: the wide arithmetic is exact at every width via the
+// doubleword traits (emulated where no host type is wide enough), so the
+// verify harness can sweep the family at N = 4..12 and 16/32/64
+// regardless of host.
 //
 //===----------------------------------------------------------------------===//
 

@@ -21,8 +21,8 @@
 // are Narrow32Divider / Narrow32SignedDivider; the template form lets
 // the verify harness sweep the same algorithm at N = 4..12 and 8/16.
 //
-// Like FastModDivider, the eligibility condition on real hardware is
-// 2N <= host word bits; arch/FamilySelect.h enforces it.
+// Like FastModDivider, it is cheap on real hardware only when 2N <= host
+// word bits; wider instantiations stay exact on emulated doublewords.
 //
 //===----------------------------------------------------------------------===//
 

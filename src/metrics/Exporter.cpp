@@ -162,21 +162,6 @@ void Exporter::stop() {
     std::fprintf(stderr, "gmdiv-metrics: %s\n", Error.c_str());
 }
 
-bool Exporter::writeNow(std::string *Error) {
-  Impl *I = impl();
-  std::string Path;
-  {
-    std::lock_guard<std::mutex> Lock(I->Mutex);
-    Path = I->Opts.Path;
-  }
-  if (Path.empty()) {
-    if (Error)
-      *Error = "exporter has no configured path";
-    return false;
-  }
-  return writeSnapshotFile(Path, Error);
-}
-
 bool Exporter::running() const {
   Impl *I = const_cast<Exporter *>(this)->impl();
   std::lock_guard<std::mutex> Lock(I->Mutex);

@@ -53,10 +53,6 @@ public:
   /// Stops the thread after one final write. Safe when never started.
   void stop();
 
-  /// One immediate snapshot write to the configured path (works with or
-  /// without the thread running, given a configured path).
-  bool writeNow(std::string *Error = nullptr);
-
   bool running() const;
   const std::string &path() const;
 

@@ -14,16 +14,6 @@
 namespace gmdiv {
 namespace service {
 
-const char *opKindName(OpKind Kind) {
-  switch (Kind) {
-  case OpKind::Unsigned:
-    return "udiv";
-  case OpKind::Signed:
-    return "sdiv";
-  }
-  return "?";
-}
-
 std::string Key::describe() const {
   std::ostringstream OS;
   OS << (Kind == OpKind::Signed ? 'i' : 'u') << int(WordBits) << '/';

@@ -96,8 +96,6 @@ enum class OpKind : uint8_t {
   Signed = 1,
 };
 
-const char *opKindName(OpKind Kind);
-
 /// (op-kind, width, divisor bit pattern). DivisorBits holds the
 /// divisor masked to WordBits — for signed kinds it is the two's
 /// complement pattern zero-extended to 64 bits.
@@ -111,11 +109,13 @@ struct Key {
            DivisorBits == Other.DivisorBits;
   }
 
-  /// True when the key can be admitted: a supported width, no stray
-  /// bits above it, and a nonzero divisor. (There is no "negative
-  /// caching" in the registry — invalid keys are rejected up front and
-  /// never occupy a slot.)
+  /// True when the key can be admitted: a named kind, a supported
+  /// width, no stray bits above it, and a nonzero divisor. (There is no
+  /// "negative caching" in the registry — invalid keys are rejected up
+  /// front and never occupy a slot.)
   bool valid() const {
+    if (Kind > OpKind::Signed)
+      return false;
     if (WordBits != 8 && WordBits != 16 && WordBits != 32 && WordBits != 64)
       return false;
     if (WordBits < 64 && (DivisorBits >> WordBits) != 0)

@@ -102,8 +102,6 @@ uint64_t trace::nextFlowId() {
   return NextFlow.fetch_add(1, std::memory_order_relaxed);
 }
 
-uint64_t trace::currentFlow() { return CurrentFlow; }
-
 FlowScope::FlowScope(uint64_t Flow) : Prev(CurrentFlow), Active(Flow != 0) {
   if (Active)
     CurrentFlow = Flow;

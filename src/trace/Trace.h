@@ -88,9 +88,6 @@ uint64_t nowNs();
 /// Allocates a fresh nonzero flow id (process-wide, wait-free).
 uint64_t nextFlowId();
 
-/// The calling thread's current flow id (0 outside any FlowScope).
-uint64_t currentFlow();
-
 /// RAII: spans recorded by this thread inside the scope carry \p Flow.
 /// Scopes nest; the previous flow is restored on exit. Passing 0 makes
 /// the scope inert (spans keep whatever flow was already current), so
@@ -129,7 +126,7 @@ private:
   const char *Category;
   const char *Name;
   uint64_t Arg;
-  uint64_t Flow; ///< currentFlow() at construction.
+  uint64_t Flow; ///< The thread's FlowScope id at construction.
   uint64_t StartNs;
   uint64_t StartTsc;
   bool Active;

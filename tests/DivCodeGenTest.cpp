@@ -17,6 +17,7 @@
 
 #include "codegen/DivCodeGen.h"
 
+#include "ir/AsmPrinter.h"
 #include "ir/Interp.h"
 #include "telemetry/Remarks.h"
 
@@ -24,6 +25,8 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
+#include <vector>
 
 using namespace gmdiv;
 using namespace gmdiv::codegen;
@@ -517,6 +520,86 @@ TEST(DivCodeGen, EveryEntryPointEmitsExactlyOneRemark) {
               .size(),
           1u)
           << "signed d=-" << D;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Emission quality: nothing dead, no zero-count shift.
+//===----------------------------------------------------------------------===//
+
+/// Empty when every instruction of \p P other than `arg` feeds a result
+/// and no shift or rotate has count 0; else the first offender.
+std::string firstWaste(const Program &P) {
+  std::vector<bool> Live(P.size(), false);
+  for (const int R : P.results())
+    Live[R] = true;
+  for (int I = P.size() - 1; I >= 0; --I) {
+    const Instr &In = P.instr(I);
+    if (In.Op != Opcode::Arg && !Live[I])
+      return "dead t" + std::to_string(I);
+    if ((In.Op == Opcode::Sll || In.Op == Opcode::Srl ||
+         In.Op == Opcode::Sra || In.Op == Opcode::Ror) &&
+        In.Imm == 0)
+      return "zero-count shift t" + std::to_string(I);
+    if (In.Lhs >= 0)
+      Live[In.Lhs] = true;
+    if (In.Rhs >= 0)
+      Live[In.Rhs] = true;
+  }
+  return "";
+}
+
+TEST(DivCodeGen, GeneratedSequencesCarryNoDeadValueOrZeroShift) {
+  // The Builder applies the §3 simplifications as it emits, so a
+  // generator must not leave behind what a cleanup pass would remove:
+  // e.g. a power-of-two d whose r = n - q*d multiply became a shift
+  // must not still materialize d. d = 3 at N = 32 (sh_post = 0) must
+  // not carry an SRA by zero.
+  struct Generated {
+    const char *Name;
+    int64_t D;
+    Program P;
+  };
+  for (const int W : {8, 16, 32, 64}) {
+    const uint64_t DMax = W == 8 ? 255 : 4096;
+    const auto SMax = static_cast<int64_t>(maskFor(W) >> 1);
+    for (uint64_t D = 1; D <= DMax; ++D) {
+      const auto S = static_cast<int64_t>(D);
+      std::vector<Generated> Ps;
+      Ps.push_back({"udiv", S, genUnsignedDiv(W, D)});
+      Ps.push_back({"udivrem", S, genUnsignedDivRem(W, D)});
+      Ps.push_back({"exactu", S, genExactUnsignedDiv(W, D)});
+      Ps.push_back({"divtestu", S, genDivisibilityTestUnsigned(W, D)});
+      Ps.push_back({"alverson", S, genUnsignedDivAlverson(W, D)});
+      Ps.push_back({"dword", S, genDWordDivRem(W, D)});
+      if (D > 1)
+        Ps.push_back({"remtestu", S, genRemainderTestUnsigned(W, D, D / 2)});
+      if (W < 64) {
+        Ps.push_back({"udiv-wide", S, genUnsignedDivWide(W, 64, D)});
+        Ps.push_back({"udivrem-wide", S, genUnsignedDivRemWide(W, 64, D)});
+      }
+      for (const int64_t SD : {S, -S}) {
+        if (SD > SMax || SD < -SMax - 1)
+          continue;
+        Ps.push_back({"sdiv", SD, genSignedDiv(W, SD)});
+        Ps.push_back({"sdivrem", SD, genSignedDivRem(W, SD)});
+        Ps.push_back({"exacts", SD, genExactSignedDiv(W, SD)});
+        Ps.push_back({"divtests", SD, genDivisibilityTestSigned(W, SD)});
+        if (W < 64)
+          Ps.push_back({"sdiv-wide", SD, genSignedDivWide(W, 64, SD)});
+        if (SD <= 0)
+          continue;
+        Ps.push_back({"floor", SD, genFloorDiv(W, SD)});
+        Ps.push_back({"floormod", SD, genFloorDivMod(W, SD)});
+        if ((SD & (SD - 1)) != 0)
+          Ps.push_back(
+              {"remtests", SD, genRemainderTestSigned(W, SD, SD / 2)});
+      }
+      for (const Generated &G : Ps)
+        ASSERT_EQ(firstWaste(G.P), "") << G.Name << " N=" << W << " d="
+                                       << G.D << "\n"
+                                       << formatProgram(G.P);
     }
   }
 }

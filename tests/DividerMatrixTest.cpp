@@ -320,9 +320,9 @@ TEST_P(Unsigned64DivisorMatrix, AllImplementationsAgree64) {
 
 TEST_P(Unsigned64DivisorMatrix, SuccessorFamiliesAgree64) {
   // At full 64-bit width fastmod and narrow run on the emulated 128-bit
-  // doubleword (the portable path arch::selectFamily refuses to *price*
-  // on a 64-bit target but the templates still prove correct), roundup
-  // on the native word. All three against the Oracle and Figure 4.1.
+  // doubleword (too slow to pay on a 64-bit host, LKK section 3, but the
+  // templates still prove correct), roundup on the native word. All
+  // three against the Oracle and Figure 4.1.
   const uint64_t D = GetParam();
   const verify::Oracle Ref(64, D, /*IsSigned=*/false);
   const UnsignedDivider<uint64_t> GM(D);

@@ -6,8 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the three successor divider families and the
-/// cross-family selector:
+/// Unit tests for the three successor divider families:
 ///
 ///   * FastModDivider (LKK direct remainder, arXiv:1902.01961) —
 ///     quotient/remainder/divisibility against hardware, signed
@@ -18,10 +17,6 @@
 ///     chosen shift.
 ///   * NarrowDivider (Mitsunari–Hoshino 32-on-64) — one-multiply
 ///     quotients, known multiplier values, signed wrapper.
-///   * arch::selectFamily — the cost-model extension, including the
-///     LKK section 3 refusal: fastmod/narrow must be rejected when the
-///     2N-bit product would not fit the target word, falling back to a
-///     full-width family.
 ///
 /// The exhaustive N = 16 sweeps live in Exhaustive16Test.cpp; the
 /// oracle-backed property sweeps at N = 4..12 plus fuzzing at 16/32/64
@@ -29,8 +24,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "arch/Arch.h"
-#include "arch/FamilySelect.h"
 #include "core/Divider.h"
 #include "core/FastModDivider.h"
 #include "core/NarrowDivider.h"
@@ -347,153 +340,6 @@ TEST(NarrowSignedDivider, SignCombinationsAndIntMin) {
       ASSERT_EQ(Div.remainder(N), N % D) << "d=" << D << " n=" << N;
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// arch::selectFamily
-//===----------------------------------------------------------------------===//
-
-TEST(FamilySelect, DivisibilityOnlyPicksFastMod) {
-  // LKK's headline: on a 64-bit machine, u32 divisibility is one
-  // multiply + one compare — cheaper than any quotient-based test.
-  const arch::ArchProfile &R4000 = arch::profileByName("MIPS R4000");
-  const arch::FamilyChoice C = arch::selectFamily(
-      arch::DivOp::Divisibility, 32, 7, R4000, /*BatchSize=*/1000);
-  EXPECT_EQ(C.Chosen, arch::Family::FastMod);
-  EXPECT_TRUE(C.chosen().Eligible);
-  EXPECT_LT(C.chosen().EffectiveCycles,
-            C.candidate(arch::Family::GM).EffectiveCycles);
-}
-
-TEST(FamilySelect, Narrow32On64PicksNarrowForQuotients) {
-  const arch::ArchProfile &Alpha = arch::profileByName("DEC Alpha 21064");
-  const arch::FamilyChoice C = arch::selectFamily(
-      arch::DivOp::Divide, 32, 10, Alpha, /*BatchSize=*/1000);
-  EXPECT_EQ(C.Chosen, arch::Family::Narrow);
-}
-
-TEST(FamilySelect, RefusesFastModWhenRemainderWidthExceedsHostWord) {
-  // The LKK section 3 precondition: at full width the 2N-bit fraction
-  // does not fit a register, so fastmod/narrow must be refused and the
-  // selector must fall back to a full-width family — GM here.
-  const arch::ArchProfile &R4000 = arch::profileByName("MIPS R4000");
-  ASSERT_EQ(R4000.WordBits, 64);
-  const arch::FamilyChoice C = arch::selectFamily(
-      arch::DivOp::Divisibility, 64, 10, R4000, /*BatchSize=*/1000);
-  const arch::FamilyCandidate &FM = C.candidate(arch::Family::FastMod);
-  EXPECT_FALSE(FM.Eligible);
-  EXPECT_NE(FM.Reason.find("LKK"), std::string::npos) << FM.Reason;
-  EXPECT_FALSE(C.candidate(arch::Family::Narrow).Eligible);
-  EXPECT_EQ(C.Chosen, arch::Family::GM);
-  EXPECT_TRUE(C.chosen().Eligible);
-}
-
-TEST(FamilySelect, SameRefusalAtHalfOfA32BitWord) {
-  // 32-on-64 works; 32-on-32 must not: the rule is 2N <= word, not a
-  // special case for 64-bit hosts.
-  const arch::ArchProfile &Pentium = arch::profileByName("Intel Pentium");
-  ASSERT_EQ(Pentium.WordBits, 32);
-  const arch::FamilyChoice Refused = arch::selectFamily(
-      arch::DivOp::Divisibility, 32, 7, Pentium, /*BatchSize=*/1000);
-  EXPECT_FALSE(Refused.candidate(arch::Family::FastMod).Eligible);
-  const arch::FamilyChoice Allowed = arch::selectFamily(
-      arch::DivOp::Divisibility, 16, 7, Pentium, /*BatchSize=*/1000);
-  EXPECT_TRUE(Allowed.candidate(arch::Family::FastMod).Eligible);
-  EXPECT_EQ(Allowed.Chosen, arch::Family::FastMod);
-}
-
-TEST(FamilySelect, OneShotDivisionPrefersHardwareDivide) {
-  // BatchSize = 1: no amortization, so the multiplicative families pay
-  // their full precompute and the hardware divide wins.
-  const arch::ArchProfile &R4000 = arch::profileByName("MIPS R4000");
-  const arch::FamilyChoice C =
-      arch::selectFamily(arch::DivOp::Divide, 32, 7, R4000, /*BatchSize=*/1);
-  EXPECT_EQ(C.Chosen, arch::Family::HardwareDiv);
-  EXPECT_EQ(C.chosen().SetupCycles, 0.0);
-}
-
-TEST(FamilySelect, PowerOfTwoPicksAShiftFamily) {
-  const arch::ArchProfile &R4000 = arch::profileByName("MIPS R4000");
-  const arch::FamilyChoice C = arch::selectFamily(
-      arch::DivOp::Divide, 32, 8, R4000, /*BatchSize=*/1000);
-  // GM and roundup both reduce to a plain shift; the tie breaks to GM.
-  EXPECT_EQ(C.Chosen, arch::Family::GM);
-  EXPECT_EQ(C.chosen().MultiplierBits, 0);
-}
-
-TEST(FamilySelect, NoHardwareDivideMeansHwdivIneligible) {
-  arch::ArchProfile NoDiv = arch::profileByName("MIPS R4000");
-  NoDiv.HasDivide = false;
-  const arch::FamilyChoice C =
-      arch::selectFamily(arch::DivOp::Divide, 32, 7, NoDiv, /*BatchSize=*/1);
-  EXPECT_FALSE(C.candidate(arch::Family::HardwareDiv).Eligible);
-  EXPECT_NE(C.Chosen, arch::Family::HardwareDiv);
-}
-
-TEST(FamilySelect, NothingEligibleFallsBackToGM) {
-  // A 64-bit operand on a 32-bit machine: every family is refused (the
-  // codegen layer handles this via the wide sequences instead); the
-  // selector still answers with the portable reference.
-  const arch::ArchProfile &Pentium = arch::profileByName("Intel Pentium");
-  const arch::FamilyChoice C = arch::selectFamily(
-      arch::DivOp::Divide, 64, 7, Pentium, /*BatchSize=*/1000);
-  for (const arch::FamilyCandidate &Cand : C.Candidates)
-    EXPECT_FALSE(Cand.Eligible) << arch::familyName(Cand.Fam);
-  EXPECT_EQ(C.Chosen, arch::Family::GM);
-}
-
-TEST(FamilySelect, SignedSurchargeFlipsRoundUpToGM) {
-  // Signed pricing: GM runs its native Figure 5.2 sequence (+2 simple
-  // ops over unsigned), while roundup divides magnitudes behind the
-  // RoundUpSignedDivider wrapper (+5). At 64-bit d=7 the unsigned
-  // winner is roundup by a hair; the wrapper surcharge hands the
-  // signed call site back to GM.
-  const arch::ArchProfile &R4000 = arch::profileByName("MIPS R4000");
-  const arch::FamilyChoice U = arch::selectFamily(
-      arch::DivOp::Divide, 64, 7, R4000, /*BatchSize=*/1000);
-  EXPECT_EQ(U.Chosen, arch::Family::RoundUp);
-  const arch::FamilyChoice S =
-      arch::selectFamily(arch::DivOp::Divide, 64, 7, R4000,
-                         /*BatchSize=*/1000, /*SignedOperands=*/true);
-  EXPECT_EQ(S.Chosen, arch::Family::GM);
-  // The surcharge prices the wrapper, it does not disqualify it.
-  EXPECT_TRUE(S.candidate(arch::Family::RoundUp).Eligible);
-  EXPECT_LT(S.candidate(arch::Family::GM).EffectiveCycles,
-            S.candidate(arch::Family::RoundUp).EffectiveCycles);
-
-  // Not a blanket penalty: at 32-bit the narrow family's one-multiply
-  // quotient absorbs the wrapper cost and keeps the win.
-  const arch::FamilyChoice S32 =
-      arch::selectFamily(arch::DivOp::Divide, 32, 7, R4000,
-                         /*BatchSize=*/1000, /*SignedOperands=*/true);
-  EXPECT_EQ(S32.Chosen, arch::Family::Narrow);
-}
-
-TEST(FamilySelect, SignedDivisorBitPatternUsesMagnitude) {
-  // A negative divisor arrives as its N-bit two's-complement pattern;
-  // the selector must price |d|, not the giant unsigned value.
-  const arch::ArchProfile &R4000 = arch::profileByName("MIPS R4000");
-  const uint64_t Neg7 = static_cast<uint32_t>(-7);
-  const arch::FamilyChoice S =
-      arch::selectFamily(arch::DivOp::Divide, 32, Neg7, R4000,
-                         /*BatchSize=*/1000, /*SignedOperands=*/true);
-  EXPECT_TRUE(S.chosen().Eligible);
-  const arch::FamilyChoice Pos =
-      arch::selectFamily(arch::DivOp::Divide, 32, 7, R4000,
-                         /*BatchSize=*/1000, /*SignedOperands=*/true);
-  EXPECT_EQ(S.Chosen, Pos.Chosen);
-  EXPECT_DOUBLE_EQ(S.chosen().EffectiveCycles, Pos.chosen().EffectiveCycles);
-}
-
-TEST(FamilySelect, NamesAndParsing) {
-  EXPECT_STREQ(arch::familyName(arch::Family::FastMod), "fastmod");
-  EXPECT_STREQ(arch::divOpName(arch::DivOp::Divisibility), "divisible");
-  arch::DivOp Op;
-  EXPECT_TRUE(arch::parseDivOp("divisible", Op));
-  EXPECT_EQ(Op, arch::DivOp::Divisibility);
-  EXPECT_TRUE(arch::parseDivOp("divrem", Op));
-  EXPECT_EQ(Op, arch::DivOp::DivRem);
-  EXPECT_FALSE(arch::parseDivOp("frobnicate", Op));
 }
 
 } // namespace

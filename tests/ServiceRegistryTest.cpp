@@ -109,6 +109,10 @@ TEST(ServiceKey, ValidRejectsZeroBadWidthAndStrayBits) {
   EXPECT_TRUE((Key{OpKind::Unsigned, 64, ~0ull}).valid());
   // INT_MIN-magnitude divisor is admissible (SignedDivider accepts it).
   EXPECT_TRUE(keyFor<int8_t>(int8_t(-128)).valid());
+  // A kind byte that names neither kind: admitting it would describe
+  // the key as u32/7 but divide it as i32.
+  EXPECT_FALSE((Key{static_cast<OpKind>(2), 32, 7}).valid());
+  EXPECT_FALSE((Key{static_cast<OpKind>(0xFF), 32, 7}).valid());
 }
 
 TEST(ServiceRegistry, InvalidKeysAreRejectedNotCached) {
