@@ -87,12 +87,16 @@ template <typename T> void BM_ScalarDividerLoop(benchmark::State &State) {
 // Batch kernels, one benchmark per (operation, backend, lane width)
 //===----------------------------------------------------------------------===//
 
-template <typename T, Backend B> void BM_BatchDivide(benchmark::State &State) {
+// The divisor defaults to 7, whose unsigned shape is Figure 4.1's long
+// form at every width; 10 (m < 2^N) and 14 (pre-shift) reach the other
+// two Figure 4.2 shapes.
+template <typename T, Backend B, unsigned D = 7>
+void BM_BatchDivide(benchmark::State &State) {
   if (!backendAvailable(B)) {
     State.SkipWithError("backend unavailable on this CPU");
     return;
   }
-  const BatchDivider<T> Div(static_cast<T>(7), B);
+  const BatchDivider<T> Div(static_cast<T>(D), B);
   const size_t N = static_cast<size_t>(State.range(0));
   const std::vector<T> In = makeData<T>(N);
   std::vector<T> Out(N);
@@ -103,6 +107,56 @@ template <typename T, Backend B> void BM_BatchDivide(benchmark::State &State) {
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(N));
+}
+
+template <typename T, Backend B, unsigned D>
+void BM_BatchRemainder(benchmark::State &State) {
+  if (!backendAvailable(B)) {
+    State.SkipWithError("backend unavailable on this CPU");
+    return;
+  }
+  const BatchDivider<T> Div(static_cast<T>(D), B);
+  const size_t N = static_cast<size_t>(State.range(0));
+  const std::vector<T> In = makeData<T>(N);
+  std::vector<T> Out(N);
+  for (auto _ : State) {
+    Div.remainder(In.data(), Out.data(), N);
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(N));
+}
+
+/// One 256-lane u64 remainder per call, cycling over 512 divisors whose
+/// bit length is uniform in [2, 64] (as bench/e2e's churn workload draws
+/// them), so every Figure 4.2 shape and both two-product forms occur in
+/// their natural mix.
+template <Backend B> void BM_BatchRemainderMixed64(benchmark::State &State) {
+  if (!backendAvailable(B)) {
+    State.SkipWithError("backend unavailable on this CPU");
+    return;
+  }
+  constexpr size_t Lanes = 256, Divisors = 512;
+  std::vector<BatchDivider<uint64_t>> Divs;
+  Divs.reserve(Divisors);
+  const std::vector<uint64_t> Bits = makeData<uint64_t>(2 * Divisors);
+  for (size_t I = 0; I < Divisors; ++I) {
+    const int Length = 2 + static_cast<int>(Bits[2 * I] % 63);
+    const uint64_t Top = uint64_t{1} << (Length - 1);
+    Divs.emplace_back(Top | (Bits[2 * I + 1] & (Top - 1)), B);
+  }
+  const std::vector<uint64_t> In = makeData<uint64_t>(Lanes);
+  std::vector<uint64_t> Out(Lanes);
+  size_t Next = 0;
+  for (auto _ : State) {
+    Divs[Next].remainder(In.data(), Out.data(), Lanes);
+    Next = (Next + 1) % Divisors;
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Lanes));
 }
 
 template <typename T, Backend B> void BM_BatchDivRem(benchmark::State &State) {
@@ -162,10 +216,12 @@ BENCHMARK_TEMPLATE(BM_ScalarDividerLoop, int32_t)->GMDIV_BATCH_RANGE();
 
 // Batch divide: every lane width on every backend. Unavailable backends
 // report a skip, so the JSON records what this machine could run.
-#define GMDIV_BENCH_ALL_BACKENDS(OP, T)                                      \
-  BENCHMARK_TEMPLATE(OP, T, Backend::Scalar)->GMDIV_BATCH_RANGE();           \
-  BENCHMARK_TEMPLATE(OP, T, Backend::SSE2)->GMDIV_BATCH_RANGE();             \
-  BENCHMARK_TEMPLATE(OP, T, Backend::AVX2)->GMDIV_BATCH_RANGE()
+#define GMDIV_BENCH_ALL_BACKENDS(OP, T, ...)                                 \
+  BENCHMARK_TEMPLATE(OP, T, Backend::Scalar, ##__VA_ARGS__)                  \
+      ->GMDIV_BATCH_RANGE();                                                 \
+  BENCHMARK_TEMPLATE(OP, T, Backend::SSE2, ##__VA_ARGS__)                    \
+      ->GMDIV_BATCH_RANGE();                                                 \
+  BENCHMARK_TEMPLATE(OP, T, Backend::AVX2, ##__VA_ARGS__)->GMDIV_BATCH_RANGE()
 
 GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivide, uint8_t);
 GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivide, uint16_t);
@@ -181,6 +237,22 @@ GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivRem, uint32_t);
 GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivRem, int32_t);
 GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivisible, uint32_t);
 GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivisible, uint64_t);
+
+// The other two unsigned shapes (7 above is the long form): divide and
+// remainder at d = 10 (m < 2^N) and d = 14 (pre-shift).
+#define GMDIV_BENCH_SHAPE(T, D)                                              \
+  GMDIV_BENCH_ALL_BACKENDS(BM_BatchDivide, T, D);                            \
+  GMDIV_BENCH_ALL_BACKENDS(BM_BatchRemainder, T, D)
+
+GMDIV_BENCH_SHAPE(uint32_t, 10);
+GMDIV_BENCH_SHAPE(uint32_t, 14);
+GMDIV_BENCH_SHAPE(uint64_t, 10);
+GMDIV_BENCH_SHAPE(uint64_t, 14);
+
+// churn's call: a 256-lane u64 remainder, a different divisor each time.
+BENCHMARK_TEMPLATE(BM_BatchRemainderMixed64, Backend::Scalar);
+BENCHMARK_TEMPLATE(BM_BatchRemainderMixed64, Backend::SSE2);
+BENCHMARK_TEMPLATE(BM_BatchRemainderMixed64, Backend::AVX2);
 
 } // namespace
 

@@ -37,13 +37,25 @@ template <typename T> const char *laneName() {
 
 } // namespace
 
+const char *unsignedShapeName(UnsignedShape S) {
+  switch (S) {
+  case UnsignedShape::Fits:
+    return "fits";
+  case UnsignedShape::PreShift:
+    return "pre-shift";
+  case UnsignedShape::Long:
+    return "long";
+  }
+  return "long";
+}
+
 template <typename T>
 BatchDivider<T>::BatchDivider(T Divisor, Backend B)
     : State(Divisor), Selected(backendAvailable(B) ? B : Backend::Scalar) {
   if constexpr (IsSigned)
     Kernels = tablesForBackend(Selected).template signedFor<T>();
   else
-    Kernels = tablesForBackend(Selected).template unsignedFor<T>();
+    Kernels = tablesForBackend(Selected).template unsignedFor<T>(State.Shape);
   noteBackendSelected(Selected, SelectionSource::Divider);
 }
 
@@ -52,7 +64,7 @@ BatchDivider<T>::BatchDivider(T Divisor)
     : BatchDivider(Divisor, activeBackend()) {}
 
 template <typename T> std::string BatchDivider<T>::describe() const {
-  char Buf[192];
+  char Buf[320];
   if constexpr (IsSigned) {
     std::snprintf(Buf, sizeof(Buf),
                   "%s d=%" PRId64 ": backend=%s, m'=0x%" PRIx64
@@ -63,13 +75,21 @@ template <typename T> std::string BatchDivider<T>::describe() const {
                   State.Div.postShift(),
                   static_cast<int>(State.Div.divisorSign()));
   } else {
+    const char *Qd = "";
+    if constexpr (sizeof(T) == 8)
+      Qd = State.CrossShift == 0 ? ", qd=2mul(q<2^32)" : ", qd=2mul(d<2^32)";
     std::snprintf(Buf, sizeof(Buf),
-                  "%s d=%" PRIu64 ": backend=%s, m'=0x%" PRIx64
+                  "%s d=%" PRIu64 ": backend=%s, shape=%s%s m=0x%" PRIx64
+                  " pre=%d post=%d%s, m'=0x%" PRIx64
                   ", sh1=%d, sh2=%d, inverse=0x%" PRIx64 ", qmax=%" PRIu64
                   ", e=%d",
                   laneName<T>(), static_cast<uint64_t>(State.Div.divisor()),
-                  backendName(Selected),
-                  static_cast<uint64_t>(State.Div.magic()),
+                  backendName(Selected), unsignedShapeName(State.Shape),
+                  isPowerOf2(State.Div.divisor()) && State.Div.divisor() > 1
+                      ? " (power of two)"
+                      : "",
+                  static_cast<uint64_t>(State.Magic), State.Pre, State.Post,
+                  Qd, static_cast<uint64_t>(State.Div.magic()),
                   State.Div.preShift(), State.Div.postShift(),
                   static_cast<uint64_t>(State.Exact.inverse()),
                   static_cast<uint64_t>(State.Exact.maxQuotient()),

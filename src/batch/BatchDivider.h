@@ -19,8 +19,10 @@
 ///
 /// A BatchDivider holds one precomputed object per divisor: the core
 /// UnsignedDivider (plus ExactUnsignedDivider for §9) or SignedDivider.
-/// The vector bodies broadcast its m' and shift counts, every scalar
-/// tail calls it, and scalar() hands it to callers that divide one
+/// An unsigned one also resolves Figure 4.2's case split (m < 2^N,
+/// pre-shift, or Figure 4.1's long form) from that m' at construction
+/// and binds the vector loops of that shape. Every scalar tail calls the
+/// core divider, and scalar() hands it to callers that divide one
 /// element at a time.
 ///
 /// The per-lane MULUH uses widening multiplies: even/odd
@@ -155,7 +157,9 @@ public:
     Kernels.CeilDivide(State, In, Out, Count);
   }
 
-  /// Human-readable one-liner: divisor, backend, Figure 4.1/5.1 state.
+  /// Human-readable one-liner: divisor, backend, Figure 4.1/5.1 state;
+  /// for unsigned lanes also the Figure 4.2 shape with its multiplier
+  /// and shifts, and for 64-bit lanes which two products form q·d.
   std::string describe() const;
 
 private:

@@ -113,10 +113,12 @@ void roundDivideS(const SignedBatchState<T> &S, const T *In, T *Out,
     Out[I] = roundDivideOne<Round>(S.Div, In[I]);
 }
 
-template <typename T> constexpr UnsignedKernels<T> makeUnsigned() {
+/// Every shape runs the core divider's Figure 4.1 loop.
+template <typename T> constexpr UnsignedShapeKernels<T> makeUnsigned() {
   using S = UnsignedBatchState<T>;
-  return {divideLoop<S, T>, remainderLoop<S, T>, divRemLoop<S, T>,
-          divisibleU<T>};
+  constexpr UnsignedKernels<T> Loops = {divideLoop<S, T>, remainderLoop<S, T>,
+                                        divRemLoop<S, T>, divisibleU<T>};
+  return {Loops, Loops, Loops};
 }
 template <typename T> constexpr SignedKernels<T> makeSigned() {
   using S = SignedBatchState<T>;

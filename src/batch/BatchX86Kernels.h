@@ -20,6 +20,12 @@
 /// suffice everywhere; 8-bit shifts are emulated with 16-bit shifts
 /// plus byte masks.
 ///
+/// Unsigned lanes get one divide/remainder/divRem loop per Figure 4.2
+/// shape (UnsignedShape), so the case split is resolved when the divisor
+/// is admitted, not per call. Their 64-bit remainder forms q·d from two
+/// mul_epu32 partial products, not MULL's three. Signed lanes run
+/// Figure 5.1 for every divisor.
+///
 /// Only included by the backend TUs; everything is internal.
 ///
 //===----------------------------------------------------------------------===//
@@ -259,16 +265,56 @@ template <class Ops> struct Vec {
 // Vector bodies of the paper sequences
 //===----------------------------------------------------------------------===//
 
-/// Figure 4.1 on one vector: q = SRL(t1 + SRL(n - t1, sh1), sh2).
-template <class Ops, typename T>
-inline typename Ops::V divVecU(const UnsignedDivider<T> &Div,
-                               typename Ops::V X, typename Ops::V MB) {
+/// One divisor's unsigned shape constants, broadcast once per array
+/// call.
+template <class Ops, typename T> struct UnsignedBroadcast {
+  explicit UnsignedBroadcast(const UnsignedBatchState<T> &S)
+      : MB(Vec<Ops>::template set1<T>(S.Magic)), Pre(S.Pre), Post(S.Post),
+        DB(Vec<Ops>::template set1<T>(S.Div.divisor())),
+        CrossShift(S.CrossShift),
+        CrossB(Vec<Ops>::template set1<T>(S.CrossFactor)) {}
+  typename Ops::V MB;
+  int Pre;
+  int Post;
+  typename Ops::V DB;
+  int CrossShift;
+  typename Ops::V CrossB;
+};
+
+/// Figure 4.2's quotient on one vector, for the divisor's shape.
+template <class Ops, typename T, UnsignedShape Shape>
+inline typename Ops::V divVecU(const UnsignedBroadcast<Ops, T> &B,
+                               typename Ops::V X) {
   using W = Vec<Ops>;
-  const auto T1 = W::template muluh<T>(X, MB);
-  const auto Diff = W::template sub<T>(X, T1);
-  const auto Sum =
-      W::template add<T>(T1, W::template srl<T>(Diff, Div.preShift()));
-  return W::template srl<T>(Sum, Div.postShift());
+  if constexpr (Shape == UnsignedShape::Fits) {
+    return W::template srl<T>(W::template muluh<T>(X, B.MB), B.Post);
+  } else if constexpr (Shape == UnsignedShape::PreShift) {
+    const auto Shifted = W::template srl<T>(X, B.Pre);
+    return W::template srl<T>(W::template muluh<T>(Shifted, B.MB), B.Post);
+  } else {
+    // Figure 4.1: q = SRL(t1 + SRL(n - t1, sh1), sh2).
+    const auto T1 = W::template muluh<T>(X, B.MB);
+    const auto Diff = W::template sub<T>(X, T1);
+    const auto Sum = W::template add<T>(T1, W::template srl<T>(Diff, B.Pre));
+    return W::template srl<T>(Sum, B.Post);
+  }
+}
+
+/// n - q·d on one vector. On 64-bit lanes q·d takes two 32x32
+/// products, not MULL's three: one of q_hi·d_lo and q_lo·d_hi is zero
+/// for every lane (see UnsignedBatchState::CrossShift).
+template <class Ops, typename T>
+inline typename Ops::V remVecU(const UnsignedBroadcast<Ops, T> &B,
+                               typename Ops::V X, typename Ops::V Q) {
+  using W = Vec<Ops>;
+  if constexpr (sizeof(T) == 8) {
+    const auto Cross =
+        Ops::mul_epu32(Ops::srl64(Q, B.CrossShift), B.CrossB);
+    return Ops::sub64(
+        X, Ops::add64(Ops::mul_epu32(Q, B.DB), Ops::sll64(Cross, 32)));
+  } else {
+    return W::template sub<T>(X, W::template mullo<T>(Q, B.DB));
+  }
 }
 
 /// The Figure 5.1 constants of one SignedDivider, broadcast once per
@@ -303,51 +349,44 @@ inline typename Ops::V divVecS(const SignedBroadcast<Ops, T> &B,
 // Array kernels (vector body + scalar tail on the core divider)
 //===----------------------------------------------------------------------===//
 
-template <class Ops, typename T>
+template <class Ops, typename T, UnsignedShape Shape>
 void divideSimdU(const UnsignedBatchState<T> &S, const T *In, T *Out,
                  size_t Count) {
-  using W = Vec<Ops>;
-  constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(S.Div.magic());
+  constexpr size_t L = Vec<Ops>::template lanes<T>();
+  const UnsignedBroadcast<Ops, T> B(S);
   size_t I = 0;
   for (; I + L <= Count; I += L)
-    Ops::store(Out + I, divVecU<Ops, T>(S.Div, Ops::load(In + I), MB));
+    Ops::store(Out + I, divVecU<Ops, T, Shape>(B, Ops::load(In + I)));
   for (; I < Count; ++I)
     Out[I] = S.Div.divide(In[I]);
 }
 
-template <class Ops, typename T>
+template <class Ops, typename T, UnsignedShape Shape>
 void remainderSimdU(const UnsignedBatchState<T> &S, const T *In, T *Out,
                     size_t Count) {
-  using W = Vec<Ops>;
-  constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(S.Div.magic());
-  const auto DB = W::template set1<T>(S.Div.divisor());
+  constexpr size_t L = Vec<Ops>::template lanes<T>();
+  const UnsignedBroadcast<Ops, T> B(S);
   size_t I = 0;
   for (; I + L <= Count; I += L) {
     const auto X = Ops::load(In + I);
-    const auto Q = divVecU<Ops, T>(S.Div, X, MB);
     Ops::store(Out + I,
-               W::template sub<T>(X, W::template mullo<T>(Q, DB)));
+               remVecU<Ops, T>(B, X, divVecU<Ops, T, Shape>(B, X)));
   }
   for (; I < Count; ++I)
     Out[I] = S.Div.remainder(In[I]);
 }
 
-template <class Ops, typename T>
+template <class Ops, typename T, UnsignedShape Shape>
 void divRemSimdU(const UnsignedBatchState<T> &S, const T *In, T *Quot,
                  T *Rem, size_t Count) {
-  using W = Vec<Ops>;
-  constexpr size_t L = W::template lanes<T>();
-  const auto MB = W::template set1<T>(S.Div.magic());
-  const auto DB = W::template set1<T>(S.Div.divisor());
+  constexpr size_t L = Vec<Ops>::template lanes<T>();
+  const UnsignedBroadcast<Ops, T> B(S);
   size_t I = 0;
   for (; I + L <= Count; I += L) {
     const auto X = Ops::load(In + I);
-    const auto Q = divVecU<Ops, T>(S.Div, X, MB);
+    const auto Q = divVecU<Ops, T, Shape>(B, X);
     Ops::store(Quot + I, Q);
-    Ops::store(Rem + I,
-               W::template sub<T>(X, W::template mullo<T>(Q, DB)));
+    Ops::store(Rem + I, remVecU<Ops, T>(B, X, Q));
   }
   for (; I < Count; ++I)
     std::tie(Quot[I], Rem[I]) = S.Div.divRem(In[I]);
@@ -461,17 +500,32 @@ void roundDivSimdS(const SignedBatchState<T> &S, const T *In, T *Out,
     Out[I] = roundDivideOne<Round>(S.Div, In[I]);
 }
 
+/// One unsigned lane type's loops for every shape, with a shared
+/// divisibility filter.
+template <class Ops, typename T>
+UnsignedShapeKernels<T>
+makeUnsigned(void (*Divisible)(const UnsignedBatchState<T> &, const T *,
+                               uint8_t *, size_t)) {
+  using Shape = UnsignedShape;
+  return {{{divideSimdU<Ops, T, Shape::Fits>,
+            remainderSimdU<Ops, T, Shape::Fits>,
+            divRemSimdU<Ops, T, Shape::Fits>, Divisible},
+           {divideSimdU<Ops, T, Shape::PreShift>,
+            remainderSimdU<Ops, T, Shape::PreShift>,
+            divRemSimdU<Ops, T, Shape::PreShift>, Divisible},
+           {divideSimdU<Ops, T, Shape::Long>,
+            remainderSimdU<Ops, T, Shape::Long>,
+            divRemSimdU<Ops, T, Shape::Long>, Divisible}}};
+}
+
 /// Builds the full table for one VecOps instantiation.
 template <class Ops> KernelTables makeTables() {
   KernelTables Tables;
-  Tables.U8 = {divideSimdU<Ops, uint8_t>, remainderSimdU<Ops, uint8_t>,
-               divRemSimdU<Ops, uint8_t>, divisibleSimdU<Ops, uint8_t>};
-  Tables.U16 = {divideSimdU<Ops, uint16_t>, remainderSimdU<Ops, uint16_t>,
-                divRemSimdU<Ops, uint16_t>, divisibleSimdU<Ops, uint16_t>};
-  Tables.U32 = {divideSimdU<Ops, uint32_t>, remainderSimdU<Ops, uint32_t>,
-                divRemSimdU<Ops, uint32_t>, divisibleSimdU<Ops, uint32_t>};
-  Tables.U64 = {divideSimdU<Ops, uint64_t>, remainderSimdU<Ops, uint64_t>,
-                divRemSimdU<Ops, uint64_t>, scalarKernels().U64.Divisible};
+  Tables.U8 = makeUnsigned<Ops, uint8_t>(divisibleSimdU<Ops, uint8_t>);
+  Tables.U16 = makeUnsigned<Ops, uint16_t>(divisibleSimdU<Ops, uint16_t>);
+  Tables.U32 = makeUnsigned<Ops, uint32_t>(divisibleSimdU<Ops, uint32_t>);
+  Tables.U64 = makeUnsigned<Ops, uint64_t>(
+      scalarKernels().U64[0].Divisible);
   Tables.S8 = {divideSimdS<Ops, int8_t>, remainderSimdS<Ops, int8_t>,
                divRemSimdS<Ops, int8_t>, roundDivSimdS<Ops, int8_t, -1>,
                roundDivSimdS<Ops, int8_t, 1>};

@@ -74,7 +74,7 @@ public:
   }
   std::string describe() const override {
     std::ostringstream OS;
-    OS << key().describe() << " scalar=divider batch=" << batchBackend();
+    OS << key().describe() << " scalar=divider batch: " << Batch.describe();
     return OS.str();
   }
 

@@ -68,7 +68,8 @@ public:
 
   /// Active batch backend name ("avx2", "sse2", "scalar", ...).
   virtual const char *batchBackend() const = 0;
-  /// Human-readable summary for the tool: key, backends, magic state.
+  /// Human-readable summary: the key, then BatchDivider::describe()
+  /// (backend, magic state and, for unsigned keys, the Figure 4.2 shape).
   virtual std::string describe() const = 0;
 
   /// Typed conveniences; the caller's lane type must match the key.

@@ -614,6 +614,12 @@ private:
         const batch::BatchDivider<SInt> BS(static_cast<SInt>(DSigned), B);
         checkLanes<UWord, UWord>(BatchU, Ns, F::TruncQ, F::TruncR,
                                  [&](auto... A) { BU.divRem(A...); });
+        // Each Figure 4.2 shape has separate divide and remainder loops.
+        checkLanes<UWord, UWord>(BatchU, Ns, F::TruncQ, F::TruncR,
+                                 [&](auto *In, auto *Q, auto *R, size_t C) {
+                                   BU.divide(In, Q, C);
+                                   BU.remainder(In, R, C);
+                                 });
         checkLanes<UWord, uint8_t>(
             BatchU, Ns, F::Divisible, F::None,
             [&](auto *In, auto *Out, auto *, size_t C) {

@@ -18,6 +18,7 @@
 
 #include "arch/Arch.h"
 #include "arch/CostModel.h"
+#include "core/ChooseMultiplier.h"
 #include "core/Divider.h"
 #include "core/ExactDiv.h"
 #include "telemetry/Remarks.h"
@@ -381,6 +382,177 @@ TEST(BatchDivider, DescribeMentionsBackendAndDivisor) {
   EXPECT_NE(U.describe().find("scalar"), std::string::npos);
   const BatchDivider<int32_t> S(-7, Backend::Scalar);
   EXPECT_NE(S.describe().find("i32 d=-7"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Figure 4.2 shapes: one loop per shape, picked once per divisor
+//===----------------------------------------------------------------------===//
+
+/// The shape and constants UnsignedBatchState derives from Figure 4.1's
+/// m' must be what CHOOSE_MULTIPLIER (Figure 6.2) itself picks:
+/// CHOOSE_MULTIPLIER(d, N) when that m < 2^N, else for even d
+/// CHOOSE_MULTIPLIER(d >> e, N - e) with pre-shift e, else Figure 4.1.
+template <typename T> void checkShapeIsFigure42(T D) {
+  constexpr int N = static_cast<int>(sizeof(T) * 8);
+  const UnsignedBatchState<T> S(D);
+  const std::string Where = "d=" + std::to_string(uint64_t(D));
+  if (D == 1) {
+    EXPECT_EQ(S.Shape, UnsignedShape::Long) << Where;
+  } else if (isPowerOf2(D)) {
+    EXPECT_EQ(S.Shape, UnsignedShape::Fits) << Where;
+    EXPECT_EQ(S.Magic, T(T(1) << (N - floorLog2(D)))) << Where;
+    EXPECT_EQ(S.Pre, 0) << Where;
+    EXPECT_EQ(S.Post, 0) << Where;
+    return;
+  } else if (const auto Info = chooseMultiplier<T>(D, N);
+             Info.fitsInWord()) {
+    EXPECT_EQ(S.Shape, UnsignedShape::Fits) << Where;
+    EXPECT_EQ(S.Magic, Info.wordMultiplier()) << Where;
+    EXPECT_EQ(S.Pre, 0) << Where;
+    EXPECT_EQ(S.Post, Info.ShiftPost) << Where;
+    return;
+  } else if (D % 2 == 0) {
+    const int E = countTrailingZeros(D);
+    const auto Odd = chooseMultiplier<T>(T(D >> E), N - E);
+    ASSERT_TRUE(Odd.fitsInWord()) << Where;
+    EXPECT_EQ(S.Shape, UnsignedShape::PreShift) << Where;
+    EXPECT_EQ(S.Magic, Odd.wordMultiplier()) << Where;
+    EXPECT_EQ(S.Pre, E) << Where;
+    EXPECT_EQ(S.Post, Odd.ShiftPost) << Where;
+    return;
+  }
+  EXPECT_EQ(S.Shape, UnsignedShape::Long) << Where;
+  EXPECT_EQ(S.Magic, S.Div.magic()) << Where;
+  EXPECT_EQ(S.Pre, S.Div.preShift()) << Where;
+  EXPECT_EQ(S.Post, S.Div.postShift()) << Where;
+}
+
+TEST(BatchShape, MatchesChooseMultiplierForEveryDivisor) {
+  for (uint32_t D = 1; D < 256; ++D)
+    checkShapeIsFigure42<uint8_t>(static_cast<uint8_t>(D));
+  for (uint32_t D = 1; D < 65536; ++D)
+    checkShapeIsFigure42<uint16_t>(static_cast<uint16_t>(D));
+  uint64_t Seed = 0x2545F4914F6CDD1Dull;
+  for (int I = 0; I < 20000; ++I) {
+    const uint64_t R = nextRand(Seed);
+    // Random magnitudes, so every l and every pre-shift e occurs.
+    const uint64_t D64 = R >> (R % 64);
+    const uint32_t D32 = static_cast<uint32_t>(R) >> (R % 32);
+    if (D64 != 0)
+      checkShapeIsFigure42<uint64_t>(D64);
+    if (D32 != 0)
+      checkShapeIsFigure42<uint32_t>(D32);
+  }
+  for (uint64_t D : makeDivisors<uint64_t>())
+    checkShapeIsFigure42<uint64_t>(D);
+  for (uint64_t D : {0xFFFFFFFFull, 0x100000000ull, 0x100000001ull})
+    checkShapeIsFigure42<uint64_t>(D);
+  for (uint32_t D : makeDivisors<uint32_t>())
+    checkShapeIsFigure42<uint32_t>(D);
+}
+
+/// Divisors for the shape sweep: one pinned per shape, d = 1, and even
+/// and odd d > 2^(N-1), where l = N and 2^l is not a word. For 64-bit
+/// lanes, both sides of the two-product boundary d = 2^32.
+template <typename T> std::vector<T> shapeDivisors() {
+  constexpr T Max = std::numeric_limits<T>::max();
+  constexpr T Top = static_cast<T>(T(1) << (sizeof(T) * 8 - 1));
+  std::vector<T> Ds = {T(1),       T(7),       T(10),  T(14), T(8),
+                       T(Top + 1), T(Top + 2), T(Top + 3),   T(Max - 2),
+                       T(Max - 1), Max};
+  if constexpr (sizeof(T) == 8)
+    Ds.insert(Ds.end(), {0xFFFFFFFFull, 0x100000000ull, 0x100000001ull,
+                         0xFFFFFFFEull, 0x1FFFFFFFEull, 0x300000000ull});
+  return Ds;
+}
+
+/// Every op of every shape against hardware / and %, over lengths 0..67
+/// at offsets 0 and 1, with a canary lane after the output.
+template <typename T> void checkShapesAgainstHardware() {
+  constexpr int N = static_cast<int>(sizeof(T) * 8);
+  constexpr T Canary = T(0x5A);
+  const std::vector<T> Inputs = makeInputs<T>();
+  for (T D : shapeDivisors<T>()) {
+    const UnsignedBatchState<T> S(D);
+    // Pinned at every width: 7 needs Figure 4.1, 10's multiplier fits,
+    // 14 = 2 · 7 pre-shifts, and 8 is a power of two.
+    switch (D) {
+    case 7:
+      EXPECT_EQ(S.Shape, UnsignedShape::Long);
+      break;
+    case 10:
+      EXPECT_EQ(S.Shape, UnsignedShape::Fits);
+      break;
+    case 14:
+      EXPECT_EQ(S.Shape, UnsignedShape::PreShift);
+      break;
+    case 8:
+      EXPECT_EQ(S.Shape, UnsignedShape::Fits);
+      EXPECT_EQ(S.Magic, T(T(1) << (N - 3)));
+      EXPECT_EQ(S.Post, 0);
+      break;
+    }
+    if constexpr (sizeof(T) == 8) {
+      EXPECT_EQ(S.CrossShift, D >> 32 == 0 ? 32 : 0) << D;
+    }
+    for (Backend B : availableBackends()) {
+      const BatchDivider<T> Batch(D, B);
+      for (size_t Offset : {size_t{0}, size_t{1}})
+        for (size_t Len = 0; Len <= MaxTailSweepLength; ++Len) {
+          const auto Where = [&](size_t I) {
+            return "off=" + std::to_string(Offset) +
+                   " len=" + std::to_string(Len) + " i=" + std::to_string(I) +
+                   " " + Batch.describe();
+          };
+          const T *In = Inputs.data() + Len * 14 + Offset;
+          std::vector<T> Quot(Offset + Len + 1, Canary),
+              Rem(Offset + Len + 1, Canary), Quot2(Offset + Len + 1, Canary),
+              Rem2(Offset + Len + 1, Canary);
+          Batch.divide(In, Quot.data() + Offset, Len);
+          Batch.remainder(In, Rem.data() + Offset, Len);
+          Batch.divRem(In, Quot2.data() + Offset, Rem2.data() + Offset, Len);
+          for (const std::vector<T> *Out : {&Quot, &Rem, &Quot2, &Rem2}) {
+            ASSERT_EQ((*Out)[Offset + Len], Canary) << Where(Len);
+            if (Offset) {
+              ASSERT_EQ((*Out)[0], Canary) << Where(0);
+            }
+          }
+          for (size_t I = 0; I < Len; ++I) {
+            const T Q = static_cast<T>(In[I] / D);
+            const T R = static_cast<T>(In[I] % D);
+            ASSERT_EQ(Quot[Offset + I], Q) << "divide " << Where(I);
+            ASSERT_EQ(Rem[Offset + I], R) << "remainder " << Where(I);
+            ASSERT_EQ(Quot2[Offset + I], Q) << "divRem " << Where(I);
+            ASSERT_EQ(Rem2[Offset + I], R) << "divRem " << Where(I);
+          }
+        }
+    }
+  }
+}
+
+TEST(BatchShape, EveryShapeMatchesHardwareOnEveryBackend) {
+  checkShapesAgainstHardware<uint8_t>();
+  checkShapesAgainstHardware<uint16_t>();
+  checkShapesAgainstHardware<uint32_t>();
+  checkShapesAgainstHardware<uint64_t>();
+}
+
+TEST(BatchShape, DescribeNamesTheShape) {
+  const auto Text = [](auto D) {
+    return BatchDivider<decltype(D)>(D, Backend::Scalar).describe();
+  };
+  EXPECT_NE(Text(uint32_t{10}).find("shape=fits m=0xcccccccd pre=0 post=3"),
+            std::string::npos);
+  EXPECT_NE(Text(uint32_t{14}).find("shape=pre-shift m=0x92492493 pre=1 "
+                                    "post=2"),
+            std::string::npos);
+  EXPECT_NE(Text(uint32_t{7}).find("shape=long"), std::string::npos);
+  EXPECT_NE(Text(uint32_t{8}).find("shape=fits (power of two) m=0x20000000"),
+            std::string::npos);
+  EXPECT_EQ(Text(uint32_t{7}).find("qd="), std::string::npos);
+  EXPECT_NE(Text(uint64_t{7}).find("qd=2mul(d<2^32)"), std::string::npos);
+  EXPECT_NE(Text(uint64_t{0x100000000ull}).find("qd=2mul(q<2^32)"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -145,7 +145,7 @@ TEST(Scheduler, RandomProgramsDifferential) {
   }
 }
 
-TEST(Scheduler, ComposesWithLoweringAndPeephole) {
+TEST(Scheduler, ComposesWithLowering) {
   // The full §10-style pipeline: lower divisions, then schedule; all
   // stages preserve semantics.
   Builder B(32, 1);

@@ -115,6 +115,19 @@ TEST(ServiceKey, ValidRejectsZeroBadWidthAndStrayBits) {
   EXPECT_FALSE((Key{static_cast<OpKind>(0xFF), 32, 7}).valid());
 }
 
+TEST(ServiceKey, EntryDescribeNamesTheBatchShape) {
+  const auto U = makeDividerEntry(keyFor<uint64_t>(14));
+  ASSERT_NE(U, nullptr);
+  EXPECT_EQ(U->describe().rfind("u64/14 scalar=divider batch: u64 d=14", 0),
+            0u)
+      << U->describe();
+  EXPECT_NE(U->describe().find("shape=pre-shift"), std::string::npos);
+  EXPECT_NE(U->describe().find("qd=2mul(d<2^32)"), std::string::npos);
+  const auto S = makeDividerEntry(keyFor<int32_t>(-7));
+  ASSERT_NE(S, nullptr);
+  EXPECT_NE(S->describe().find("i32 d=-7"), std::string::npos);
+}
+
 TEST(ServiceRegistry, InvalidKeysAreRejectedNotCached) {
   DividerRegistry R(smallOptions(1, 8));
   EXPECT_EQ(R.acquire(keyFor<uint32_t>(0)), nullptr);
