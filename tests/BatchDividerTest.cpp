@@ -10,7 +10,7 @@
 // for 8-bit lanes, and over randomized + adversarial edge vectors for
 // 16/32/64-bit lanes. The buffer sizes are deliberately not multiples
 // of any vector width so the SIMD tails execute too, and one sweep runs
-// every length 0..67 so every tail length does.
+// every length 0..67, at offsets 0 and 1, so every tail length does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -77,17 +77,24 @@ template <typename T> std::vector<T> makeInputs() {
 }
 
 /// Divisors: small, power-of-two, near-max, and (signed) negative and
-/// minimum values — every special case of Figures 4.2/5.2.
+/// minimum values — every special case of Figures 4.2/5.2. Unsigned,
+/// they give every batch shape (7 long, 10 fits, 14 pre-shift), and the
+/// even and odd d just above Max/2 + 1 have l = N, where 2^l is not a
+/// word. The 64-bit extras sit on both sides of d = 2^32, where the
+/// remainder's q·d switches between its two-product forms.
 template <typename T> std::vector<T> makeDivisors() {
-  std::vector<T> Ds = {T(1), T(2), T(3), T(5), T(7), T(10), T(11), T(25),
-                       T(60), T(100), T(125),
-                       std::numeric_limits<T>::max(),
-                       T(std::numeric_limits<T>::max() - 1),
-                       T(std::numeric_limits<T>::max() / 2),
-                       T(std::numeric_limits<T>::max() / 2 + 1)};
+  constexpr T Max = std::numeric_limits<T>::max();
+  std::vector<T> Ds = {T(1), T(2), T(3), T(5), T(7), T(10), T(11), T(14),
+                       T(25), T(60), T(100), T(125), Max, T(Max - 1),
+                       T(Max - 2), T(Max / 2), T(Max / 2 + 1), T(Max / 2 + 2),
+                       T(Max / 2 + 3), T(Max / 2 + 4)};
   for (int Bit = 1; Bit < static_cast<int>(sizeof(T) * 8) - 1; ++Bit)
     Ds.push_back(static_cast<T>(typename std::make_unsigned<T>::type(1)
                                 << Bit));
+  if constexpr (sizeof(T) == 8)
+    for (uint64_t D : {0xFFFFFFFFull, 0x100000001ull, 0xFFFFFFFEull,
+                       0x1FFFFFFFEull, 0x300000000ull})
+      Ds.push_back(static_cast<T>(D));
   if constexpr (std::is_signed_v<T>) {
     const size_t Positive = Ds.size();
     for (size_t I = 0; I < Positive; ++I)
@@ -237,9 +244,10 @@ TEST(BatchDivider, Exhaustive16Dividends) {
 /// 8-bit lanes, so every tail length on every vector width occurs.
 constexpr size_t MaxTailSweepLength = 67;
 
-/// Every available backend, pinned, over every length 0..67: each
-/// operation must match the core dividers element by element and must
-/// not write past the last lane.
+/// Every available backend, pinned, over every length 0..67 at input
+/// and output offsets 0 and 1: each operation must match the reference
+/// element by element (hardware / and % for unsigned lanes, the core
+/// dividers for signed ones) and must not write outside its lanes.
 template <typename T> void checkBackendsMatchScalar() {
   constexpr T Canary = T(0x5A);
   const std::vector<T> Inputs = makeInputs<T>();
@@ -247,58 +255,67 @@ template <typename T> void checkBackendsMatchScalar() {
     for (Backend B : availableBackends()) {
       const BatchDivider<T> Batch(D, B);
       ASSERT_EQ(Batch.backend(), B) << Batch.describe();
-      for (size_t Len = 0; Len <= MaxTailSweepLength; ++Len) {
-        // Only evaluated when an assertion fails.
-        const auto Where = [&](size_t I) {
-          return "len=" + std::to_string(Len) + " i=" + std::to_string(I) +
-                 " " + Batch.describe();
-        };
-        // A different window of the edge values and randoms per length.
-        const T *In = Inputs.data() + Len * 14;
-        std::vector<T> Quot(Len + 1, Canary), Rem(Len + 1, Canary),
-            Quot2(Len + 1, Canary), Rem2(Len + 1, Canary);
-        Batch.divide(In, Quot.data(), Len);
-        Batch.remainder(In, Rem.data(), Len);
-        Batch.divRem(In, Quot2.data(), Rem2.data(), Len);
-        ASSERT_EQ(Quot[Len], Canary) << Where(Len);
-        ASSERT_EQ(Rem[Len], Canary) << Where(Len);
-        ASSERT_EQ(Quot2[Len], Canary) << Where(Len);
-        ASSERT_EQ(Rem2[Len], Canary) << Where(Len);
-        if constexpr (std::is_signed_v<T>) {
-          const SignedDivider<T> Ref(D);
-          const FloorDivider<T> FloorRef(D);
-          const CeilDivider<T> CeilRef(D);
-          std::vector<T> Floor(Len + 1, Canary), Ceil(Len + 1, Canary);
-          Batch.floorDivide(In, Floor.data(), Len);
-          Batch.ceilDivide(In, Ceil.data(), Len);
-          ASSERT_EQ(Floor[Len], Canary) << Where(Len);
-          ASSERT_EQ(Ceil[Len], Canary) << Where(Len);
-          for (size_t I = 0; I < Len; ++I) {
-            const auto [Q, R] = Ref.divRem(In[I]);
-            ASSERT_EQ(Quot[I], Q) << "divide " << Where(I);
-            ASSERT_EQ(Rem[I], R) << "remainder " << Where(I);
-            ASSERT_EQ(Quot2[I], Q) << "divRem " << Where(I);
-            ASSERT_EQ(Rem2[I], R) << "divRem " << Where(I);
-            ASSERT_EQ(Floor[I], FloorRef.divide(In[I])) << "floor " << Where(I);
-            ASSERT_EQ(Ceil[I], CeilRef.divide(In[I])) << "ceil " << Where(I);
-          }
-        } else {
-          const UnsignedDivider<T> Ref(D);
-          const ExactUnsignedDivider<T> ExactRef(D);
-          std::vector<uint8_t> Div(Len + 1, 0xA5);
-          Batch.divisible(In, Div.data(), Len);
-          ASSERT_EQ(Div[Len], 0xA5) << Where(Len);
-          for (size_t I = 0; I < Len; ++I) {
-            const auto [Q, R] = Ref.divRem(In[I]);
-            ASSERT_EQ(Quot[I], Q) << "divide " << Where(I);
-            ASSERT_EQ(Rem[I], R) << "remainder " << Where(I);
-            ASSERT_EQ(Quot2[I], Q) << "divRem " << Where(I);
-            ASSERT_EQ(Rem2[I], R) << "divRem " << Where(I);
-            ASSERT_EQ(Div[I], ExactRef.isDivisible(In[I]) ? 1 : 0)
-                << "divisible " << Where(I);
+      for (size_t Off : {size_t{0}, size_t{1}})
+        for (size_t Len = 0; Len <= MaxTailSweepLength; ++Len) {
+          // Only evaluated when an assertion fails.
+          const auto Where = [&](size_t I) {
+            return "off=" + std::to_string(Off) +
+                   " len=" + std::to_string(Len) + " i=" + std::to_string(I) +
+                   " " + Batch.describe();
+          };
+          // Output buffers hold Len lanes at Off, between canaries.
+          const auto Buffer = [&] {
+            return std::vector<T>(Off + Len + 1, Canary);
+          };
+          const auto CanariesHold = [&](const auto &Out, auto Mark) {
+            return Out[Off + Len] == Mark && (Off == 0 || Out[0] == Mark);
+          };
+          // A different window of the edge values and randoms per length.
+          const T *In = Inputs.data() + Len * 14 + Off;
+          std::vector<T> Quot = Buffer(), Rem = Buffer(), Quot2 = Buffer(),
+                         Rem2 = Buffer();
+          Batch.divide(In, Quot.data() + Off, Len);
+          Batch.remainder(In, Rem.data() + Off, Len);
+          Batch.divRem(In, Quot2.data() + Off, Rem2.data() + Off, Len);
+          for (const std::vector<T> *Out : {&Quot, &Rem, &Quot2, &Rem2})
+            ASSERT_TRUE(CanariesHold(*Out, Canary)) << Where(Len);
+          if constexpr (std::is_signed_v<T>) {
+            const SignedDivider<T> Ref(D);
+            const FloorDivider<T> FloorRef(D);
+            const CeilDivider<T> CeilRef(D);
+            std::vector<T> Floor = Buffer(), Ceil = Buffer();
+            Batch.floorDivide(In, Floor.data() + Off, Len);
+            Batch.ceilDivide(In, Ceil.data() + Off, Len);
+            ASSERT_TRUE(CanariesHold(Floor, Canary)) << Where(Len);
+            ASSERT_TRUE(CanariesHold(Ceil, Canary)) << Where(Len);
+            for (size_t I = 0; I < Len; ++I) {
+              const auto [Q, R] = Ref.divRem(In[I]);
+              ASSERT_EQ(Quot[Off + I], Q) << "divide " << Where(I);
+              ASSERT_EQ(Rem[Off + I], R) << "remainder " << Where(I);
+              ASSERT_EQ(Quot2[Off + I], Q) << "divRem " << Where(I);
+              ASSERT_EQ(Rem2[Off + I], R) << "divRem " << Where(I);
+              ASSERT_EQ(Floor[Off + I], FloorRef.divide(In[I]))
+                  << "floor " << Where(I);
+              ASSERT_EQ(Ceil[Off + I], CeilRef.divide(In[I]))
+                  << "ceil " << Where(I);
+            }
+          } else {
+            const ExactUnsignedDivider<T> ExactRef(D);
+            std::vector<uint8_t> Div(Off + Len + 1, 0xA5);
+            Batch.divisible(In, Div.data() + Off, Len);
+            ASSERT_TRUE(CanariesHold(Div, uint8_t{0xA5})) << Where(Len);
+            for (size_t I = 0; I < Len; ++I) {
+              const T Q = static_cast<T>(In[I] / D);
+              const T R = static_cast<T>(In[I] % D);
+              ASSERT_EQ(Quot[Off + I], Q) << "divide " << Where(I);
+              ASSERT_EQ(Rem[Off + I], R) << "remainder " << Where(I);
+              ASSERT_EQ(Quot2[Off + I], Q) << "divRem " << Where(I);
+              ASSERT_EQ(Rem2[Off + I], R) << "divRem " << Where(I);
+              ASSERT_EQ(Div[Off + I], ExactRef.isDivisible(In[I]) ? 1 : 0)
+                  << "divisible " << Where(I);
+            }
           }
         }
-      }
     }
   }
 }
@@ -382,6 +399,22 @@ TEST(BatchDivider, DescribeMentionsBackendAndDivisor) {
   EXPECT_NE(U.describe().find("scalar"), std::string::npos);
   const BatchDivider<int32_t> S(-7, Backend::Scalar);
   EXPECT_NE(S.describe().find("i32 d=-7"), std::string::npos);
+  // Unsigned lanes name their Figure 4.2 shape, and u64 its q·d form.
+  const auto Text = [](auto D) {
+    return BatchDivider<decltype(D)>(D, Backend::Scalar).describe();
+  };
+  EXPECT_NE(Text(uint32_t{10}).find("shape=fits m=0xcccccccd pre=0 post=3"),
+            std::string::npos);
+  EXPECT_NE(Text(uint32_t{14}).find("shape=pre-shift m=0x92492493 pre=1 "
+                                    "post=2"),
+            std::string::npos);
+  EXPECT_NE(U.describe().find("shape=long"), std::string::npos);
+  EXPECT_NE(Text(uint32_t{8}).find("shape=fits (power of two) m=0x20000000"),
+            std::string::npos);
+  EXPECT_EQ(U.describe().find("qd="), std::string::npos);
+  EXPECT_NE(Text(uint64_t{7}).find("qd=2mul(d<2^32)"), std::string::npos);
+  EXPECT_NE(Text(uint64_t{0x100000000ull}).find("qd=2mul(q<2^32)"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -445,114 +478,36 @@ TEST(BatchShape, MatchesChooseMultiplierForEveryDivisor) {
   }
   for (uint64_t D : makeDivisors<uint64_t>())
     checkShapeIsFigure42<uint64_t>(D);
-  for (uint64_t D : {0xFFFFFFFFull, 0x100000000ull, 0x100000001ull})
-    checkShapeIsFigure42<uint64_t>(D);
   for (uint32_t D : makeDivisors<uint32_t>())
     checkShapeIsFigure42<uint32_t>(D);
 }
 
-/// Divisors for the shape sweep: one pinned per shape, d = 1, and even
-/// and odd d > 2^(N-1), where l = N and 2^l is not a word. For 64-bit
-/// lanes, both sides of the two-product boundary d = 2^32.
-template <typename T> std::vector<T> shapeDivisors() {
-  constexpr T Max = std::numeric_limits<T>::max();
-  constexpr T Top = static_cast<T>(T(1) << (sizeof(T) * 8 - 1));
-  std::vector<T> Ds = {T(1),       T(7),       T(10),  T(14), T(8),
-                       T(Top + 1), T(Top + 2), T(Top + 3),   T(Max - 2),
-                       T(Max - 1), Max};
-  if constexpr (sizeof(T) == 8)
-    Ds.insert(Ds.end(), {0xFFFFFFFFull, 0x100000000ull, 0x100000001ull,
-                         0xFFFFFFFEull, 0x1FFFFFFFEull, 0x300000000ull});
-  return Ds;
-}
-
-/// Every op of every shape against hardware / and %, over lengths 0..67
-/// at offsets 0 and 1, with a canary lane after the output.
-template <typename T> void checkShapesAgainstHardware() {
+/// One divisor pinned per shape at every unsigned width: 7 needs
+/// Figure 4.1, 10's multiplier fits, 14 = 2 · 7 pre-shifts, and 8 is a
+/// power of two. u64 remainders take q·d's cross term from q_hi·d_lo
+/// below d = 2^32 and from q_lo·d_hi at and above it.
+template <typename T> void checkPinnedShapes() {
   constexpr int N = static_cast<int>(sizeof(T) * 8);
-  constexpr T Canary = T(0x5A);
-  const std::vector<T> Inputs = makeInputs<T>();
-  for (T D : shapeDivisors<T>()) {
-    const UnsignedBatchState<T> S(D);
-    // Pinned at every width: 7 needs Figure 4.1, 10's multiplier fits,
-    // 14 = 2 · 7 pre-shifts, and 8 is a power of two.
-    switch (D) {
-    case 7:
-      EXPECT_EQ(S.Shape, UnsignedShape::Long);
-      break;
-    case 10:
-      EXPECT_EQ(S.Shape, UnsignedShape::Fits);
-      break;
-    case 14:
-      EXPECT_EQ(S.Shape, UnsignedShape::PreShift);
-      break;
-    case 8:
-      EXPECT_EQ(S.Shape, UnsignedShape::Fits);
-      EXPECT_EQ(S.Magic, T(T(1) << (N - 3)));
-      EXPECT_EQ(S.Post, 0);
-      break;
-    }
-    if constexpr (sizeof(T) == 8) {
-      EXPECT_EQ(S.CrossShift, D >> 32 == 0 ? 32 : 0) << D;
-    }
-    for (Backend B : availableBackends()) {
-      const BatchDivider<T> Batch(D, B);
-      for (size_t Offset : {size_t{0}, size_t{1}})
-        for (size_t Len = 0; Len <= MaxTailSweepLength; ++Len) {
-          const auto Where = [&](size_t I) {
-            return "off=" + std::to_string(Offset) +
-                   " len=" + std::to_string(Len) + " i=" + std::to_string(I) +
-                   " " + Batch.describe();
-          };
-          const T *In = Inputs.data() + Len * 14 + Offset;
-          std::vector<T> Quot(Offset + Len + 1, Canary),
-              Rem(Offset + Len + 1, Canary), Quot2(Offset + Len + 1, Canary),
-              Rem2(Offset + Len + 1, Canary);
-          Batch.divide(In, Quot.data() + Offset, Len);
-          Batch.remainder(In, Rem.data() + Offset, Len);
-          Batch.divRem(In, Quot2.data() + Offset, Rem2.data() + Offset, Len);
-          for (const std::vector<T> *Out : {&Quot, &Rem, &Quot2, &Rem2}) {
-            ASSERT_EQ((*Out)[Offset + Len], Canary) << Where(Len);
-            if (Offset) {
-              ASSERT_EQ((*Out)[0], Canary) << Where(0);
-            }
-          }
-          for (size_t I = 0; I < Len; ++I) {
-            const T Q = static_cast<T>(In[I] / D);
-            const T R = static_cast<T>(In[I] % D);
-            ASSERT_EQ(Quot[Offset + I], Q) << "divide " << Where(I);
-            ASSERT_EQ(Rem[Offset + I], R) << "remainder " << Where(I);
-            ASSERT_EQ(Quot2[Offset + I], Q) << "divRem " << Where(I);
-            ASSERT_EQ(Rem2[Offset + I], R) << "divRem " << Where(I);
-          }
-        }
+  EXPECT_EQ(UnsignedBatchState<T>(7).Shape, UnsignedShape::Long) << N;
+  EXPECT_EQ(UnsignedBatchState<T>(10).Shape, UnsignedShape::Fits) << N;
+  EXPECT_EQ(UnsignedBatchState<T>(14).Shape, UnsignedShape::PreShift) << N;
+  const UnsignedBatchState<T> Pow2(8);
+  EXPECT_EQ(Pow2.Shape, UnsignedShape::Fits) << N;
+  EXPECT_EQ(Pow2.Magic, T(T(1) << (N - 3))) << N;
+  EXPECT_EQ(Pow2.Post, 0) << N;
+  if constexpr (N == 64) {
+    for (uint64_t D : {0xFFFFFFFFull, 0x100000000ull, 0x100000001ull}) {
+      EXPECT_EQ(UnsignedBatchState<T>(D).CrossShift, D >> 32 == 0 ? 32 : 0)
+          << D;
     }
   }
 }
 
-TEST(BatchShape, EveryShapeMatchesHardwareOnEveryBackend) {
-  checkShapesAgainstHardware<uint8_t>();
-  checkShapesAgainstHardware<uint16_t>();
-  checkShapesAgainstHardware<uint32_t>();
-  checkShapesAgainstHardware<uint64_t>();
-}
-
-TEST(BatchShape, DescribeNamesTheShape) {
-  const auto Text = [](auto D) {
-    return BatchDivider<decltype(D)>(D, Backend::Scalar).describe();
-  };
-  EXPECT_NE(Text(uint32_t{10}).find("shape=fits m=0xcccccccd pre=0 post=3"),
-            std::string::npos);
-  EXPECT_NE(Text(uint32_t{14}).find("shape=pre-shift m=0x92492493 pre=1 "
-                                    "post=2"),
-            std::string::npos);
-  EXPECT_NE(Text(uint32_t{7}).find("shape=long"), std::string::npos);
-  EXPECT_NE(Text(uint32_t{8}).find("shape=fits (power of two) m=0x20000000"),
-            std::string::npos);
-  EXPECT_EQ(Text(uint32_t{7}).find("qd="), std::string::npos);
-  EXPECT_NE(Text(uint64_t{7}).find("qd=2mul(d<2^32)"), std::string::npos);
-  EXPECT_NE(Text(uint64_t{0x100000000ull}).find("qd=2mul(q<2^32)"),
-            std::string::npos);
+TEST(BatchShape, PinsOneDivisorPerShape) {
+  checkPinnedShapes<uint8_t>();
+  checkPinnedShapes<uint16_t>();
+  checkPinnedShapes<uint32_t>();
+  checkPinnedShapes<uint64_t>();
 }
 
 //===----------------------------------------------------------------------===//
