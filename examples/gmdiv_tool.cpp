@@ -163,12 +163,10 @@ template <typename UWord> void printMagic(UWord D) {
   std::printf("CHOOSE_MULTIPLIER(%llu, %d)   [unsigned]:\n",
               static_cast<unsigned long long>(D), Bits);
   if constexpr (Bits == 64)
-    std::printf("  m = %s%s\n", Unsigned.Multiplier.toString().c_str(),
-                Unsigned.fitsInWord() ? "" : "  (>= 2^N: long sequence)");
+    std::printf("  m = %s\n", Unsigned.Multiplier.toString().c_str());
   else
-    std::printf("  m = %llu%s\n",
-                static_cast<unsigned long long>(Unsigned.Multiplier),
-                Unsigned.fitsInWord() ? "" : "  (>= 2^N: long sequence)");
+    std::printf("  m = %llu\n",
+                static_cast<unsigned long long>(Unsigned.Multiplier));
   std::printf("  sh_post = %d, l = %d\n", Unsigned.ShiftPost,
               Unsigned.Log2Ceil);
 
@@ -182,6 +180,18 @@ template <typename UWord> void printMagic(UWord D) {
     std::printf("  m = %llu, sh_post = %d\n",
                 static_cast<unsigned long long>(Signed.Multiplier),
                 Signed.ShiftPost);
+
+  // The sequence the generator emits and the batch kernels run. A long
+  // shape's multiplier is Figure 4.1's m' = m - 2^N.
+  const UnsignedShapeChoice<UWord> Shape =
+      chooseUnsignedShape(UnsignedDivider<UWord>(D));
+  std::printf("Figure 4.2 [unsigned]: shape=%s%s, m%s = 0x%llx, pre = %d, "
+              "post = %d\n",
+              unsignedShapeName(Shape.Shape),
+              isPowerOf2(D) && D > 1 ? " (power of two)" : "",
+              Shape.Shape == UnsignedShape::Long ? " - 2^N" : "",
+              static_cast<unsigned long long>(Shape.Magic), Shape.Pre,
+              Shape.Post);
 
   const int E = countTrailingZeros(D);
   const UWord DOdd = static_cast<UWord>(D >> E);

@@ -5,9 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Builds the core dividers — the ChooseMultiplier / Figure 5.2 / §9
-// precomputation, done once per BatchDivider — and binds the kernel
-// table of the selected backend.
+// Builds the per-divisor state once per BatchDivider — the core
+// Figure 4.1 or 5.1 divider, and for unsigned lanes the §9 inverse and
+// the Figure 4.2 shape from chooseUnsignedShape — and binds the kernel
+// table of the selected backend, one per unsigned shape.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,18 +37,6 @@ template <typename T> const char *laneName() {
 }
 
 } // namespace
-
-const char *unsignedShapeName(UnsignedShape S) {
-  switch (S) {
-  case UnsignedShape::Fits:
-    return "fits";
-  case UnsignedShape::PreShift:
-    return "pre-shift";
-  case UnsignedShape::Long:
-    return "long";
-  }
-  return "long";
-}
 
 template <typename T>
 BatchDivider<T>::BatchDivider(T Divisor, Backend B)

@@ -9,6 +9,7 @@
 
 #include "codegen/MulByConst.h"
 #include "core/ChooseMultiplier.h"
+#include "core/Divider.h"
 #include "metrics/Metrics.h"
 #include "numtheory/ModArith.h"
 #include "ops/Bits.h"
@@ -167,17 +168,6 @@ int emitUnsignedDivT(Builder &B, int N, UWord D, const GenOptions &Options) {
   constexpr int Bits = T::Bits;
   assert(D >= 1 && "divisor must be nonzero");
 
-  MultiplierInfo<UWord> Info = chooseMultiplier<UWord>(D, Bits);
-  int ShiftPre = 0;
-  if (!Info.fitsInWord() && (D & 1) == 0) {
-    // Even divisor improvement: split d = 2^e * d_odd; divide by 2^e with
-    // a pre-shift, then less precision is needed for the multiplier.
-    const int E = countTrailingZeros(D);
-    const UWord DOdd = srl(D, E);
-    ShiftPre = E;
-    Info = chooseMultiplier<UWord>(DOdd, Bits - E);
-  }
-
   if (isPowerOf2(D)) {
     GMDIV_STAT(codegen, unsigned_div_pow2);
     remarkCase("unsigned-pow2", "Figure 4.2", "power of two", Bits,
@@ -186,47 +176,45 @@ int emitUnsignedDivT(Builder &B, int N, UWord D, const GenOptions &Options) {
     return B.srl(N, floorLog2(D), "d is a power of two");
   }
 
-  if (!Info.fitsInWord()) {
-    assert(ShiftPre == 0 && "pre-shift implies a fitting multiplier");
-    assert(Info.ShiftPost >= 1 && "m >= 2^N forces sh_post >= 1 for d >= 2");
+  const UnsignedShapeChoice<UWord> Choice =
+      chooseUnsignedShape(UnsignedDivider<UWord>(D));
+  const uint64_t M = static_cast<uint64_t>(Choice.Magic);
+  switch (Choice.Shape) {
+  case UnsignedShape::Long: {
     GMDIV_STAT(codegen, unsigned_div_long_form);
-    remarkCase(
-        "unsigned-long-form", "Figure 4.2", "long form (m >= 2^N)", Bits,
-        static_cast<uint64_t>(D), false,
-        {{"m_minus_2N",
-          hexStr(static_cast<uint64_t>(Info.truncatedMultiplier()))},
-         {"sh_post", decStr(static_cast<uint64_t>(Info.ShiftPost))}});
-    // q = SRL(t1 + SRL(n - t1, 1), sh_post - 1), t1 = MULUH(m - 2^N, n).
-    const int T1 = emitMulUHConstCap(
-        B, N, static_cast<uint64_t>(Info.truncatedMultiplier()), Bits,
-        Options.MulHigh, "m - 2^N");
+    remarkCase("unsigned-long-form", "Figure 4.2", "long form (m >= 2^N)",
+               Bits, static_cast<uint64_t>(D), false,
+               {{"m_minus_2N", hexStr(M)},
+                {"sh_post", decStr(static_cast<uint64_t>(Choice.Post + 1))}});
+    // Figure 4.1 with sh1 = 1: q = SRL(t1 + SRL(n - t1, 1), sh2),
+    // t1 = MULUH(m - 2^N, n).
+    const int T1 = emitMulUHConstCap(B, N, M, Bits, Options.MulHigh,
+                                     "m - 2^N");
     const int Avg = B.srl(B.sub(N, T1), 1, "(n - t1) / 2");
-    return B.srl(B.add(T1, Avg), Info.ShiftPost - 1);
+    return B.srl(B.add(T1, Avg), Choice.Post);
   }
-
-  if (ShiftPre > 0) {
+  case UnsignedShape::PreShift:
     GMDIV_STAT(codegen, unsigned_div_pre_shift);
-    remarkCase(
-        "unsigned-pre-shift", "Figure 4.2", "even divisor pre-shift", Bits,
-        static_cast<uint64_t>(D), false,
-        {{"sh_pre", decStr(static_cast<uint64_t>(ShiftPre))},
-         {"m", hexStr(static_cast<uint64_t>(Info.wordMultiplier()))},
-         {"sh_post", decStr(static_cast<uint64_t>(Info.ShiftPost))}});
-  } else {
+    remarkCase("unsigned-pre-shift", "Figure 4.2", "even divisor pre-shift",
+               Bits, static_cast<uint64_t>(D), false,
+               {{"sh_pre", decStr(static_cast<uint64_t>(Choice.Pre))},
+                {"m", hexStr(M)},
+                {"sh_post", decStr(static_cast<uint64_t>(Choice.Post))}});
+    break;
+  case UnsignedShape::Fits:
     GMDIV_STAT(codegen, unsigned_div_short);
-    remarkCase(
-        "unsigned-short", "Figure 4.2", "short form (m < 2^N)", Bits,
-        static_cast<uint64_t>(D), false,
-        {{"m", hexStr(static_cast<uint64_t>(Info.wordMultiplier()))},
-         {"sh_post", decStr(static_cast<uint64_t>(Info.ShiftPost))}});
+    remarkCase("unsigned-short", "Figure 4.2", "short form (m < 2^N)", Bits,
+               static_cast<uint64_t>(D), false,
+               {{"m", hexStr(M)},
+                {"sh_post", decStr(static_cast<uint64_t>(Choice.Post))}});
+    break;
   }
   const int Shifted =
-      ShiftPre > 0 ? B.srl(N, ShiftPre, "pre-shift by the even part")
-                   : N;
-  const int Product = emitMulUHConstCap(
-      B, Shifted, static_cast<uint64_t>(Info.wordMultiplier()), Bits,
-      Options.MulHigh, "magic multiplier m");
-  return B.srl(Product, Info.ShiftPost);
+      Choice.Pre > 0 ? B.srl(N, Choice.Pre, "pre-shift by the even part")
+                     : N;
+  const int Product = emitMulUHConstCap(B, Shifted, M, Bits, Options.MulHigh,
+                                        "magic multiplier m");
+  return B.srl(Product, Choice.Post);
 }
 
 //===----------------------------------------------------------------------===//
@@ -725,14 +713,6 @@ int emitUnsignedDivWideT(Builder &B, int N, UOp D, const GenOptions &Options) {
   assert(OpBits < MachineBits && "wide form needs a wider machine word");
   assert(D >= 1 && "divisor must be nonzero");
 
-  MultiplierInfo<UOp> Info = chooseMultiplier<UOp>(D, OpBits);
-  int ShiftPre = 0;
-  if (!Info.fitsInWord() && (D & 1) == 0) {
-    const int E = countTrailingZeros(D);
-    ShiftPre = E;
-    Info = chooseMultiplier<UOp>(srl(D, E), OpBits - E);
-  }
-
   if (isPowerOf2(D)) {
     GMDIV_STAT(codegen, wide_unsigned_pow2);
     remarkCase("unsigned-wide-pow2", "Figure 4.2 (wide)", "power of two",
@@ -743,53 +723,53 @@ int emitUnsignedDivWideT(Builder &B, int N, UOp D, const GenOptions &Options) {
     return B.srl(N, floorLog2(D), "d is a power of two");
   }
 
-  if (!Info.fitsInWord()) {
-    assert(ShiftPre == 0 && "pre-shift implies a fitting multiplier");
+  const UnsignedShapeChoice<UOp> Choice =
+      chooseUnsignedShape(UnsignedDivider<UOp>(D));
+  const uint64_t M = static_cast<uint64_t>(Choice.Magic);
+  switch (Choice.Shape) {
+  case UnsignedShape::Long: {
     GMDIV_STAT(codegen, wide_unsigned_long_form);
     remarkCase(
         "unsigned-wide-long-form", "Figure 4.2 (wide)",
         "long form (m >= 2^OpBits)", OpBits, static_cast<uint64_t>(D),
         false,
         {{"machine_bits", decStr(static_cast<uint64_t>(MachineBits))},
-         {"m_minus_2N",
-          hexStr(static_cast<uint64_t>(Info.truncatedMultiplier()))},
-         {"sh_post", decStr(static_cast<uint64_t>(Info.ShiftPost))}});
+         {"m_minus_2N", hexStr(M)},
+         {"sh_post", decStr(static_cast<uint64_t>(Choice.Post + 1))}});
     // MULUH at operation width = full machine product, high OpBits half.
-    const int T1 =
-        B.srl(emitMulLConst(
-                  B, N, static_cast<uint64_t>(Info.truncatedMultiplier()),
-                  Options),
-              OpBits, "t1 = MULUH_op(m - 2^N, n)");
+    const int T1 = B.srl(emitMulLConst(B, N, M, Options), OpBits,
+                         "t1 = MULUH_op(m - 2^N, n)");
     const int Avg = B.srl(B.sub(N, T1), 1, "(n - t1) / 2");
-    return B.srl(B.add(T1, Avg), Info.ShiftPost - 1);
+    return B.srl(B.add(T1, Avg), Choice.Post);
   }
-
-  if (ShiftPre > 0) {
+  case UnsignedShape::PreShift:
     GMDIV_STAT(codegen, wide_unsigned_pre_shift);
     remarkCase(
         "unsigned-wide-pre-shift", "Figure 4.2 (wide)",
         "even divisor pre-shift", OpBits, static_cast<uint64_t>(D), false,
         {{"machine_bits", decStr(static_cast<uint64_t>(MachineBits))},
-         {"sh_pre", decStr(static_cast<uint64_t>(ShiftPre))},
-         {"m", hexStr(static_cast<uint64_t>(Info.wordMultiplier()))},
-         {"sh_post", decStr(static_cast<uint64_t>(Info.ShiftPost))}});
-  } else {
+         {"sh_pre", decStr(static_cast<uint64_t>(Choice.Pre))},
+         {"m", hexStr(M)},
+         {"sh_post", decStr(static_cast<uint64_t>(Choice.Post))}});
+    break;
+  case UnsignedShape::Fits:
     GMDIV_STAT(codegen, wide_unsigned_short);
     remarkCase(
         "unsigned-wide-short", "Figure 4.2 (wide)",
         "single MULL + shift (full product fits)", OpBits,
         static_cast<uint64_t>(D), false,
         {{"machine_bits", decStr(static_cast<uint64_t>(MachineBits))},
-         {"m", hexStr(static_cast<uint64_t>(Info.wordMultiplier()))},
-         {"sh_post", decStr(static_cast<uint64_t>(Info.ShiftPost))}});
+         {"m", hexStr(M)},
+         {"sh_post", decStr(static_cast<uint64_t>(Choice.Post))}});
+    break;
   }
   const int Shifted =
-      ShiftPre > 0 ? B.srl(N, ShiftPre, "pre-shift by the even part") : N;
+      Choice.Pre > 0 ? B.srl(N, Choice.Pre, "pre-shift by the even part")
+                     : N;
   // m < 2^OpBits and n < 2^OpBits, so the full product fits the machine
   // word: one MULL (or its shift/add expansion) plus one shift.
-  const int Product = emitMulLConst(
-      B, Shifted, static_cast<uint64_t>(Info.wordMultiplier()), Options);
-  return B.srl(Product, OpBits + Info.ShiftPost,
+  const int Product = emitMulLConst(B, Shifted, M, Options);
+  return B.srl(Product, OpBits + Choice.Post,
                "extract HIGH and post-shift at once");
 }
 

@@ -11,6 +11,8 @@
 /// cheap operations, never a hardware divide.
 ///
 ///   UnsignedDivider<UWord>  — Figure 4.1;   q = ⌊n/d⌋.
+///   chooseUnsignedShape     — Figure 4.2's case split for a divisor,
+///                             derived from the divider's m'.
 ///   SignedDivider<SWord>    — Figure 5.1;   q = trunc(n/d) (C semantics).
 ///   FloorDivider<SWord>     — §6;           q = ⌊n/d⌋ (Fortran MODULO
 ///                             partner). Uses the Figure 6.1 sequence for
@@ -31,6 +33,7 @@
 #include "ops/Ops.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -122,6 +125,140 @@ private:
   int Shift1;
   int Shift2;
 };
+
+//===----------------------------------------------------------------------===//
+// Figure 4.2's unsigned case split, from Figure 4.1's m'
+//===----------------------------------------------------------------------===//
+
+/// Figure 4.2's unsigned case split. Each shape has its own generated
+/// sequence and its own batch loops.
+enum class UnsignedShape : uint8_t {
+  Fits,     ///< q = SRL(MULUH(m, n), s) with m < 2^N; powers of two too.
+  PreShift, ///< q = SRL(MULUH(m, SRL(n, e)), s): even d, m < 2^N.
+  Long,     ///< Figure 4.1: q = SRL(t + SRL(n - t, sh1), sh2).
+};
+inline constexpr size_t NumUnsignedShapes = 3;
+
+/// "fits", "pre-shift", "long".
+constexpr const char *unsignedShapeName(UnsignedShape S) {
+  switch (S) {
+  case UnsignedShape::Fits:
+    return "fits";
+  case UnsignedShape::PreShift:
+    return "pre-shift";
+  case UnsignedShape::Long:
+    return "long";
+  }
+  return "long";
+}
+
+/// A divisor's Figure 4.2 shape with its multiplier and shifts: (m, 0, s)
+/// for Fits, (m, e, s) for PreShift, Figure 4.1's (m', sh1, sh2) for
+/// Long. A Long shape's CHOOSE_MULTIPLIER(d, N) is m = 2^N + m' with
+/// sh_post = sh2 + 1.
+template <typename UWord> struct UnsignedShapeChoice {
+  UnsignedShape Shape;
+  UWord Magic;
+  int Pre;
+  int Post;
+};
+
+namespace detail {
+
+/// ⌊(R + 2^L)/Dd⌋ for R < Dd < 2^L and 1 <= L <= N, in word arithmetic:
+/// with 2^L - 1 = q·Dd + r, it is q, plus one when R + r + 1 reaches Dd,
+/// so 2^N itself is never formed. For 2^(L-1) <= Dd, q = 1 and no
+/// division is needed (every m_high of CHOOSE_MULTIPLIER(d, N)).
+template <typename UWord> UWord bumpQuotient(UWord R, int L, UWord Dd) {
+  constexpr int N = WordTraits<UWord>::Bits;
+  const UWord Pow2LMinus1 =
+      static_cast<UWord>(static_cast<UWord>(~UWord{0}) >> (N - L));
+  const bool One = Dd > static_cast<UWord>(Pow2LMinus1 >> 1);
+  const UWord Q = One ? UWord{1} : static_cast<UWord>(Pow2LMinus1 / Dd);
+  const UWord Rem = One ? static_cast<UWord>(Pow2LMinus1 - Dd)
+                        : static_cast<UWord>(Pow2LMinus1 % Dd);
+  const bool Carry = R >= static_cast<UWord>(Dd - Rem - UWord{1});
+  return static_cast<UWord>(Q + static_cast<UWord>(Carry ? 1 : 0));
+}
+
+/// Figure 6.2's halving loop over m_low = 2^N + A and m_high = 2^N + B
+/// (both below 2^(N+1); B < A means m_high overflowed), in closed form:
+/// ⌊m_low/2^k⌋ < ⌊m_high/2^k⌋ exactly while some bit at or above k
+/// differs, so the loop halves min(sh, ⌊log2(A ⊕ B)⌋) times. Returns
+/// true, with the multiplier in \p M and \p Sh reduced, when that is at
+/// least once: then m_high drops below 2^N.
+template <typename UWord>
+bool reduceBelow2N(UWord A, UWord B, int &Sh, UWord &M) {
+  constexpr int N = WordTraits<UWord>::Bits;
+  if (B <= A)
+    return false;
+  const int Top = floorLog2(static_cast<UWord>(A ^ B));
+  const int K = Sh < Top ? Sh : Top;
+  if (K == 0)
+    return false;
+  M = static_cast<UWord>(static_cast<UWord>(B >> K) |
+                         static_cast<UWord>(UWord{1} << (N - K)));
+  Sh -= K;
+  return true;
+}
+
+} // namespace detail
+
+/// Figure 4.2's unsigned case split for \p Div's divisor: the one place
+/// it is made, read by the code generators, the batch kernels and the
+/// tool. The result equals what CHOOSE_MULTIPLIER (Figure 6.2) picks:
+/// CHOOSE_MULTIPLIER(d, N) when its m < 2^N, else for even d = 2^e·d'
+/// CHOOSE_MULTIPLIER(d', N - e) with pre-shift e, else Figure 4.1.
+///
+/// It reuses the one wide division UnsignedDivider already did: its m'
+/// gives q0 = ⌊2^(N+l)/d⌋ = 2^N + m' - 1 and r0 = 2^(N+l) - q0·d =
+/// -q0·d mod 2^N, so CHOOSE_MULTIPLIER(d, N)'s m_high is
+/// q0 + ⌊(r0 + 2^l)/d⌋, and CHOOSE_MULTIPLIER(d', N - e)'s is
+/// q0 + ⌊((r0 >> e) + 2^l)/d'⌋ (same q0, remainder scaled by 2^e). The
+/// first needs no division and the second one word division; Figure
+/// 6.2's halving then finishes each in closed form.
+///
+/// `Fits` is Theorem 4.2's bound, m·d - 2^(N+s) <= 2^s. Lemire, Bartlett
+/// and Kaser, "Integer Division by Constants: Optimal Bounds"
+/// (arXiv:2012.12369), give the exact condition for a word multiplier
+/// m = ⌈2^(N+s)/d⌉: (m·d - 2^(N+s))·n* < 2^(N+s), with n* the largest
+/// n < 2^N that is -1 mod d. It admits every `Fits` divisor and some
+/// that stay `Long` here (d = 35 at N = 8: m = 235, s = 5).
+template <typename UWord>
+UnsignedShapeChoice<UWord>
+chooseUnsignedShape(const UnsignedDivider<UWord> &Div) {
+  constexpr int N = UnsignedDivider<UWord>::N;
+  const UWord D = Div.divisor();
+  const UnsignedShapeChoice<UWord> Long{UnsignedShape::Long, Div.magic(),
+                                        Div.preShift(), Div.postShift()};
+  if (D == UWord{1})
+    return Long; // m = 2^N: Figure 4.1 with m' = 1.
+  if (isPowerOf2(D))
+    return {UnsignedShape::Fits,
+            static_cast<UWord>(UWord{1} << (N - countTrailingZeros(D))), 0,
+            0};
+  const int L = Div.preShift() + Div.postShift();
+  const UWord A = static_cast<UWord>(Div.magic() - UWord{1}); // q0 - 2^N
+  // Widened, so that a uint16_t product cannot overflow int.
+  const UWord R0 = static_cast<UWord>(
+      0 - static_cast<uint64_t>(A) * static_cast<uint64_t>(D));
+  int Sh = L;
+  UWord M;
+  if (detail::reduceBelow2N(
+          A, static_cast<UWord>(A + detail::bumpQuotient(R0, L, D)), Sh, M))
+    return {UnsignedShape::Fits, M, 0, Sh};
+  const int E = countTrailingZeros(D);
+  Sh = L - E;
+  if (E > 0 &&
+      detail::reduceBelow2N(
+          A,
+          static_cast<UWord>(A + detail::bumpQuotient(
+                                     static_cast<UWord>(R0 >> E), L,
+                                     static_cast<UWord>(D >> E))),
+          Sh, M))
+    return {UnsignedShape::PreShift, M, E, Sh};
+  return Long;
+}
 
 //===----------------------------------------------------------------------===//
 // SignedDivider — Figure 5.1 (quotient rounds towards zero)

@@ -12,14 +12,14 @@
 /// instruction:
 ///   ⌈log2 x⌉ = N - LDZ(x - 1)        (1 < x <= 2^(N-1))
 ///   ⌊log2 x⌋ = N - 1 - LDZ(x)        (x >= 1)
-/// We implement LDZ itself by binary search so the library is
-/// self-contained; tests cross-check against std::countl_zero.
+/// LDZ itself is std::countl_zero, one instruction on current hardware.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GMDIV_OPS_BITS_H
 #define GMDIV_OPS_BITS_H
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
@@ -28,72 +28,16 @@ namespace gmdiv {
 
 /// Number of leading zero bits in a 64-bit value; 64 for zero.
 constexpr int countLeadingZeros64(uint64_t Value) {
-  if (Value == 0)
-    return 64;
-  int Count = 0;
-  if ((Value >> 32) == 0) {
-    Count += 32;
-    Value <<= 32;
-  }
-  if ((Value >> 48) == 0) {
-    Count += 16;
-    Value <<= 16;
-  }
-  if ((Value >> 56) == 0) {
-    Count += 8;
-    Value <<= 8;
-  }
-  if ((Value >> 60) == 0) {
-    Count += 4;
-    Value <<= 4;
-  }
-  if ((Value >> 62) == 0) {
-    Count += 2;
-    Value <<= 2;
-  }
-  if ((Value >> 63) == 0)
-    Count += 1;
-  return Count;
+  return std::countl_zero(Value);
 }
 
 /// Number of trailing zero bits in a 64-bit value; 64 for zero.
 constexpr int countTrailingZeros64(uint64_t Value) {
-  if (Value == 0)
-    return 64;
-  int Count = 0;
-  if ((Value & 0xffffffffu) == 0) {
-    Count += 32;
-    Value >>= 32;
-  }
-  if ((Value & 0xffffu) == 0) {
-    Count += 16;
-    Value >>= 16;
-  }
-  if ((Value & 0xffu) == 0) {
-    Count += 8;
-    Value >>= 8;
-  }
-  if ((Value & 0xfu) == 0) {
-    Count += 4;
-    Value >>= 4;
-  }
-  if ((Value & 0x3u) == 0) {
-    Count += 2;
-    Value >>= 2;
-  }
-  if ((Value & 0x1u) == 0)
-    Count += 1;
-  return Count;
+  return std::countr_zero(Value);
 }
 
 /// Number of set bits in a 64-bit value.
-constexpr int popCount64(uint64_t Value) {
-  Value = Value - ((Value >> 1) & 0x5555555555555555ull);
-  Value = (Value & 0x3333333333333333ull) +
-          ((Value >> 2) & 0x3333333333333333ull);
-  Value = (Value + (Value >> 4)) & 0x0f0f0f0f0f0f0f0full;
-  return static_cast<int>((Value * 0x0101010101010101ull) >> 56);
-}
+constexpr int popCount64(uint64_t Value) { return std::popcount(Value); }
 
 /// The low \p WordBits bits set (1 <= WordBits <= 64): the bit pattern
 /// mask of an N-bit word held in a uint64_t.
@@ -109,22 +53,15 @@ constexpr int64_t signExtend64(uint64_t Value, int WordBits) {
                               SignBit);
 }
 
-/// Leading-zero count within a word of \p Bits bits (the paper's LDZ).
-template <typename UWord>
-constexpr int countLeadingZeros(UWord Value) {
-  static_assert(std::is_unsigned_v<UWord>, "LDZ operates on unsigned words");
-  constexpr int Bits = static_cast<int>(sizeof(UWord) * 8);
-  return countLeadingZeros64(static_cast<uint64_t>(Value)) - (64 - Bits);
+/// Leading-zero count within a word of \p Bits bits (the paper's LDZ);
+/// the width of the word for zero.
+template <typename UWord> constexpr int countLeadingZeros(UWord Value) {
+  return std::countl_zero(Value);
 }
 
 /// Trailing-zero count within a word; width of the word for zero.
-template <typename UWord>
-constexpr int countTrailingZeros(UWord Value) {
-  static_assert(std::is_unsigned_v<UWord>, "CTZ operates on unsigned words");
-  constexpr int Bits = static_cast<int>(sizeof(UWord) * 8);
-  if (Value == 0)
-    return Bits;
-  return countTrailingZeros64(static_cast<uint64_t>(Value));
+template <typename UWord> constexpr int countTrailingZeros(UWord Value) {
+  return std::countr_zero(Value);
 }
 
 /// ⌊log2 Value⌋ for Value >= 1, via the paper's LDZ identity.
@@ -137,12 +74,11 @@ constexpr int floorLog2(UWord Value) {
 
 /// ⌈log2 Value⌉ for Value >= 1, via the paper's LDZ identity.
 /// Unlike the paper's statement (which assumes 1 < x <= 2^(N-1)) this
-/// also handles Value == 1 (result 0) and values above 2^(N-1).
+/// also handles Value == 1 (LDZ(0) = N, result 0) and values above
+/// 2^(N-1).
 template <typename UWord>
 constexpr int ceilLog2(UWord Value) {
   assert(Value >= 1 && "ceilLog2 requires a positive argument");
-  if (Value == 1)
-    return 0;
   constexpr int Bits = static_cast<int>(sizeof(UWord) * 8);
   return Bits - countLeadingZeros<UWord>(static_cast<UWord>(Value - 1));
 }

@@ -228,8 +228,6 @@ template <int NBits> constexpr int floorLog2(SmallUWord<NBits> Value) {
 }
 template <int NBits> constexpr int ceilLog2(SmallUWord<NBits> Value) {
   assert(Value.raw() >= 1 && "ceilLog2 requires a positive argument");
-  if (Value.raw() == 1)
-    return 0;
   return 64 - countLeadingZeros64(Value.raw() - 1);
 }
 template <int NBits> constexpr bool isPowerOf2(SmallUWord<NBits> Value) {

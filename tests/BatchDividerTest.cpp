@@ -18,9 +18,11 @@
 
 #include "arch/Arch.h"
 #include "arch/CostModel.h"
+#include "codegen/DivCodeGen.h"
 #include "core/ChooseMultiplier.h"
 #include "core/Divider.h"
 #include "core/ExactDiv.h"
+#include "ops/SmallWord.h"
 #include "telemetry/Remarks.h"
 
 #include "gtest/gtest.h"
@@ -426,7 +428,7 @@ TEST(BatchDivider, DescribeMentionsBackendAndDivisor) {
 /// CHOOSE_MULTIPLIER(d, N) when that m < 2^N, else for even d
 /// CHOOSE_MULTIPLIER(d >> e, N - e) with pre-shift e, else Figure 4.1.
 template <typename T> void checkShapeIsFigure42(T D) {
-  constexpr int N = static_cast<int>(sizeof(T) * 8);
+  constexpr int N = WordBitWidthV<T>;
   const UnsignedBatchState<T> S(D);
   const std::string Where = "d=" + std::to_string(uint64_t(D));
   if (D == 1) {
@@ -508,6 +510,71 @@ TEST(BatchShape, PinsOneDivisorPerShape) {
   checkPinnedShapes<uint16_t>();
   checkPinnedShapes<uint32_t>();
   checkPinnedShapes<uint64_t>();
+}
+
+//===----------------------------------------------------------------------===//
+// One Figure 4.2 derivation (chooseUnsignedShape) behind every consumer
+//===----------------------------------------------------------------------===//
+
+template <int N> void checkEveryDivisorAt() {
+  for (uint32_t D = 1; D < (uint32_t{1} << N); ++D)
+    checkShapeIsFigure42(SmallUWord<N>(D));
+}
+
+/// The code generators also reach the emulated widths 4..12, which the
+/// batch lanes never see: the same check over every divisor there
+/// (N = 8 is uint8_t, which BatchShape covers).
+TEST(ShapeDerivation, MatchesChooseMultiplierAtEmulatedWidths) {
+  checkEveryDivisorAt<4>();
+  checkEveryDivisorAt<5>();
+  checkEveryDivisorAt<6>();
+  checkEveryDivisorAt<7>();
+  checkEveryDivisorAt<9>();
+  checkEveryDivisorAt<10>();
+  checkEveryDivisorAt<11>();
+  checkEveryDivisorAt<12>();
+}
+
+/// The describe() shape word for the Figure 4.2 case the generator's
+/// remark names: short form and powers of two are "fits".
+std::string generatorShape(int Bits, uint64_t D,
+                           telemetry::CollectingRemarkSink &Sink) {
+  Sink.clear();
+  (void)codegen::genUnsignedDiv(Bits, D);
+  for (const telemetry::Remark &R : Sink.remarks()) {
+    if (R.Kind == "unsigned-short" || R.Kind == "unsigned-pow2")
+      return "fits";
+    if (R.Kind == "unsigned-pre-shift")
+      return "pre-shift";
+    if (R.Kind == "unsigned-long-form")
+      return "long";
+  }
+  return "no unsigned remark";
+}
+
+/// The shape= field of BatchDivider::describe().
+template <typename T> std::string batchShape(T D) {
+  const std::string Text = BatchDivider<T>(D, Backend::Scalar).describe();
+  const size_t Begin = Text.find("shape=") + 6;
+  return Text.substr(Begin, Text.find_first_of(" ,", Begin) - Begin);
+}
+
+template <typename T> void checkGeneratorNamesBatchShape() {
+  constexpr int N = static_cast<int>(sizeof(T) * 8);
+  telemetry::CollectingRemarkSink Sink;
+  telemetry::ScopedRemarkSink Guard(&Sink);
+  // d = 1: the generator emits SRL(n, 0); the batch runs Figure 4.1
+  // with m' = 1.
+  EXPECT_EQ(generatorShape(N, 1, Sink), "fits");
+  EXPECT_EQ(batchShape(T{1}), "long");
+  for (uint64_t D = 2; D <= std::numeric_limits<T>::max(); ++D)
+    EXPECT_EQ(generatorShape(N, D, Sink), batchShape(static_cast<T>(D)))
+        << "N=" << N << " d=" << D;
+}
+
+TEST(ShapeDerivation, GeneratorRemarkNamesTheBatchShape) {
+  checkGeneratorNamesBatchShape<uint8_t>();
+  checkGeneratorNamesBatchShape<uint16_t>();
 }
 
 //===----------------------------------------------------------------------===//
